@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import operator
 import struct
 from functools import reduce
 from math import comb
@@ -119,8 +120,18 @@ class CheckVerdict:
         return self.holds
 
 
+def _as_vertex(v, what):
+    """``v`` as a vertex index: any integer type (numpy ones too) except bool."""
+    if isinstance(v, (bool, np.bool_)):
+        raise ModeError(f"{what} has a non-integer vertex: {v!r}")
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ModeError(f"{what} has a non-integer vertex: {v!r}") from None
+
+
 def _as_vertex_set(s, n, what="anchor set"):
-    items = [int(v) for v in s]
+    items = [_as_vertex(v, what) for v in s]
     t = tuple(sorted(set(items)))
     if len(t) != len(items):
         raise ModeError(f"{what} has repeated vertices: {items}")

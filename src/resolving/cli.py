@@ -60,8 +60,11 @@ def parse_graph_token(token):
     if ":" in tok:
         family, _, params = tok.partition(":")
         if family == "rook":
-            a, b = (int(x) for x in params.split(","))
-            return graphs.rook_graph(a, b)
+            m = re.fullmatch(r"(\d+),(\d+)", params)
+            if not m:
+                raise GraphError(f"bad rook token {tok!r}; expected rook:M,N "
+                                 "with positive integers M and N")
+            return graphs.rook_graph(int(m.group(1)), int(m.group(2)))
         if family in ("snark", "flower-snark"):
             return graphs.flower_snark(int(params))
         if family == "tree":

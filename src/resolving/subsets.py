@@ -2,8 +2,9 @@
 
 Throughout the package, subsets of ``range(n)`` are enumerated by size and,
 within a size, in colexicographic order.  Colex order on equal-size subsets
-coincides with numeric order of their characteristic bitmasks, which makes
-ranking, unranking, and successor computation cheap.
+coincides with numeric order of their characteristic bitmasks: the set
+with the smaller largest element comes first, then the one with the
+smaller second-largest, and so on.
 """
 
 from math import comb
@@ -72,16 +73,3 @@ def colex_unrank(rank, k):
         r -= comb(c, j)
     out.reverse()
     return tuple(out)
-
-
-def gosper_next(mask):
-    """Next bitmask with the same popcount in increasing numeric order.
-
-    The caller is responsible for stopping once the mask outgrows the
-    intended universe.
-    """
-    low = mask & -mask
-    ripple = mask + low
-    ones = mask ^ ripple
-    ones = (ones >> 2) // low
-    return ripple | ones

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the package's machinery: distances come
 from a dict-based BFS, subsets from itertools, and every check follows the
 plain definition.  Agreement between these and the fast implementations is
-what the randomized tests certify.
+what the randomized tests certify.  The one exception, oracle_first_basis,
+judges candidate sets with the package's checkers, which those tests pin,
+so that it can reach snark-sized graphs.
 """
 
 import itertools
@@ -12,7 +14,15 @@ from collections import deque
 
 import pytest
 
-from resolving import all_pairs_distances, build_graph
+from resolving import (
+    ArrayCollision,
+    DominatedVertex,
+    UnresolvedPair,
+    all_pairs_distances,
+    build_graph,
+    check_mode,
+    forced_vertices,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +152,73 @@ def oracle_minimum_size(dist, mode_kind, order):
             else:
                 if k >= 2 and oracle_is_doubly(dist, sub):
                     return k
+    return None
+
+
+def colex_masks(n, k):
+    """Bitmasks of the k-subsets of range(n), in colex (= numeric) order,
+    stepped with Gosper's hack."""
+    if k == 0:
+        yield 0
+        return
+    mask = (1 << k) - 1
+    while mask < 1 << n:
+        yield mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | (((mask ^ ripple) >> 2) // low)
+
+
+def witness_separators(dist, witness):
+    """The vertices whose distances tell apart the two sides of a failing
+    check's witness; an anchor set with none of them fails by the same
+    witness."""
+    n = len(dist)
+
+    def d(s, group):
+        return min(dist[s][t] for t in group)
+
+    if isinstance(witness, ArrayCollision):
+        return [s for s in range(n) if d(s, witness.first) != d(s, witness.second)]
+    if isinstance(witness, DominatedVertex):
+        return [s for s in range(n) if dist[s][witness.vertex] < d(s, witness.dominating)]
+    assert isinstance(witness, UnresolvedPair)
+    return [s for s in range(n)
+            if dist[s][witness.u] - dist[s][witness.v] != witness.difference]
+
+
+def oracle_first_basis(g, mode):
+    """Forced vertices plus the first set of the other vertices, in
+    size-then-colex order, that together pass ``check_mode``; None if no set
+    passes.
+
+    Sets are judged by ``check_mode``, except that a set is skipped when it
+    avoids the witness separators of an earlier failing set: it fails by
+    that set's witness too."""
+    dm = all_pairs_distances(g)
+    dist = bfs_distances(g)
+    forced = () if mode.kind == "doubly" else forced_vertices(g, mode.order, mode.kind)
+    free = [v for v in range(g.n) if v not in forced]
+    position = {v: i for i, v in enumerate(free)}
+    separators = []
+    for k in range(len(free) + 1):
+        if len(forced) + k < (2 if mode.kind == "doubly" else 1):
+            continue
+        for combo in colex_masks(len(free), k):
+            for i, sep in enumerate(separators):
+                if not combo & sep:
+                    # neighbours in colex order tend to fail alike
+                    if i:
+                        separators.insert(0, separators.pop(i))
+                    break
+            else:
+                anchors = tuple(sorted(
+                    forced + tuple(v for i, v in enumerate(free) if combo >> i & 1)))
+                verdict = check_mode(dm, anchors, mode)
+                if verdict.holds:
+                    return anchors
+                separators.append(sum(1 << position[s] for s in
+                                      witness_separators(dist, verdict.witness)))
     return None
 
 

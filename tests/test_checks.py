@@ -82,6 +82,22 @@ def test_anchor_set_validation(demo):
         is_l_resolving(dm, (0, 99), 1)
 
 
+def test_anchor_set_rejects_non_integer_vertices(demo):
+    import numpy as np
+
+    _, dm = demo
+    # 1.5 must not become vertex 1, nor True vertex 1
+    with pytest.raises(ModeError, match="non-integer vertex: 1.5"):
+        is_l_resolving(dm, (1.5, True), 1)
+    with pytest.raises(ModeError, match="non-integer vertex: True"):
+        distance_array(dm, (True, 2), (0,))
+    with pytest.raises(ModeError, match="non-integer vertex: 2.0"):
+        distance_array(dm, (0,), (2.0,))
+    # numpy integers are vertices like ints
+    assert distance_array(dm, (np.int64(0), np.int32(1)), (np.intp(5),)) == \
+        distance_array(dm, (0, 1), (5,))
+
+
 # ---------------------------------------------------------------------------
 # distance arrays on the demo fixture
 

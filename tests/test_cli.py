@@ -4,7 +4,7 @@ import pathlib
 import jsonschema
 import pytest
 
-from resolving import cli, parse_edge_list
+from resolving import GraphError, cli, parse_edge_list
 from resolving.cli import main, parse_graph_token, parse_vertex_set
 
 SCHEMA = json.loads(
@@ -173,6 +173,35 @@ def test_dim_star_solid(capsys):
     assert payload["result"]["exact"] is True
 
 
+# (graph, mode, ell) -> (subsets_checked, mask_count) of ``dim --json``; the
+# first counts the sets a size-then-colex scan tests up to the basis, the
+# second the distinct separator masks no forced vertex hits
+DIM_STATS = {
+    ("J5", "resolving", 1): (332, 147),
+    ("J7", "resolving", 1): (774, 233),
+    ("J9", "resolving", 1): (1489, 299),
+    ("J5", "doubly", None): (1573, 552),
+    ("P9", "resolving", 1): (1, 8),
+    ("P9", "solid", 1): (1, 0),
+    ("C6", "resolving", 2): (44, 52),
+    ("H", "solid", 1): (44, 14),
+    ("H", "resolving", 2): (71, 58),
+    ("K1,3", "solid", 2): (1, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIM_STATS, key=str))
+def test_dim_json_counters_pinned(capsys, case):
+    graph, kind, ell = case
+    argv = ["dim", graph, "--mode", kind] + ([] if ell is None else ["--ell", str(ell)])
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["subsets_checked"], result["mask_count"]) == DIM_STATS[case]
+    # the other counters stay out of the report
+    assert "masks_kept" not in result and "nodes" not in result
+
+
 def test_dim_budget_exhaustion_exit(capsys):
     code, out, _ = run(capsys, "dim", "J7", "--mode", "resolving", "--ell", "2",
                        "--budget", "0.0", "--json")
@@ -289,6 +318,14 @@ def test_version_flag(capsys):
         cli.build_parser().parse_args(["--version"])
     out = capsys.readouterr().out.strip()
     assert out == __version__
+
+
+def test_malformed_rook_token_exits_2(capsys):
+    code, _, err = run(capsys, "check", "rook:7", "--set", "0")
+    assert code == 2
+    assert "rook:M,N" in err
+    with pytest.raises(GraphError, match="rook:M,N"):
+        parse_graph_token("rook:7,x")
 
 
 def test_unknown_graph_exits_2(capsys):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from resolving import (
@@ -26,13 +27,12 @@ from resolving import (
     verify_witness,
     write_edge_list,
 )
-from resolving.search import _mode_masks
+from resolving.search import _minimal_masks, _mode_masks, _resolving_blocks
 from resolving.subsets import (
     bits_of,
     colex_combinations,
     colex_rank,
     colex_unrank,
-    gosper_next,
     mask_of,
 )
 
@@ -165,9 +165,21 @@ def test_forced_equals_deletion_oracle(g, order, kind):
 # search masks encode the checks exactly
 
 
+def _as_ints(words):
+    """Rows of uint64 words -> one Python-int bitmask per row."""
+    return [sum(int(w) << (64 * j) for j, w in enumerate(row)) for row in words]
+
+
+def _as_words(masks, n_words):
+    return np.array([[(m >> (64 * j)) & (2**64 - 1) for j in range(n_words)]
+                     for m in masks], dtype=np.uint64).reshape(-1, n_words)
+
+
 @common
 @given(graph_set_order(n_max=7, max_order=2), st.booleans())
-def test_separator_masks_equal_checkers(case, prefilter):
+def test_separator_masks_equal_checkers(case, resolving_alone):
+    # both the {l}-resolving masks alone and the search's set, which adds
+    # the (l-1)-solid masks, encode the checks exactly
     g, anchors, order = case
     dm = all_pairs_distances(g)
     smask = mask_of(anchors)
@@ -179,9 +191,26 @@ def test_separator_masks_equal_checkers(case, prefilter):
     if len(anchors) >= 2:
         modes.append(Mode.doubly())
     for mode in modes:
-        masks = _mode_masks(dm, mode, prefilter)
-        hits_all = all(m & smask for m in masks)
+        if resolving_alone and mode.kind == "resolving":
+            words = np.concatenate(list(_resolving_blocks(dm.dist, mode.order)))
+        else:
+            words = _mode_masks(dm, mode)
+        hits_all = all(m & smask for m in _as_ints(words))
         assert hits_all == check_mode(dm, anchors, mode).holds
+
+
+@common
+@given(st.integers(1, 130), st.data())
+def test_minimal_masks_antichain(n, data):
+    masks = data.draw(st.sets(st.integers(1, 2**n - 1), max_size=60))
+    kept = _as_ints(_minimal_masks(_as_words(sorted(masks), (n + 63) // 64)))
+    assert set(kept) <= masks
+    # no kept mask contains another one
+    for a, b in itertools.permutations(kept, 2):
+        assert a & b != b
+    # every input mask contains a kept one
+    for m in masks:
+        assert any(k & m == k for k in kept)
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +300,12 @@ def test_masks_round_trip(n, k):
         return
     mask = mask_of(range(k))
     assert tuple(bits_of(mask)) == tuple(range(k))
-    seen = {mask}
-    cur = mask
-    total = 1
-    import math
-
-    while total < math.comb(n, k):
-        cur = gosper_next(cur)
-        assert cur.bit_count() == k
-        assert cur not in seen
-        seen.add(cur)
-        total += 1
-    assert len(seen) == math.comb(n, k)
+    # colex order is numeric order of the masks, which the search's
+    # largest-element-first descent relies on
+    masks = [mask_of(c) for c in colex_combinations(n, k)]
+    assert masks[0] == mask
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+    assert all(tuple(bits_of(m)) == c for m, c in zip(masks, colex_combinations(n, k)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from resolving import (
@@ -5,6 +8,7 @@ from resolving import (
     ModeError,
     SearchConfig,
     all_pairs_distances,
+    build_graph,
     check_mode,
     complete_graph,
     cycle_graph,
@@ -12,11 +16,17 @@ from resolving import (
     flower_snark,
     metric_dimension,
     path_graph,
+    search,
     star_graph,
     verify_basis_certificate,
 )
 
-from conftest import bfs_distances, oracle_minimum_size, random_connected_graph
+from conftest import (
+    bfs_distances,
+    oracle_first_basis,
+    oracle_minimum_size,
+    random_connected_graph,
+)
 
 
 def dim(g, mode, **kw):
@@ -89,6 +99,56 @@ def test_matches_brute_force_randomized(rng):
             assert got.value == want
 
 
+def _modes_for(n):
+    modes = [Mode.resolving(order) for order in (1, 2, 3) if order <= n]
+    modes += [Mode.solid(order) for order in (1, 2) if order <= n - 1]
+    if n >= 2:
+        modes.append(Mode.doubly())
+    return modes
+
+
+def test_same_basis_as_colex_oracle_randomized(rng):
+    for _ in range(100):
+        g = random_connected_graph(rng, n_min=1, n_max=9)
+        for mode in _modes_for(g.n):
+            want = oracle_first_basis(g, mode)
+            got = dim(g, mode)
+            assert (got.value, got.basis) == (len(want), want), (list(g.edges()), mode)
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()))
+
+
+@pytest.mark.parametrize("n, mode, seeds", [
+    (5, Mode.resolving(2), (1, 2)),
+    (5, Mode.solid(1), (1, 2)),
+    (7, Mode.resolving(2), (1,)),
+    (7, Mode.solid(1), (1, 2)),
+])
+def test_same_basis_as_colex_oracle_relabelled_snarks(n, mode, seeds):
+    for seed in seeds:
+        g = _relabelled(flower_snark(n), seed)
+        want = oracle_first_basis(g, mode)
+        got = dim(g, mode)
+        assert (got.value, got.basis) == (len(want), want)
+
+
+@pytest.mark.parametrize("g, mode", [
+    (path_graph(70), Mode.resolving(1)),
+    (path_graph(66), Mode.resolving(2)),
+    (cycle_graph(67), Mode.solid(1)),
+    (cycle_graph(66), Mode.doubly()),
+])
+def test_same_basis_as_colex_oracle_past_64_vertices(g, mode):
+    # masks of more than 64 vertices span several uint64 words
+    want = oracle_first_basis(g, mode)
+    got = dim(g, mode)
+    assert (got.value, got.basis) == (len(want), want)
+
+
 def test_basis_is_minimal_in_enumeration(rng):
     # exhaustion certifies no smaller set passes
     g = random_connected_graph(rng, n_min=4, n_max=7)
@@ -101,46 +161,44 @@ def test_basis_is_minimal_in_enumeration(rng):
 
 
 def test_workers_identical():
+    # workers is accepted and ignored: the search runs in one process
     g = flower_snark(5)
-    lone = dim(g, Mode.resolving(2), chunk=1 << 10)
-    multi = dim(g, Mode.resolving(2), workers=2, chunk=1 << 10)
+    lone = dim(g, Mode.resolving(2))
+    multi = dim(g, Mode.resolving(2), workers=2)
     assert (lone.value, lone.basis) == (multi.value, multi.basis)
-
-
-def test_prefilter_identical():
-    g = flower_snark(5)
-    on = dim(g, Mode.solid(1))
-    off = dim(g, Mode.solid(1), use_prefilter=False)
-    assert (on.value, on.basis) == (off.value, off.basis)
-    assert on.stats.mask_count <= off.stats.mask_count
-
-
-def test_chunk_size_identical():
-    g = flower_snark(5)
-    small = dim(g, Mode.solid(1), chunk=64)
-    large = dim(g, Mode.solid(1), chunk=1 << 20)
-    assert (small.value, small.basis) == (large.value, large.basis)
-
-
-def test_resume_skips_earlier_chunks():
-    g = flower_snark(5)
-    full = dim(g, Mode.solid(1), chunk=1 << 10)
-    k = full.value
-    resumed = dim(g, Mode.solid(1), chunk=1 << 10, k_min=k, resume=(k, 2))
-    assert resumed.value == k
-    assert resumed.stats.subsets_checked < full.stats.subsets_checked
 
 
 def test_progress_hook_fires():
     g = flower_snark(5)
     seen = []
-    dim(g, Mode.solid(1), chunk=1 << 12,
-        progress=lambda k, ci, checked: seen.append((k, ci, checked)))
+    dim(g, Mode.solid(1), progress=lambda k, step, nodes: seen.append((k, step, nodes)))
     assert seen
     ks = [k for k, _, _ in seen]
     assert ks == sorted(ks)
-    checked = [c for _, _, c in seen]
-    assert checked == sorted(checked)
+    nodes = [c for _, _, c in seen]
+    assert nodes == sorted(nodes)
+
+
+def test_progress_hook_steps_within_a_cardinality(monkeypatch):
+    # a small step size makes J7 {2}-resolving tick inside its cardinalities
+    monkeypatch.setattr(search, "PROGRESS_NODES", 64)
+    seen = []
+    res = dim(flower_snark(7), Mode.resolving(2),
+              progress=lambda k, step, nodes: seen.append((k, step, nodes)))
+    assert res.value == 8
+    assert [k for k, step, _ in seen if step == 0] == list(range(1, 9))
+    assert max(step for _, step, _ in seen) > 0
+    assert [c for _, _, c in seen] == sorted(c for _, _, c in seen)
+    assert seen[-1][2] <= res.stats.nodes
+
+
+def test_stats_phases_and_counters():
+    res = dim(flower_snark(5), Mode.resolving(2))
+    stats = res.stats
+    assert set(stats.phase_ms) == {"masks", "reduce", "search", "verify"}
+    assert all(ms >= 0.0 for ms in stats.phase_ms.values())
+    assert 0 < stats.masks_kept <= stats.mask_count
+    assert stats.nodes > 0
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +212,17 @@ def test_budget_exhaustion_returns_lower_bound():
     assert not res.exact
     assert res.lower_bound >= 1
     assert res.lower_bound_source == "trivial"
+    assert res.describe().startswith("unknown >= ")
+
+
+def test_budget_holds_in_separator_build():
+    # J7 {3}-resolving compares about 6.8 million pairs of sets of size <= 3;
+    # the deadline is checked between blocks of them
+    started = time.monotonic()
+    res = dim(flower_snark(7), Mode.resolving(3), budget_s=0.5)
+    assert time.monotonic() - started < 2.0
+    assert res.value is None
+    assert res.lower_bound >= 1
     assert res.describe().startswith("unknown >= ")
 
 
