@@ -21,19 +21,15 @@ reported.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import operator
-import struct
 from functools import reduce
-from math import comb
 
 import numpy as np
 
 from .errors import ModeError, OracleCapError
-from .subsets import colex_combinations, colex_unrank, subsets_size_colex
+from .subsets import colex_combinations
 
 DEFAULT_ORACLE_CAP = 12
-DEFAULT_HASH_CAP = 2_000_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -170,67 +166,32 @@ def _min_tuple(rows, subset):
 # {l}-resolving
 
 
-def _enumerate_sizes(order, assume_sub_solid):
-    return (order,) if assume_sub_solid else tuple(range(1, order + 1))
-
-
-def _resolving_stream(n, rows, sizes):
-    for k in sizes:
-        for subset in colex_combinations(n, k):
-            yield subset, _min_tuple(rows, subset)
-
-
-def _unrank_enumeration(n, sizes, rank):
-    for k in sizes:
-        block = comb(n, k)
-        if rank < block:
-            return colex_unrank(rank, k)
-        rank -= block
-    raise IndexError(rank)
-
-
-def is_l_resolving(dm, anchors, order, *, assume_sub_solid=False,
-                   hash_cap=DEFAULT_HASH_CAP):
+def is_l_resolving(dm, anchors, order):
     """Check whether ``anchors`` is an {order}-resolving set.
 
-    Hashes the distance arrays of every nonempty set of size <= order and
-    reports the first collision in size-then-colex enumeration order.  With
-    ``assume_sub_solid=True`` (caller knows the set is (order-1)-solid) only
-    size-order sets are compared, which cannot change the verdict in that
-    case.  Above ``hash_cap`` enumerated sets, a digest-based two-pass
-    variant replaces the direct dictionary to bound memory; the reported
-    witness is identical.
+    Scans every nonempty set of size <= order in size-then-colex order and
+    reports the first one whose distance array equals an earlier set's.
+    Only the sets are kept, keyed by the hash of their arrays with linear
+    probing: a set goes to the first free key from its hash upwards, and
+    the sets on the way have their arrays recomputed and compared.  Keys
+    are never freed, so an earlier set with an equal array lies on that
+    way, and the check is exact even when distinct arrays share a hash.
+    No two kept sets share an array, so the witness is unique.
     """
     n = dm.n
     anchors = _as_vertex_set(anchors, n)
     Mode.resolving(order).validate_for(n)
     rows = _anchor_rows(dm, anchors)
-    sizes = _enumerate_sizes(order, assume_sub_solid)
-    total = sum(comb(n, k) for k in sizes)
-    stream = _resolving_stream(n, rows, sizes)
-    if total <= hash_cap:
-        first_seen = {}
-        for subset, arr in stream:
-            prior = first_seen.get(arr)
-            if prior is not None:
-                return CheckVerdict(False, ArrayCollision(prior, subset, arr))
-            first_seen[arr] = subset
-        return CheckVerdict(True)
-    # Two-pass digest variant: store 8-byte digests and ranks only; on a
-    # digest match, re-derive the earlier candidates and confirm equality.
-    buckets = {}
-    fmt = struct.Struct(f"<{len(anchors)}i")
-    for rank, (subset, arr) in enumerate(stream):
-        dig = hashlib.blake2b(fmt.pack(*arr), digest_size=8).digest()
-        bucket = buckets.get(dig)
-        if bucket is None:
-            buckets[dig] = [rank]
-            continue
-        for earlier in bucket:
-            esub = _unrank_enumeration(n, sizes, earlier)
-            if _min_tuple(rows, esub) == arr:
-                return CheckVerdict(False, ArrayCollision(esub, subset, arr))
-        bucket.append(rank)
+    seen = {}
+    for k in range(1, order + 1):
+        for subset in colex_combinations(n, k):
+            arr = _min_tuple(rows, subset)
+            key = hash(arr)
+            while (earlier := seen.get(key)) is not None:
+                if _min_tuple(rows, earlier) == arr:
+                    return CheckVerdict(False, ArrayCollision(earlier, subset, arr))
+                key += 1
+            seen[key] = subset
     return CheckVerdict(True)
 
 

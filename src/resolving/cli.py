@@ -28,6 +28,20 @@ from .errors import DesignParseError, GraphError, ModeError
 from .search import SearchConfig, metric_dimension
 
 _GEN_FAMILIES = ("path", "cycle", "complete", "star", "tree", "rook", "flower-snark")
+# family: (parameter pattern, the form named when a token does not match
+# it, builder taking the integer parameters)
+_TOKEN_FAMILIES = {
+    "rook": (r"\d+,\d+", "rook:M,N with positive integers M and N",
+             graphs.rook_graph),
+    "snark": (r"\d+", "snark:N", graphs.flower_snark),
+    "flower-snark": (r"\d+", "flower-snark:N", graphs.flower_snark),
+    "tree": (r"\d+(?:,\d+)*", "tree:P1,P2,... (a parent list)",
+             lambda *parents: graphs.tree_from_parents(parents)),
+    "star": (r"\d+", "star:M", graphs.star_graph),
+    "path": (r"\d+", "path:N", graphs.path_graph),
+    "cycle": (r"\d+", "cycle:N", graphs.cycle_graph),
+    "complete": (r"\d+", "complete:N", graphs.complete_graph),
+}
 
 
 def _graph_digest(g):
@@ -59,21 +73,12 @@ def parse_graph_token(token):
         return graphs.star_graph(int(m.group(2)))
     if ":" in tok:
         family, _, params = tok.partition(":")
-        if family == "rook":
-            m = re.fullmatch(r"(\d+),(\d+)", params)
-            if not m:
-                raise GraphError(f"bad rook token {tok!r}; expected rook:M,N "
-                                 "with positive integers M and N")
-            return graphs.rook_graph(int(m.group(1)), int(m.group(2)))
-        if family in ("snark", "flower-snark"):
-            return graphs.flower_snark(int(params))
-        if family == "tree":
-            return graphs.tree_from_parents(tuple(int(x) for x in params.split(",")))
-        if family == "star":
-            return graphs.star_graph(int(params))
-        if family in ("path", "cycle", "complete"):
-            return graphs.generate_family(family, n=int(params))
-        raise GraphError(f"unknown graph family {family!r}")
+        if family not in _TOKEN_FAMILIES:
+            raise GraphError(f"unknown graph family {family!r}")
+        pattern, form, build = _TOKEN_FAMILIES[family]
+        if not re.fullmatch(pattern, params):
+            raise GraphError(f"bad {family} token {tok!r}; expected {form}")
+        return build(*(int(x) for x in params.split(",")))
     try:
         return gio.read_graph_file(tok)
     except FileNotFoundError:
@@ -175,21 +180,21 @@ def _positive(kind):
 def _cmd_gen(args):
     clock = _Clock(args.timing)
     family = args.family
-    if family == "flower-snark":
+    if family == "tree":
+        if not args.parents:
+            raise GraphError("tree needs --parents, e.g. --parents 0,0,1")
+        g = graphs.tree_from_parents(tuple(int(x) for x in args.parents.split(",")))
+    elif args.n is None:
+        raise GraphError(f"{family} needs --n")
+    elif family == "flower-snark":
         g = graphs.flower_snark(args.n)
     elif family == "rook":
         if args.m is None:
             raise GraphError("rook needs --m and --n")
         g = graphs.rook_graph(args.m, args.n)
-    elif family == "tree":
-        if not args.parents:
-            raise GraphError("tree needs --parents, e.g. --parents 0,0,1")
-        g = graphs.tree_from_parents(tuple(int(x) for x in args.parents.split(",")))
     elif family == "star":
         g = graphs.star_graph(args.n)
     else:
-        if args.n is None:
-            raise GraphError(f"{family} needs --n")
         g = graphs.generate_family(family, n=args.n)
     text = gio.write_edge_list(g)
     if args.out:
@@ -256,8 +261,7 @@ def _cmd_dim(args):
     clock = _Clock(args.timing)
     g = parse_graph_token(args.graph)
     mode = _mode_from_args(args)
-    config = SearchConfig(mode=mode, budget_s=args.budget, workers=args.workers,
-                          k_max=args.k_max)
+    config = SearchConfig(mode=mode, budget_s=args.budget, k_max=args.k_max)
     result = metric_dimension(g, config)
     labels = None
     if result.basis is not None and g.labels:
@@ -372,7 +376,7 @@ def _parse_n_range(spec):
 def _cmd_snark_suite(args):
     ns = _parse_n_range(args.n)
     records = snark.snark_suite(ns, long=args.long, seed=args.seed,
-                                budget_s=args.budget, workers=args.workers)
+                                budget_s=args.budget)
     failures = 0
     for rec in records:
         if not args.timing:
@@ -401,7 +405,8 @@ def build_parser():
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--workers", type=_positive("workers"), default=1)
+    common.add_argument("--workers", type=_positive("workers"), default=1,
+                        help="accepted and ignored; the search runs in one process")
     common.add_argument("--budget", type=float, default=60.0,
                         help="time budget in seconds for searches")
     common.add_argument("--seed", type=int, default=0,

@@ -36,7 +36,6 @@ from math import comb
 import numpy as np
 
 from .checks import Mode, check_mode, forced_vertices
-from .errors import ModeError
 from .graphs import all_pairs_distances
 from .subsets import colex_combinations, colex_rank
 
@@ -59,7 +58,6 @@ class SearchConfig:
     budget_s: float = 60.0
     # accepted for compatibility and ignored: the search is single-process
     workers: int = 1
-    k_min: int | None = None
     k_max: int | None = None
     # progress(k, step, nodes): called at the start of each cardinality k
     # (step 0) and every PROGRESS_NODES search nodes; k and the running
@@ -392,16 +390,11 @@ def metric_dimension(g, config):
     free = [v for v in range(n) if v not in forced]
     stats = SearchStats()
     deadline = None if config.budget_s is None else t0 + config.budget_s
-    k_lo = max(lb, len(forced), config.k_min or 0)
     k_hi = min(n, config.k_max if config.k_max is not None else n)
-    # the certified lower bound grows only while cardinalities are exhausted
-    # contiguously from it (a k_min override starts the search higher
-    # without certifying anything below)
-    certified_lb, certified_src = lb, lb_source
 
     def _result(value, basis):
         stats.wall_ms = (time.monotonic() - t0) * 1000.0
-        return DimensionResult(mode, value, basis, certified_lb, certified_src, stats)
+        return DimensionResult(mode, value, basis, lb, lb_source, stats)
 
     def tick(nodes):
         nonlocal step
@@ -419,7 +412,7 @@ def metric_dimension(g, config):
             cover, lowest, members = _bitsets(masks, free)
         stats.masks_kept = len(masks)
         with _phase(stats, "search"):
-            for k in range(k_lo, k_hi + 1):
+            for k in range(lb, k_hi + 1):
                 step = 0
                 tick(0)
                 hit, nodes = _colex_first_cover(cover, lowest, members, k - len(forced), tick)
@@ -429,8 +422,7 @@ def metric_dimension(g, config):
                     break
                 stats.subsets_checked += comb(len(free), k - len(forced))
                 stats.exhausted_through = k
-                if k == certified_lb:
-                    certified_lb, certified_src = k + 1, PROVENANCE_EXHAUSTED
+                lb, lb_source = k + 1, PROVENANCE_EXHAUSTED
             else:
                 return _result(None, None)
     except _OutOfBudget:
@@ -446,21 +438,19 @@ def metric_dimension(g, config):
     return _result(k, basis)
 
 
-def verify_basis_certificate(g, mode, anchors, *, budget_s=60.0, workers=1):
+def verify_basis_certificate(g, mode, anchors, *, budget_s=60.0):
     """Certify that ``anchors`` passes its mode check and no smaller set does.
 
     Never returns a false positive: on budget exhaustion the status is
     ``inconclusive`` and ``certified`` stays False.
     """
     dm = all_pairs_distances(g)
-    anchors = tuple(sorted(set(anchors)))
+    anchors = tuple(anchors)
     verdict = check_mode(dm, anchors, mode)
     if not verdict.holds:
         return CertificateReport(False, "not-passing")
     k = len(anchors)
-    if k == 0:
-        raise ModeError("anchor set must be nonempty")
-    config = SearchConfig(mode=mode, budget_s=budget_s, workers=workers, k_max=k - 1)
+    config = SearchConfig(mode=mode, budget_s=budget_s, k_max=k - 1)
     result = metric_dimension(g, config)
     if result.value is not None:
         return CertificateReport(

@@ -539,8 +539,7 @@ def _witness_text(w):
     return None if w is None else repr(w)
 
 
-def snark_suite(ns, *, long=False, seed=0, budget_s=600.0, workers=1,
-                progress=None):
+def snark_suite(ns, *, long=False, seed=0, budget_s=600.0):
     """Run every verifier for each n and return one record per (n, check).
 
     Records are dicts {n, check_name, holds, witness, millis}.  With
@@ -605,10 +604,7 @@ def snark_suite(ns, *, long=False, seed=0, budget_s=600.0, workers=1,
                 targets.append(("dimension-resolving-2", Mode.resolving(2), 7))
             for name, mode, want in targets:
                 t0 = time.perf_counter()
-                result = metric_dimension(g, SearchConfig(
-                    mode=mode, budget_s=budget_s, workers=workers,
-                    progress=progress,
-                ))
+                result = metric_dimension(g, SearchConfig(mode=mode, budget_s=budget_s))
                 ms = (time.perf_counter() - t0) * 1000.0
                 if result.exact:
                     add(n, name, result.value == want,

@@ -60,16 +60,3 @@ def colex_rank(subset):
     """Rank of an ascending k-tuple among k-subsets in colex order."""
     return sum(comb(c, j + 1) for j, c in enumerate(subset))
 
-
-def colex_unrank(rank, k):
-    """Inverse of :func:`colex_rank`."""
-    out = []
-    r = rank
-    for j in range(k, 0, -1):
-        c = j - 1
-        while comb(c + 1, j) <= r:
-            c += 1
-        out.append(c)
-        r -= comb(c, j)
-    out.reverse()
-    return tuple(out)

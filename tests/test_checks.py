@@ -12,6 +12,7 @@ from resolving import (
     UnresolvedPair,
     all_pairs_distances,
     check_mode,
+    checks,
     complete_graph,
     cycle_graph,
     distance_array,
@@ -131,40 +132,24 @@ def test_resolving_fixture_verdicts(demo):
     assert verify_witness(dm, S1, alternative)
 
 
-def test_resolving_first_collision_matches_oracle(demo):
+def test_resolving_first_collision_matches_oracle(demo, monkeypatch):
     g, dm = demo
     dist = bfs_distances(g)
-    for anchors in (R1, S1, (4,), (0, 8)):
-        for order in (1, 2):
-            verdict = is_l_resolving(dm, anchors, order)
-            expected = oracle_first_resolving_collision(dist, anchors, order)
-            if expected is None:
-                assert verdict.holds
-            else:
-                assert not verdict.holds
-                first, second, arr = expected
-                assert verdict.witness == ArrayCollision(first, second, arr)
-
-
-def test_resolving_hash_cap_fallback_identical(demo):
-    _, dm = demo
-    for anchors in (R1, S1, R2):
-        for order in (1, 2):
-            fast = is_l_resolving(dm, anchors, order)
-            slow = is_l_resolving(dm, anchors, order, hash_cap=0)
-            assert fast.holds == slow.holds
-            assert fast.witness == slow.witness
-
-
-def test_resolving_sub_solid_hint_identical(demo):
-    _, dm = demo
-    # S1 is 1-solid and R2 is {2}-resolving; the size-l-only comparison
-    # must agree with the full scan whenever the hint's premise holds
-    for anchors in (S1, R2, S2):
-        assert is_l_solid(dm, anchors, 1).holds
-        full = is_l_resolving(dm, anchors, 2)
-        hinted = is_l_resolving(dm, anchors, 2, assume_sub_solid=True)
-        assert full.holds == hinted.holds
+    for one_bucket in (False, True):
+        if one_bucket:
+            # every array hashes alike, so all sets share one bucket and
+            # only the recomputed arrays tell them apart
+            monkeypatch.setattr(checks, "hash", lambda arr: 0, raising=False)
+        for anchors in (R1, S1, R2, (4,), (0, 8)):
+            for order in (1, 2):
+                verdict = is_l_resolving(dm, anchors, order)
+                expected = oracle_first_resolving_collision(dist, anchors, order)
+                if expected is None:
+                    assert verdict.holds
+                else:
+                    assert not verdict.holds
+                    first, second, arr = expected
+                    assert verdict.witness == ArrayCollision(first, second, arr)
 
 
 def test_resolving_single_vertex_graph():

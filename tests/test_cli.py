@@ -328,6 +328,35 @@ def test_malformed_rook_token_exits_2(capsys):
         parse_graph_token("rook:7,x")
 
 
+@pytest.mark.parametrize("token, form", [
+    ("tree:0,x", "tree:P1,P2,..."),
+    ("tree:", "tree:P1,P2,..."),
+    ("snark:x", "snark:N"),
+    ("flower-snark:", "flower-snark:N"),
+    ("path:", "path:N"),
+    ("star:x", "star:M"),
+    ("cycle:x", "cycle:N"),
+    ("complete:", "complete:N"),
+])
+def test_malformed_graph_token_names_its_form(capsys, token, form):
+    code, _, err = run(capsys, "check", token, "--set", "0")
+    assert code == 2
+    assert f"expected {form}" in err
+    assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("rook", "--m", "3"),
+    ("star",),
+    ("flower-snark",),
+])
+def test_gen_without_n_exits_2(capsys, argv):
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 2
+    assert "needs --n" in err
+    assert out == ""
+
+
 def test_unknown_graph_exits_2(capsys):
     code, _, err = run(capsys, "check", "Q9", "--set", "0")
     assert code == 2

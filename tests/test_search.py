@@ -234,13 +234,6 @@ def test_k_max_cuts_off_search():
     assert res.lower_bound_source == "forced-count"
 
 
-def test_k_min_starts_higher_without_certifying():
-    g = path_graph(5)
-    res = dim(g, Mode.solid(1), k_min=4)
-    assert res.value == 4
-    assert res.lower_bound == 2
-
-
 def test_lower_bound_provenances():
     g = star_graph(3)
     bounds = dict(dimension_lower_bounds(g, Mode.solid(2)))
@@ -282,6 +275,11 @@ def test_certificate_not_passing():
     report = verify_basis_certificate(g, Mode.solid(1), (1, 2))
     assert not report.certified
     assert report.status == "not-passing"
+
+
+def test_certificate_rejects_repeated_vertices():
+    with pytest.raises(ModeError, match="repeated"):
+        verify_basis_certificate(path_graph(5), Mode.resolving(1), (0, 0, 1))
 
 
 def test_certificate_smaller_set_exists():
