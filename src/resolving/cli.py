@@ -28,6 +28,8 @@ from .errors import DesignParseError, GraphError, ModeError
 from .search import SearchConfig, metric_dimension
 
 _GEN_FAMILIES = ("path", "cycle", "complete", "star", "tree", "rook", "flower-snark")
+# the --parents and --n lists: comma-separated nonnegative integers
+_INT_LIST = r"\s*\d+\s*(?:,\s*\d+\s*)*"
 # family: (parameter pattern, the form named when a token does not match
 # it, builder taking the integer parameters)
 _TOKEN_FAMILIES = {
@@ -183,6 +185,8 @@ def _cmd_gen(args):
     if family == "tree":
         if not args.parents:
             raise GraphError("tree needs --parents, e.g. --parents 0,0,1")
+        if not re.fullmatch(_INT_LIST, args.parents):
+            raise GraphError(f"bad --parents {args.parents!r}; expected --parents P1,P2,...")
         g = graphs.tree_from_parents(tuple(int(x) for x in args.parents.split(",")))
     elif args.n is None:
         raise GraphError(f"{family} needs --n")
@@ -366,8 +370,10 @@ def _parse_n_range(spec):
     if m:
         lo, hi = int(m.group(1)), int(m.group(2))
         ns = [n for n in range(lo, hi + 1) if n % 2 == 1]
+    elif re.fullmatch(_INT_LIST, spec):
+        ns = [int(x) for x in spec.split(",")]
     else:
-        ns = [int(x) for x in spec.split(",") if x.strip()]
+        raise GraphError(f"bad --n {spec!r}; expected --n A..B or N1,N2,...")
     if not ns:
         raise GraphError(f"empty n range {spec!r}")
     return ns

@@ -19,11 +19,12 @@ their minimal antichain: a set hits every mask iff it hits every mask that
 contains no other one.  Forced vertices are members of every passing set,
 so they are always included and the masks they hit are dropped.
 
-Candidate sets are searched cardinality-ascending; within a cardinality,
-in colexicographic order over the non-forced vertices, by a depth-first
-branch-and-bound that picks the largest element first.  The first passing
-set in that order is returned and re-verified with the public checker.
-Exhausting a cardinality certifies the dimension exceeds it.
+Cardinalities are tried in ascending order.  For each, one recursion over
+the non-forced vertices, branching on the members of an unhit mask, decides
+whether that many hit every mask; a failed decision exhausts the cardinality
+and certifies the dimension exceeds it.  Otherwise the first passing set in
+colexicographic order is read off the same decision and re-verified with
+the public checker.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ class SearchStats:
     # them are minimal (the ones searched)
     mask_count: int = 0
     masks_kept: int = 0
+    # calls of the decision recursion, over all cardinalities
     nodes: int = 0
     # milliseconds per phase: masks, reduce, search, verify
     phase_ms: dict = dataclasses.field(default_factory=dict)
@@ -271,87 +273,78 @@ def _minimal_masks(masks, deadline=None):
 def _bitsets(masks, free):
     """The masks reindexed onto the positions in ``free`` and numbered by
     their lowest position: ``cover[j]`` is the Python-int bitset of the
-    masks that contain position j, ``members[i]`` the ascending positions
-    of mask i, and ``lowest[i]`` the first of them."""
+    masks that contain position j, ``members[i]`` the int bitset of the
+    positions in mask i, and ``lowest[i]`` the first of them."""
     member = np.unpackbits(masks.view(np.uint8), axis=1, bitorder="little")[:, free]
     if member.size:
         member = member[np.argsort(member.argmax(axis=1), kind="stable")]
     member = member.astype(bool)
-    members = [np.flatnonzero(row).tolist() for row in member]
+    members = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+               for row in member]
     cover = [int.from_bytes(np.packbits(column, bitorder="little").tobytes(), "little")
              for column in member.T]
-    return cover, [m[0] for m in members], members
+    return cover, [(m & -m).bit_length() - 1 for m in members], members
 
 
 # ---------------------------------------------------------------------------
-# branch-and-bound over one cardinality
+# exhaustive decision over one cardinality
 
 
 def _colex_first_cover(cover, lowest, members, r, tick):
     """First r-subset of range(len(cover)) in colex order whose covers
-    together hold every mask, as an ascending list, and the nodes visited.
+    together hold every mask (an ascending list, or None), and the number
+    of ``hits`` calls.
 
-    Trying the largest element t in ascending order, then recursing below
-    t, visits the r-subsets in colex order.  A node with r elements still
-    to choose below ``limit`` and the masks ``unhit`` left is pruned when
-
-    * the unhit mask with the largest lowest position (the last one, as
-      masks are numbered by lowest position) has no position below
-      ``limit``, or
-    * the r largest counts of unhit masks that one position below
-      ``limit`` hits sum to less than the unhit masks; the same bound on
-      the prefix below t discards a child t before it is visited.
-
-    The last unhit mask also starts the loop over t (t must be at least
-    its lowest position, or the child prunes at once) and gives the only
-    candidates when one element is left.  ``tick(nodes)`` runs every
-    PROGRESS_NODES nodes.
+    ``hits(unhit, allowed, r)`` decides whether at most r positions of the
+    bitset ``allowed`` hit every unhit mask: exactly r where it is called
+    below, as ``allowed`` then holds r and a set can be padded.  It
+    branches on the allowed members of the last unhit mask (the one with
+    the largest lowest position), lowest first, each branch forbidding its
+    member to the later ones, so no set is visited twice.  The colex-first
+    set is read off it largest element first: the smallest t from the
+    last unhit mask's lowest position on such that r - 1 positions below t
+    hit the masks t leaves unhit.  ``tick(nodes)`` runs every
+    PROGRESS_NODES calls.
     """
     complement = [((1 << len(lowest)) - 1) ^ c for c in cover]
     nodes = 0
 
-    def below(unhit, limit, r):
+    def hits(unhit, allowed, r):
         nonlocal nodes
         nodes += 1
         if not nodes % PROGRESS_NODES:
             tick(nodes)
         if not unhit:
-            return list(range(r))
-        last = unhit.bit_length() - 1
-        if r == 0 or lowest[last] >= limit:
-            return None
-        if r == 1:
-            for s in members[last]:
-                if s >= limit:
-                    break
-                if not unhit & complement[s]:
-                    return [s]
-            return None
-        need = unhit.bit_count()
-        hits = [(c & unhit).bit_count() for c in cover[:limit]]
-        if sum(sorted(hits, reverse=True)[:r]) < need:
-            return None
-        first = max(r - 1, lowest[last])
-        # the r - 1 largest counts below t, smallest first, and their sum
-        best = sorted(sorted(hits[:first], reverse=True)[:r - 1])
-        total = sum(best)
-        for t in range(first, limit):
-            if t > first and hits[t - 1] > best[0]:
-                total += hits[t - 1] - best[0]
-                best[0] = hits[t - 1]
-                best.sort()
-            if hits[t] + total < need:
-                continue
-            rest = unhit & complement[t]
-            if rest and lowest[rest.bit_length() - 1] >= t:
-                continue
-            found = below(rest, t, r - 1)
-            if found is not None:
-                found.append(t)
-                return found
-        return None
+            return True
+        if r == 0:
+            return False
+        branches = members[unhit.bit_length() - 1] & allowed
+        while branches:
+            low = branches & -branches
+            branches ^= low
+            allowed ^= low
+            rest = unhit & complement[low.bit_length() - 1]
+            # with one position left, its member must hit every unhit mask
+            if (not rest) if r == 1 else hits(rest, allowed, r - 1):
+                return True
+        return False
 
-    return below((1 << len(lowest)) - 1, len(cover), r), nodes
+    n = len(cover)
+    unhit = (1 << len(lowest)) - 1
+    if not hits(unhit, (1 << n) - 1, r):
+        return None, nodes
+    found = []
+    while r:
+        first = max(r - 1, lowest[unhit.bit_length() - 1]) if unhit else r - 1
+        for t in range(first, n):
+            rest = unhit & complement[t]
+            if hits(rest, (1 << t) - 1, r - 1):
+                break
+        else:
+            raise RuntimeError(f"no element completes a cover the search found ({r} left)")
+        found.append(t)
+        unhit, n, r = rest, t, r - 1
+    return found[::-1], nodes
 
 
 # ---------------------------------------------------------------------------

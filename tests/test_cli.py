@@ -357,6 +357,20 @@ def test_gen_without_n_exits_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, form", [
+    (("gen", "tree", "--parents", "0,x"), "expected --parents P1,P2,..."),
+    (("gen", "tree", "--parents", "0,,1"), "expected --parents P1,P2,..."),
+    (("snark-suite", "--n", "5,x"), "expected --n A..B or N1,N2,..."),
+    (("snark-suite", "--n", "5..x"), "expected --n A..B or N1,N2,..."),
+])
+def test_malformed_integer_list_names_its_form(capsys, argv, form):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert form in err
+    assert "invalid literal" not in err
+    assert out == ""
+
+
 def test_unknown_graph_exits_2(capsys):
     code, _, err = run(capsys, "check", "Q9", "--set", "0")
     assert code == 2

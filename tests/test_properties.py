@@ -27,7 +27,13 @@ from resolving import (
     verify_witness,
     write_edge_list,
 )
-from resolving.search import _minimal_masks, _mode_masks, _resolving_blocks
+from resolving.search import (
+    _bitsets,
+    _colex_first_cover,
+    _minimal_masks,
+    _mode_masks,
+    _resolving_blocks,
+)
 from resolving.subsets import (
     bits_of,
     colex_combinations,
@@ -210,6 +216,25 @@ def test_minimal_masks_antichain(n, data):
     # every input mask contains a kept one
     for m in masks:
         assert any(k & m == k for k in kept)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 11), st.data())
+def test_colex_first_cover_matches_brute_force(n, data):
+    # masks over the free vertices of a graph with up to 3 forced ones,
+    # not an antichain in general; r runs past the value, so infeasible
+    # cardinalities are drawn too
+    free = sorted(data.draw(st.sets(st.integers(0, n + 2), min_size=n, max_size=n)))
+    positions = data.draw(st.lists(
+        st.sets(st.integers(0, n - 1), min_size=1), max_size=12))
+    r = data.draw(st.integers(0, n))
+    words = _as_words([mask_of(free[p] for p in ps) for ps in positions], 1)
+    cover, lowest, members = _bitsets(words, free)
+    got, nodes = _colex_first_cover(cover, lowest, members, r, lambda nodes: None)
+    want = next((list(c) for c in colex_combinations(n, r)
+                 if all(ps & set(c) for ps in positions)), None)
+    assert got == want
+    assert nodes >= 1
 
 
 # ---------------------------------------------------------------------------

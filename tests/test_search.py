@@ -149,6 +149,14 @@ def test_same_basis_as_colex_oracle_past_64_vertices(g, mode):
     assert (got.value, got.basis) == (len(want), want)
 
 
+def test_flower_snark_11_solid_2():
+    # few minimal masks (66) but a deep proof that no 15-set is 2-solid
+    res = dim(flower_snark(11), Mode.solid(2))
+    assert res.value == 16
+    assert res.basis == (0, 5, 6, 12, 13, 14, 15, 17, 18, 19, 20, 21, 22, 27, 33, 38)
+    assert res.stats.exhausted_through == 15
+
+
 def test_basis_is_minimal_in_enumeration(rng):
     # exhaustion certifies no smaller set passes
     g = random_connected_graph(rng, n_min=4, n_max=7)
@@ -224,6 +232,27 @@ def test_budget_holds_in_separator_build():
     assert res.value is None
     assert res.lower_bound >= 1
     assert res.describe().startswith("unknown >= ")
+
+
+def test_budget_runs_out_inside_a_cardinality(monkeypatch):
+    # the hook sleeps past the budget at its first step inside a
+    # cardinality; that cardinality is not exhausted, so it is the bound
+    monkeypatch.setattr(search, "PROGRESS_NODES", 64)
+    budget = 1.0
+    interrupted = []
+
+    def progress(k, step, nodes):
+        if step > 0 and not interrupted:
+            interrupted.append(k)
+            time.sleep(budget)
+
+    res = dim(flower_snark(7), Mode.resolving(2), budget_s=budget, progress=progress)
+    assert res.value is None and res.basis is None
+    [k] = interrupted
+    assert 1 < k < 8
+    assert res.lower_bound == k
+    assert res.lower_bound_source == "exhausted-cardinality"
+    assert res.stats.exhausted_through == k - 1
 
 
 def test_k_max_cuts_off_search():
