@@ -14,10 +14,15 @@ candidate set passes iff it intersects every "separator" mask.
   d(., u) - d(., v), the complement of that level set; hitting all of them
   says the difference vector is not constant on the candidate set.
 
-The masks are built in numpy blocks as rows of uint64 words and reduced to
-their minimal antichain: a set hits every mask iff it hits every mask that
-contains no other one.  Forced vertices are members of every passing set,
-so they are always included and the masks they hit are dropped.
+The masks are uint64 bitsets kept word-major, one numpy row per word, from
+build through reduction.  They are built in blocks from bit slices of the
+distance rows (for each bit of the distances, the bitset of vertices where
+that bit is 1): the {l}-resolving mask is the union over slices of where
+two rows differ, the l-solid mask a bit-serial less-than, top bit first.
+They are then deduplicated and reduced to their minimal antichain: a set
+hits every mask iff it hits every mask that contains no other one.  Forced
+vertices are members of every passing set, so they are always included and
+the masks they hit are dropped.
 
 Cardinalities are tried in ascending order.  For each, one recursion over
 the non-forced vertices, branching on the members of an unhit mask, decides
@@ -47,10 +52,8 @@ PROVENANCE_EXHAUSTED = "exhausted-cardinality"
 
 # search nodes between two progress calls (and deadline checks)
 PROGRESS_NODES = 4096
-# bool cells compared per numpy block when building or reducing masks
-_BLOCK_CELLS = 1 << 22
-# set bits of each byte value (np.bitwise_count needs numpy 2)
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# uint64 words per numpy block when building or reducing masks
+_BLOCK_WORDS = 1 << 18
 
 
 @dataclasses.dataclass
@@ -132,8 +135,10 @@ def _phase(stats, name):
 
 
 # ---------------------------------------------------------------------------
-# separator masks: blocks of rows of uint64 words, bit v % 64 of word
-# v // 64 standing for vertex v
+# separator masks: bit v % 64 of word v // 64 stands for vertex v.  A family
+# of N masks over W words is an (N, W) array held word-major (its transpose
+# is C-contiguous), so every reduction runs across the few words,
+# elementwise over rows of N.
 
 
 def _compare(op, a, b):
@@ -168,26 +173,53 @@ def _set_rows(dist, order):
     return np.concatenate(rows)
 
 
-def _row_blocks(count, cells_per_row):
-    step = max(1, _BLOCK_CELLS // max(1, cells_per_row))
+def _slices(rows):
+    """Bit slices of nonnegative ``rows``, top bit first: with depth =
+    ``rows.max().bit_length()``, entry [b, w, i] is word w of the bitset
+    {v : bit depth - 1 - b of rows[i, v] is 1}."""
+    s, n = rows.shape
+    depth = int(rows.max()).bit_length()
+    bits = np.zeros((depth, s, (n + 63) // 64 * 64), dtype=bool)
+    for b in range(depth):
+        np.not_equal(rows & (1 << (depth - 1 - b)), 0, out=bits[b, :, :n])
+    words = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    return np.ascontiguousarray(words.transpose(0, 2, 1))
+
+
+def _row_blocks(count, words_per_row):
+    step = max(1, _BLOCK_WORDS // max(1, words_per_row))
     return ((lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 def _resolving_blocks(dist, order):
-    rows = _set_rows(dist, order)
-    s = len(rows)
-    for lo, hi in _row_blocks(s, s * len(dist)):
-        later = np.arange(lo + 1, s)[None, :] > np.arange(lo, hi)[:, None]
-        words = _compare(np.not_equal, rows[lo:hi, None, :], rows[None, lo + 1:, :])
-        yield words[later.reshape(-1)]
+    # {v : d(v, X) != d(v, Y)} is the union over bit slices of where X and Y
+    # differ.  Row i is paired with row i + d (mod s) for d = 1 .. s // 2,
+    # which meets every pair of rows once (those at d = s / 2 twice)
+    slices = _slices(_set_rows(dist, order))
+    _, width, s = slices.shape
+    shifted = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([slices, slices], axis=2), s, axis=2)
+    for lo, hi in _row_blocks(s // 2, s * width):
+        words = np.zeros((width, hi - lo, s), dtype=np.uint64)
+        for x, y in zip(slices[:, :, None, :], shifted[:, :, lo + 1:hi + 1]):
+            words |= x ^ y
+        yield words.reshape(width, -1).T
 
 
 def _solid_blocks(dist, order):
-    # the row of x in dist is d(., x); pairs with x in Y give empty masks
-    targets = _set_rows(dist, order)
+    # {v : d(v, x) < d(v, Y)} by a bit-serial compare, top bit first; the
+    # row of x in dist is d(., x), and pairs with x in Y give empty masks
+    targets = _slices(_set_rows(dist, order))
+    _, width, t = targets.shape
     n = len(dist)
-    for lo, hi in _row_blocks(n, len(targets) * n):
-        yield _compare(np.less, dist[lo:hi, None, :], targets[None, :, :])
+    for lo, hi in _row_blocks(n, t * width):
+        less = np.zeros((width, hi - lo, t), dtype=np.uint64)
+        same = ~less
+        # ~x and ~y are small; the parentheses keep full-size temporaries few
+        for x, y in zip(targets[:, :, lo:hi, None], targets[:, :, None, :]):
+            less |= same & (~x & y)
+            same &= x ^ ~y
+        yield less.reshape(width, -1).T
 
 
 def _doubly_blocks(dist):
@@ -212,15 +244,19 @@ def _mode_blocks(dist, mode):
         yield from _doubly_blocks(dist)
 
 
-def _unique_rows(words):
-    """Distinct rows, sorted (np.unique is several times slower here)."""
-    if words.shape[1] == 1:
-        words = np.sort(words, axis=0)
+def _unique_columns(cols):
+    """Distinct nonzero columns of word-major masks, sorted by their first
+    word, then the next (np.unique is several times slower here, and
+    boolean indexing than np.compress)."""
+    if len(cols) == 1:
+        cols = np.sort(cols, axis=1)
     else:
-        words = words[np.lexsort(words.T[::-1])]
-    fresh = np.ones(len(words), dtype=bool)
-    fresh[1:] = (words[1:] != words[:-1]).any(axis=1)
-    return words[fresh]
+        cols = cols[:, np.lexsort(cols[::-1])]
+    # a zero column sorts first
+    fresh = np.empty(cols.shape[1], dtype=bool)
+    fresh[:1] = cols[:, :1].any()
+    fresh[1:] = (cols[:, 1:] != cols[:, :-1]).any(axis=0)
+    return np.compress(fresh, cols, axis=1)
 
 
 def _mode_masks(dm, mode, avoid=(), deadline=None):
@@ -230,44 +266,52 @@ def _mode_masks(dm, mode, avoid=(), deadline=None):
     n = dm.n
     dist = dm.dist.astype(np.int16 if n < 1 << 15 else np.int32)
     avoid_row = _word_row(avoid, n)
-    parts = []
+    parts = [np.zeros((len(avoid_row), 0), dtype=np.uint64)]
     for block in _mode_blocks(dist, mode):
-        live = block.any(axis=1) & ~(block & avoid_row).any(axis=1)
-        parts.append(_unique_rows(block[live]))
+        cols = np.ascontiguousarray(block.T)
+        if avoid:
+            cols = np.compress(~(cols & avoid_row[:, None]).any(axis=0), cols, axis=1)
+        parts.append(_unique_columns(cols))
         if len(parts) >= 32:
-            parts = [_unique_rows(np.concatenate(parts))]
+            parts = [_unique_columns(np.concatenate(parts, axis=1))]
         _check_deadline(deadline)
-    if not parts:
-        return np.zeros((0, (n + 63) // 64), dtype="<u8")
-    return _unique_rows(np.concatenate(parts))
-
-
-def _contains_some(masks, sub):
-    """Which rows of ``masks`` contain some row of ``sub``."""
-    if masks.shape[1] == 1:
-        return ((masks & sub.T) == sub.T).any(axis=1)
-    return ((masks[:, None] & sub) == sub).all(axis=2).any(axis=1)
+    return _unique_columns(np.concatenate(parts, axis=1)).T
 
 
 def _minimal_masks(masks, deadline=None):
     """The masks (distinct rows of words) that contain no other one, fewest
-    bits first."""
-    sizes = _BYTE_BITS[masks.view(np.uint8)].sum(axis=1, dtype=np.int64)
+    bits first, in input order within a size.  The deadline is checked
+    after each chunk."""
+    cols = masks.T
+    # the smallest unsigned type that holds 64 * W, so that the stable
+    # argsort is a radix sort
+    sizes = np.bitwise_count(cols).sum(axis=0, dtype=np.min_scalar_type(64 * len(cols)))
     order = np.argsort(sizes, kind="stable")
-    masks, sizes = masks[order], sizes[order]
-    kept = masks[:0]
-    # masks of one size cannot contain one another, so each size is tested
-    # against the smaller kept masks only: the smallest first, as they
-    # discard the most, in slices growing fourfold
-    for level in np.split(masks, np.flatnonzero(np.diff(sizes)) + 1):
-        lo, step = 0, 16
-        while lo < len(kept) and len(level):
-            level = level[~_contains_some(level, kept[lo:lo + step])]
+    cols, sizes = cols[:, order], sizes[order]
+    kept = [cols[:, :0]]
+    # the smallest masks left contain no other one: keep them, and drop
+    # every larger mask that contains one of them, a chunk at a time
+    while sizes.size:
+        cut = np.searchsorted(sizes, sizes[0], side="right")
+        level, cols, sizes = cols[:, :cut], cols[:, cut:], sizes[cut:]
+        kept.append(level)
+        lo = 0
+        while lo < level.shape[1] and sizes.size:
+            step = max(1, _BLOCK_WORDS // cols.size)
+            sub = level[:, lo:lo + step, None]
+            keep = ~((cols[:, None, :] & sub) == sub).all(axis=0).any(axis=0)
+            cols, sizes = np.compress(keep, cols, axis=1), sizes[keep]
             lo += step
-            step = max(16, min(4 * step, _BLOCK_CELLS // max(1, len(level))))
-        kept = np.concatenate([kept, level])
-        _check_deadline(deadline)
-    return kept
+            _check_deadline(deadline)
+    return np.concatenate(kept, axis=1).T
+
+
+def _row_ints(bits):
+    """Each row of a 2-d 0/1 array as a Python-int bitset."""
+    raw = np.packbits(bits, axis=1, bitorder="little")
+    width = raw.shape[1]
+    raw = raw.tobytes()
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(len(bits))]
 
 
 def _bitsets(masks, free):
@@ -275,15 +319,12 @@ def _bitsets(masks, free):
     their lowest position: ``cover[j]`` is the Python-int bitset of the
     masks that contain position j, ``members[i]`` the int bitset of the
     positions in mask i, and ``lowest[i]`` the first of them."""
-    member = np.unpackbits(masks.view(np.uint8), axis=1, bitorder="little")[:, free]
+    raw = np.ascontiguousarray(masks).view(np.uint8)
+    member = np.unpackbits(raw, axis=1, bitorder="little")[:, free]
     if member.size:
         member = member[np.argsort(member.argmax(axis=1), kind="stable")]
-    member = member.astype(bool)
-    members = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-               for row in member]
-    cover = [int.from_bytes(np.packbits(column, bitorder="little").tobytes(), "little")
-             for column in member.T]
-    return cover, [(m & -m).bit_length() - 1 for m in members], members
+    members = _row_ints(member)
+    return _row_ints(member.T), [(m & -m).bit_length() - 1 for m in members], members
 
 
 # ---------------------------------------------------------------------------

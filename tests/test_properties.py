@@ -1,17 +1,21 @@
 import itertools
+import time
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from resolving import (
     Design,
     Mode,
+    ModeError,
     RookSet,
     all_pairs_distances,
     build_graph,
     cartesian_product,
     check_mode,
     design_to_set,
+    flower_snark,
     forced_vertices,
     forced_vertices_oracle,
     gap_statistics,
@@ -20,6 +24,7 @@ from resolving import (
     is_l_solid,
     is_l_solid_oracle,
     parse_edge_list,
+    path_graph,
     product_flat,
     quadruple_coverage,
     set_to_design,
@@ -28,6 +33,7 @@ from resolving import (
     write_edge_list,
 )
 from resolving.search import (
+    _OutOfBudget,
     _bitsets,
     _colex_first_cover,
     _minimal_masks,
@@ -204,6 +210,74 @@ def test_separator_masks_equal_checkers(case, resolving_alone):
         assert hits_all == check_mode(dm, anchors, mode).holds
 
 
+def _pairwise_masks(dist, mode):
+    """The distinct nonempty separator masks of ``mode``, built pair by pair
+    from the definitions in the search module's docstring."""
+    vertices = range(len(dist))
+
+    def mask(members):
+        return sum(1 << v for v in members)
+
+    def sets(order):
+        return [c for k in range(1, order + 1) for c in itertools.combinations(vertices, k)]
+
+    def to(anchors):
+        return [min(dist[v][a] for a in anchors) for v in vertices]
+
+    def solid(order):
+        return {mask(v for v in vertices if dist[v][x] < to_y[v])
+                for ys in sets(order) for to_y in [to(ys)]
+                for x in vertices if x not in ys}
+
+    if mode.kind == "resolving":
+        rows = [to(xs) for xs in sets(mode.order)]
+        out = {mask(v for v in vertices if a[v] != b[v])
+               for a, b in itertools.combinations(rows, 2)}
+        if mode.order >= 2:
+            out |= solid(mode.order - 1)
+    elif mode.kind == "solid":
+        out = solid(mode.order)
+    else:
+        out = set()
+        for u, w in itertools.combinations(vertices, 2):
+            diff = [dist[v][u] - dist[v][w] for v in vertices]
+            out |= {mask(v for v in vertices if diff[v] != c) for c in diff}
+    return out - {0}
+
+
+def _assert_exact_family(g, mode):
+    dm = all_pairs_distances(g)
+    words = _mode_masks(dm, mode)
+    # distinct, sorted by the first word, then the next
+    rows = [tuple(row) for row in words.tolist()]
+    assert rows == sorted(set(rows))
+    assert set(_as_ints(words)) == _pairwise_masks(dm.dist.tolist(), mode)
+
+
+@common
+@given(connected_graphs(), st.sampled_from([
+    Mode.resolving(1), Mode.resolving(2), Mode.resolving(3),
+    Mode.solid(1), Mode.solid(2), Mode.doubly(),
+]))
+def test_mode_masks_equal_pairwise_family(g, mode):
+    try:
+        mode.validate_for(g.n)
+    except ModeError:
+        return
+    _assert_exact_family(g, mode)
+
+
+@pytest.mark.parametrize("g, mode", [
+    # 68 vertices: two words per mask
+    (flower_snark(17), Mode.solid(1)),
+    # diameter 69: seven bit slices over two words
+    (path_graph(70), Mode.resolving(1)),
+    (path_graph(70), Mode.solid(1)),
+], ids=["J17-solid1", "P70-resolving1", "P70-solid1"])
+def test_mode_masks_equal_pairwise_family_multiword(g, mode):
+    _assert_exact_family(g, mode)
+
+
 @common
 @given(st.integers(1, 130), st.data())
 def test_minimal_masks_antichain(n, data):
@@ -216,6 +290,23 @@ def test_minimal_masks_antichain(n, data):
     # every input mask contains a kept one
     for m in masks:
         assert any(k & m == k for k in kept)
+
+
+@common
+@given(st.integers(1, 130), st.data())
+def test_minimal_masks_fewest_bits_first(n, data):
+    masks = data.draw(st.lists(st.integers(1, 2**n - 1), unique=True, max_size=60))
+    kept = _as_ints(_minimal_masks(_as_words(masks, (n + 63) // 64)))
+    # the masks that contain no other one, by popcount, in input order
+    # within a popcount
+    minimal = [m for m in masks if not any(k != m and k & m == k for k in masks)]
+    assert kept == sorted(minimal, key=int.bit_count)
+
+
+def test_minimal_masks_checks_the_deadline():
+    words = _as_words([0b001, 0b110, 0b111], 1)
+    with pytest.raises(_OutOfBudget):
+        _minimal_masks(words, deadline=time.monotonic() - 1.0)
 
 
 @settings(max_examples=400, deadline=None)

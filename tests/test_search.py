@@ -224,10 +224,10 @@ def test_budget_exhaustion_returns_lower_bound():
 
 
 def test_budget_holds_in_separator_build():
-    # J7 {3}-resolving compares about 6.8 million pairs of sets of size <= 3;
+    # J9 {3}-resolving compares about 30 million pairs of sets of size <= 3;
     # the deadline is checked between blocks of them
     started = time.monotonic()
-    res = dim(flower_snark(7), Mode.resolving(3), budget_s=0.5)
+    res = dim(flower_snark(9), Mode.resolving(3), budget_s=0.5)
     assert time.monotonic() - started < 2.0
     assert res.value is None
     assert res.lower_bound >= 1
