@@ -16,20 +16,31 @@ of d(s, x).
 Witness enumeration is deterministic: candidate sets are scanned by size,
 then in colexicographic order, and the first violation in that order is
 reported.
+
+Both scans run over numpy blocks of sets, one size at a time.  A block's
+distance arrays are a min-reduce over the rows of its sets' vertices.  The
+{l}-resolving scan reduces each array to a 64-bit key and keeps only the
+sorted keys and positions of the sets scanned so far; every key match is
+confirmed on recomputed arrays.  The l-solid scan builds the bitsets of
+dominated vertices for a whole block of Y sets at once.  Blocks start
+small and double, so a scan that fails early stops early.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import operator
-from functools import reduce
 
 import numpy as np
 
 from .errors import ModeError, OracleCapError
-from .subsets import colex_combinations
+from .subsets import colex_array, colex_combinations
 
 DEFAULT_ORACLE_CAP = 12
+# entries (sets times anchors, or anchor words) in a scan's first block of
+# sets, and the most that doubling grows a block to
+_FIRST_ENTRIES = 1 << 12
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,18 +159,47 @@ def distance_array(dm, anchors, target):
 
 
 def _anchor_rows(dm, anchors):
-    """Per-vertex tuples of distances to the anchors."""
-    sub = dm.dist[list(anchors)]
-    return [tuple(int(x) for x in sub[:, v]) for v in range(dm.n)]
+    """d(v, s) for s in ``anchors``, one row per vertex v, in the smallest
+    unsigned dtype that holds the distances."""
+    sub = dm.dist[:, list(anchors)]
+    return sub.astype(np.min_scalar_type(int(sub.max())))
 
 
-def _min_tuple(rows, subset):
-    k = len(subset)
-    if k == 1:
-        return rows[subset[0]]
-    if k == 2:
-        return tuple(map(min, rows[subset[0]], rows[subset[1]]))
-    return tuple(reduce(lambda a, b: tuple(map(min, a, b)), (rows[v] for v in subset)))
+def set_arrays(rows, sets):
+    """min over v in X of rows[v], for every row X of the intp array
+    ``sets``: D_S(X) when row v of ``rows`` holds d(v, s) for s in S."""
+    out = rows[sets[:, 0]]
+    for c in range(1, sets.shape[1]):
+        np.minimum(out, rows[sets[:, c]], out=out)
+    return out
+
+
+def _blocks(count, width):
+    """(lo, hi) ranges over ``count`` sets of ``width`` entries each: the
+    first block holds about _FIRST_ENTRIES entries, so early exits stay
+    cheap, and each next one twice as many, up to _BLOCK_ENTRIES."""
+    step = max(1, _FIRST_ENTRIES // width)
+    cap = max(step, _BLOCK_ENTRIES // width)
+    lo = 0
+    while lo < count:
+        yield lo, min(lo + step, count)
+        lo += step
+        step = min(2 * step, cap)
+
+
+def _key_weights(width):
+    """Fixed pseudo-random 64-bit weights: splitmix64 of 1 .. width."""
+    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _array_keys(arrays, weights):
+    """A 64-bit key per distance array, the linear form with the given
+    pseudo-random ``weights`` mod 2**64: equal arrays get equal keys;
+    distinct ones rarely do."""
+    return arrays.astype(np.uint64) @ weights
 
 
 # ---------------------------------------------------------------------------
@@ -169,30 +209,81 @@ def _min_tuple(rows, subset):
 def is_l_resolving(dm, anchors, order):
     """Check whether ``anchors`` is an {order}-resolving set.
 
-    Scans every nonempty set of size <= order in size-then-colex order and
-    reports the first one whose distance array equals an earlier set's.
-    Only the sets are kept, keyed by the hash of their arrays with linear
-    probing: a set goes to the first free key from its hash upwards, and
-    the sets on the way have their arrays recomputed and compared.  Keys
-    are never freed, so an earlier set with an equal array lies on that
-    way, and the check is exact even when distinct arrays share a hash.
-    No two kept sets share an array, so the witness is unique.
+    Sets are taken by size, and within a size in colex order, in blocks.
+    A block's distance arrays are reduced to 64-bit keys, which are sorted
+    stably together with the sorted keys of every earlier set.  Only keys
+    and set positions are kept, never arrays: when a key of the block
+    matches another key, the arrays of all sets sharing those keys are
+    recomputed and compared, so the check is exact even when distinct
+    arrays share a key.  The reported collision is the equal-array pair
+    whose later set comes first in size-then-colex order; no earlier set
+    has an equal-array partner before it, so its partner is unique.  The
+    scan stops at the first block holding a collision.
     """
     n = dm.n
     anchors = _as_vertex_set(anchors, n)
     Mode.resolving(order).validate_for(n)
     rows = _anchor_rows(dm, anchors)
-    seen = {}
+    weights = _key_weights(len(anchors))
+    sets = []                            # sets[k - 1]: the k-sets in colex order
+    keys = np.empty(0, dtype=np.uint64)  # keys of the sets scanned so far, sorted
+    where = np.empty(0, dtype=np.intp)   # their positions in size-then-colex order
+    start = 0
     for k in range(1, order + 1):
-        for subset in colex_combinations(n, k):
-            arr = _min_tuple(rows, subset)
-            key = hash(arr)
-            while (earlier := seen.get(key)) is not None:
-                if _min_tuple(rows, earlier) == arr:
-                    return CheckVerdict(False, ArrayCollision(earlier, subset, arr))
-                key += 1
-            seen[key] = subset
+        sets.append(colex_array(n, k))
+        for lo, hi in _blocks(len(sets[-1]), len(anchors)):
+            keys = np.concatenate([keys, _array_keys(set_arrays(rows, sets[-1][lo:hi]), weights)])
+            where = np.concatenate([where, np.arange(start + lo, start + hi)])
+            perm = np.argsort(keys, kind="stable")
+            keys, where = keys[perm], where[perm]
+            tied = keys[1:] == keys[:-1]
+            if tied.any() and (witness := _first_collision(rows, sets, tied, where, start + lo)):
+                return CheckVerdict(False, witness)
+        start += len(sets[-1])
     return CheckVerdict(True)
+
+
+def _first_collision(rows, sets, tied, where, block_start):
+    """The first collision whose later set is at ``block_start`` or after,
+    or None.  ``where`` holds the set positions in key order, and
+    ``tied[i]`` says whether entries i and i + 1 share a key."""
+    # runs of equal keys that hold two or more sets, one of them new
+    run = np.concatenate([[0], np.cumsum(~tied)])
+    size = np.bincount(run)
+    fresh = np.zeros(len(size), dtype=bool)
+    fresh[run[where >= block_start]] = True
+    picked = fresh[run] & (size[run] > 1)
+    positions = np.sort(where[picked])
+    arrays = _arrays_at(rows, sets, positions)
+    # equal arrays end up adjacent, each run in ascending position, so the
+    # earliest later set is a run's second member and follows its partner
+    order = np.lexsort(arrays.T)
+    ranked = arrays[order]
+    same = np.flatnonzero((ranked[1:] == ranked[:-1]).all(axis=1))
+    if not len(same):
+        return None
+    t = same[np.argmin(order[same + 1])]
+    return ArrayCollision(_set_at(sets, positions[order[t]]),
+                          _set_at(sets, positions[order[t + 1]]), tuple(ranked[t].tolist()))
+
+
+def _arrays_at(rows, sets, positions):
+    """Distance arrays of the sets at ``positions`` of the size-then-colex
+    order, where ``sets[k - 1]`` holds the k-sets."""
+    out = np.empty((len(positions), rows.shape[1]), dtype=rows.dtype)
+    start = 0
+    for combos in sets:
+        sel = (positions >= start) & (positions < start + len(combos))
+        out[sel] = set_arrays(rows, combos[positions[sel] - start])
+        start += len(combos)
+    return out
+
+
+def _set_at(sets, position):
+    for combos in sets:
+        if position < len(combos):
+            return tuple(combos[position].tolist())
+        position -= len(combos)
 
 
 # ---------------------------------------------------------------------------
@@ -201,19 +292,35 @@ def is_l_resolving(dm, anchors, order):
 
 def _solid_condition_scan(dm, anchors, bound):
     """First (x, Y) with |Y| <= bound, x not in Y, and no anchor strictly
-    closer to x than to Y; Y scanned size-then-colex, x ascending."""
+    closer to x than to Y; Y scanned size-then-colex, x ascending.
+
+    For a block of Y sets the dominated vertices come out as bitsets:
+    x is dominated by Y iff d(x, s) >= d(s, Y) at every anchor s, so the
+    bitset is the AND over anchors of the precomputed {x : d(x, s) >= t}
+    at t = d(s, Y).  An anchor s is never dominated by a Y avoiding it,
+    since d(s, s) = 0 < d(s, Y); the members of Y are cleared.
+    """
     n = dm.n
-    sub = dm.dist[:, list(anchors)]
-    anchor_arr = np.fromiter(anchors, dtype=np.int64)
+    rows = _anchor_rows(dm, anchors)
+    width = (n + 63) // 64
+    # at_least[s, t]: the words of {x : d(x, s) >= t}, bit x % 64 of word x // 64
+    bits = np.zeros((len(anchors), int(rows.max()) + 1, 64 * width), dtype=bool)
+    np.greater_equal(rows.T[:, None, :], np.arange(bits.shape[1])[:, None], out=bits[..., :n])
+    at_least = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    columns = np.arange(len(anchors))
+    bit = np.uint64(1) << (np.arange(n) % 64).astype(np.uint64)
     for size in range(1, bound + 1):
-        for y in colex_combinations(n, size):
-            dmin = sub[list(y)].min(axis=0) if size > 1 else sub[y[0]]
-            dominated = (sub >= dmin).all(axis=1)
-            dominated[list(y)] = False
-            dominated[anchor_arr] = False
-            if dominated.any():
-                x = int(np.argmax(dominated))
-                return CheckVerdict(False, DominatedVertex(x, y))
+        ys = colex_array(n, size)
+        for lo, hi in _blocks(len(ys), len(anchors) * width):
+            block = ys[lo:hi]
+            dominated = np.bitwise_and.reduce(at_least[columns, set_arrays(rows, block)], axis=1)
+            for member in block.T:
+                dominated[np.arange(len(block)), member // 64] &= ~bit[member]
+            hit = np.flatnonzero(dominated.any(axis=1))
+            if len(hit):
+                y = hit[0]
+                x = np.argmax(np.unpackbits(dominated[y].view(np.uint8), bitorder="little"))
+                return CheckVerdict(False, DominatedVertex(int(x), tuple(block[y].tolist())))
     return CheckVerdict(True)
 
 
@@ -245,7 +352,7 @@ def is_l_solid_oracle(dm, anchors, order, *, cap=DEFAULT_ORACLE_CAP):
         raise OracleCapError(
             f"oracle needs 2^{n} subsets; raise cap={cap} explicitly to allow"
         )
-    rows = _anchor_rows(dm, anchors)
+    rows = [tuple(row) for row in _anchor_rows(dm, anchors).tolist()]
     arrays = [None] * (1 << n)
     for m in range(1, 1 << n):
         low = m & -m

@@ -137,23 +137,28 @@ class DistanceMatrix:
 
 
 def all_pairs_distances(g):
-    """BFS from every vertex. Raises on a disconnected graph."""
+    """BFS from every vertex, level by level over Python lists; one int32
+    matrix is built at the end.  Raises on a disconnected graph."""
     g.require_connected()
     n = g.n
-    out = np.full((n, n), -1, dtype=np.int32)
     adjacency = g.adjacency
+    out = []
     for s in range(n):
-        row = out[s]
+        row = [-1] * n
         row[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for w in adjacency[u]:
-                if row[w] < 0:
-                    row[w] = du + 1
-                    queue.append(w)
-    return DistanceMatrix(out)
+        frontier = [s]
+        d = 0
+        while frontier:
+            d += 1
+            reached = []
+            for u in frontier:
+                for w in adjacency[u]:
+                    if row[w] < 0:
+                        row[w] = d
+                        reached.append(w)
+            frontier = reached
+        out.append(row)
+    return DistanceMatrix(np.array(out, dtype=np.int32))
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,9 @@ from math import comb
 
 import numpy as np
 
-from .checks import Mode, check_mode, forced_vertices
+from .checks import Mode, check_mode, forced_vertices, set_arrays
 from .graphs import all_pairs_distances
-from .subsets import colex_combinations, colex_rank
+from .subsets import colex_array, colex_rank
 
 PROVENANCE_FORCED = "forced-count"
 PROVENANCE_RULE = "l-plus-1-rule"
@@ -163,14 +163,7 @@ def _word_row(vertices, n):
 def _set_rows(dist, order):
     """d(., X) for every nonempty X with |X| <= order, one row per X."""
     n = len(dist)
-    rows = [dist]
-    for k in range(2, order + 1):
-        combos = np.array(list(colex_combinations(n, k)), dtype=np.intp)
-        row = dist[combos[:, 0]]
-        for c in range(1, k):
-            np.minimum(row, dist[combos[:, c]], out=row)
-        rows.append(row)
-    return np.concatenate(rows)
+    return np.concatenate([set_arrays(dist, colex_array(n, k)) for k in range(1, order + 1)])
 
 
 def _slices(rows):

@@ -5,17 +5,21 @@ from a dict-based BFS, subsets from itertools, and every check follows the
 plain definition.  Agreement between these and the fast implementations is
 what the randomized tests certify.  The one exception, oracle_first_basis,
 judges candidate sets with the package's checkers, which those tests pin,
-so that it can reach snark-sized graphs.
+so that it can reach snark-sized graphs.  The reference scans are the
+pure-Python checkers that the numpy block scans replaced, kept to pin
+their verdicts and witnesses.
 """
 
 import itertools
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from resolving import (
     ArrayCollision,
+    CheckVerdict,
     DominatedVertex,
     UnresolvedPair,
     all_pairs_distances,
@@ -220,6 +224,52 @@ def oracle_first_basis(g, mode):
                 separators.append(sum(1 << position[s] for s in
                                       witness_separators(dist, verdict.witness)))
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference scans: one set at a time, in size-then-colex order
+
+
+def _anchor_tuples(dm, anchors):
+    return [tuple(int(dm.dist[v, s]) for s in anchors) for v in range(dm.n)]
+
+
+def _min_tuple(rows, subset):
+    return tuple(min(column) for column in zip(*(rows[v] for v in subset)))
+
+
+def reference_is_l_resolving(dm, anchors, order):
+    """The {order}-resolving check over one tuple per set.  Sets are kept
+    by the hash of their arrays with linear probing: a set goes to the
+    first free key from its hash upwards, and the sets on the way have
+    their arrays recomputed and compared, so clashing hashes stay exact."""
+    anchors = tuple(sorted(anchors))
+    rows = _anchor_tuples(dm, anchors)
+    seen = {}
+    for subset in size_colex_subsets(dm.n, order):
+        arr = _min_tuple(rows, subset)
+        key = hash(arr)
+        while (earlier := seen.get(key)) is not None:
+            if _min_tuple(rows, earlier) == arr:
+                return CheckVerdict(False, ArrayCollision(earlier, subset, arr))
+            key += 1
+        seen[key] = subset
+    return CheckVerdict(True)
+
+
+def reference_solid_scan(dm, anchors, bound):
+    """The strict-domination scan with one set of numpy calls per Y:
+    the first (x, Y), Y size-then-colex and x ascending, with x not in Y
+    and d(x, s) >= d(s, Y) at every anchor s."""
+    anchors = tuple(sorted(anchors))
+    sub = dm.dist[:, list(anchors)]
+    for y in size_colex_subsets(dm.n, bound):
+        dominated = (sub >= sub[list(y)].min(axis=0)).all(axis=1)
+        dominated[list(y)] = False
+        dominated[list(anchors)] = False
+        if dominated.any():
+            return CheckVerdict(False, DominatedVertex(int(np.argmax(dominated)), y))
+    return CheckVerdict(True)
 
 
 # ---------------------------------------------------------------------------

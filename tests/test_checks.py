@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from resolving import (
@@ -25,6 +26,7 @@ from resolving import (
     is_l_solid_oracle,
     necessary_resolving_condition,
     path_graph,
+    recipe_set,
     rook_graph,
     star_graph,
     verify_witness,
@@ -40,6 +42,7 @@ from conftest import (
     oracle_is_solid,
     random_anchor_set,
     random_connected_graph,
+    reference_is_l_resolving,
 )
 
 R1 = (1, 2, 6)                  # v2 v3 v7
@@ -135,11 +138,11 @@ def test_resolving_fixture_verdicts(demo):
 def test_resolving_first_collision_matches_oracle(demo, monkeypatch):
     g, dm = demo
     dist = bfs_distances(g)
-    for one_bucket in (False, True):
-        if one_bucket:
-            # every array hashes alike, so all sets share one bucket and
-            # only the recomputed arrays tell them apart
-            monkeypatch.setattr(checks, "hash", lambda arr: 0, raising=False)
+    for one_key in (False, True):
+        if one_key:
+            # every array gets the same key, so only the recomputed arrays
+            # tell the sets apart
+            monkeypatch.setattr(checks, "_array_keys", _one_key)
         for anchors in (R1, S1, R2, (4,), (0, 8)):
             for order in (1, 2):
                 verdict = is_l_resolving(dm, anchors, order)
@@ -150,6 +153,44 @@ def test_resolving_first_collision_matches_oracle(demo, monkeypatch):
                     assert not verdict.holds
                     first, second, arr = expected
                     assert verdict.witness == ArrayCollision(first, second, arr)
+
+
+def _one_key(arrays, weights):
+    return np.zeros(len(arrays), dtype=np.uint64)
+
+
+@pytest.mark.parametrize("first_entries", [1, 1 << 12])
+def test_resolving_exact_when_every_key_clashes(monkeypatch, rng, first_entries):
+    # with one key for all sets every verdict rests on comparing arrays;
+    # small first blocks put a collision's two sets in different blocks
+    monkeypatch.setattr(checks, "_array_keys", _one_key)
+    monkeypatch.setattr(checks, "_FIRST_ENTRIES", first_entries)
+    outcomes = set()
+    for _ in range(60):
+        g = random_connected_graph(rng, n_min=2, n_max=12)
+        dm = all_pairs_distances(g)
+        anchors = random_anchor_set(rng, g.n, max_size=g.n)
+        order = rng.randint(1, min(3, g.n))
+        verdict = is_l_resolving(dm, anchors, order)
+        assert verdict == reference_is_l_resolving(dm, anchors, order)
+        outcomes.add(verdict.holds)
+    assert outcomes == {True, False}
+
+
+def test_pinned_recipe_witnesses():
+    # the witnesses of the one-tuple-per-set scans, with the middle vertex
+    # of each recipe set dropped
+    l3 = list(recipe_set("l3", 13))
+    l3.remove(l3[len(l3) // 2])
+    assert is_l_resolving(all_pairs_distances(flower_snark(13)), l3, 3).witness == \
+        ArrayCollision((18, 20), (18, 20, 32), (6, 5, 4, 3, 2, 1, 2, 1, 2, 3, 4, 5, 6, 6, 5, 4,
+                                                3, 2, 1, 1, 2, 3, 4, 5, 6, 6, 5, 4, 3, 2, 1, 2,
+                                                1, 2, 3, 4, 5, 6))
+    solid2 = list(recipe_set("solid2", 21))
+    solid2.remove(solid2[len(solid2) // 2])
+    dm21 = all_pairs_distances(flower_snark(21))
+    assert is_l_solid(dm21, solid2, 2).witness == DominatedVertex(33, (0, 11))
+    assert is_l_resolving(dm21, recipe_set("l3", 21), 3).holds
 
 
 def test_resolving_single_vertex_graph():

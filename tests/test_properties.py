@@ -42,12 +42,18 @@ from resolving.search import (
 )
 from resolving.subsets import (
     bits_of,
+    colex_array,
     colex_combinations,
     colex_rank,
     mask_of,
 )
 
-from conftest import bfs_distances, oracle_is_solid
+from conftest import (
+    bfs_distances,
+    oracle_is_solid,
+    reference_is_l_resolving,
+    reference_solid_scan,
+)
 
 
 @st.composite
@@ -94,6 +100,21 @@ def test_solid_characterization_equivalence(case):
     fast = is_l_solid(dm, anchors, order)
     assert fast.holds == is_l_solid_oracle(dm, anchors, order).holds
     assert fast.holds == oracle_is_solid(bfs_distances(g), anchors, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_set_order(n_max=12))
+def test_block_scans_match_reference_scans(case):
+    # same verdict and same witness as the one-set-at-a-time scans; repr
+    # also tells numpy integers from Python ones
+    g, anchors, order = case
+    dm = all_pairs_distances(g)
+    if order <= g.n:
+        assert repr(is_l_resolving(dm, anchors, order)) == \
+            repr(reference_is_l_resolving(dm, anchors, order))
+    if order <= g.n - 1:
+        assert repr(is_l_solid(dm, anchors, order)) == \
+            repr(reference_solid_scan(dm, anchors, order))
 
 
 @common
@@ -405,6 +426,17 @@ def test_colex_enumeration_order(n, k):
                             key=lambda c: c[::-1])
     for rank, combo in enumerate(combos):
         assert colex_rank(combo) == rank
+
+
+@common
+@given(st.integers(0, 10), st.integers(0, 6))
+def test_colex_array_rows_are_colex_combinations(n, k):
+    rows = colex_array(n, k)
+    combos = list(colex_combinations(n, k))
+    assert rows.dtype == np.intp and rows.shape == (len(combos), k)
+    for rank, (row, combo) in enumerate(zip(rows.tolist(), combos)):
+        assert tuple(row) == combo
+        assert colex_rank(row) == rank
 
 
 @common
