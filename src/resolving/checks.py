@@ -34,7 +34,8 @@ import operator
 import numpy as np
 
 from .errors import ModeError, OracleCapError
-from .subsets import colex_array, colex_combinations
+from .graphs import all_pairs_distances
+from .subsets import colex_array
 
 DEFAULT_ORACLE_CAP = 12
 # entries (sets times anchors, or anchor words) in a scan's first block of
@@ -56,9 +57,8 @@ class Mode:
         if self.kind == "doubly":
             if self.order is not None:
                 raise ModeError("doubly-resolving mode takes no order")
-        else:
-            if not isinstance(self.order, int) or self.order < 1:
-                raise ModeError(f"order must be a positive integer, got {self.order!r}")
+        elif isinstance(self.order, bool) or not isinstance(self.order, int) or self.order < 1:
+            raise ModeError(f"order must be a positive integer, got {self.order!r}")
 
     @classmethod
     def resolving(cls, order):
@@ -421,50 +421,22 @@ def _forced_bound(order, kind):
 def forced_vertices(g, order, kind):
     """Vertices that belong to every set of the given kind and order.
 
-    A vertex v is forced iff some set U avoiding v with |U| <= order (solid)
-    or |U| <= order-1 (resolving) has N(v) inside N[U]; any such U can be
-    shrunk into N[N(v)] - {v}, so only that neighbourhood is searched.
+    As in ``forced_vertices_oracle``, v is forced iff V - {v} fails, iff
+    {v} is a separator mask of the search.  For both kinds that is an
+    l-solid mask, l = order (solid) or order - 1 (resolving): a resolving
+    pair whose arrays differ only at v is Y and Y + {v}, an l-solid pair.
     For {1}-resolving there are no forced vertices.
     """
-    if not isinstance(order, int) or order < 1:
-        raise ModeError(f"order must be a positive integer, got {order!r}")
+    mode = Mode(kind, order)
     g.require_connected()
     bound = _forced_bound(order, kind)
-    Mode(kind, order).validate_for(g.n)
+    mode.validate_for(g.n)
     if bound == 0:
         return ()
-    closed = [1 << u for u in range(g.n)]
-    for u in range(g.n):
-        for w in g.adjacency[u]:
-            closed[u] |= 1 << w
-    forced = []
-    for v in range(g.n):
-        need = 0
-        for w in g.adjacency[v]:
-            need |= 1 << w
-        if need == 0:
-            continue
-        cand = set()
-        for w in g.adjacency[v]:
-            cand.add(w)
-            cand.update(g.adjacency[w])
-        cand.discard(v)
-        cand = sorted(cand)
-        masks = [closed[u] for u in cand]
-        found = False
-        for size in range(1, min(bound, len(cand)) + 1):
-            for combo in colex_combinations(len(cand), size):
-                cover = 0
-                for j in combo:
-                    cover |= masks[j]
-                if need & ~cover == 0:
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            forced.append(v)
-    return tuple(forced)
+    from .search import _row_vertices, _singletons, _solid_blocks
+
+    blocks = _solid_blocks(all_pairs_distances(g).dist, bound)
+    return _row_vertices(np.bitwise_or.reduce([_singletons(b) for b in blocks]))
 
 
 def forced_vertices_oracle(g, order, kind, dm=None):
@@ -473,8 +445,6 @@ def forced_vertices_oracle(g, order, kind, dm=None):
     Sound because the checks are superset-monotone: if V - {v} fails, so
     does every set avoiding v; if it passes, a passing set without v exists.
     """
-    from .graphs import all_pairs_distances
-
     if g.n == 1:
         return ()
     if dm is None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import operator
 from collections import deque
 
 import numpy as np
@@ -75,9 +76,20 @@ def _bfs_reach(adjacency, source):
     return seen
 
 
+def _endpoint(x, edge):
+    """``x`` as a plain int: any integer type (numpy ones too) except bool."""
+    try:
+        if not isinstance(x, (bool, np.bool_)):
+            return operator.index(x)
+    except TypeError:
+        pass
+    raise GraphError(f"edge {edge!r} has non-integer endpoints")
+
+
 def build_graph(n, edges, labels=None):
     """Validate and build an immutable graph.
 
+    Endpoints may be of any integer type but bool and are stored as ints.
     Rejects self-loops, duplicate edges, and out-of-range endpoints.  A
     disconnected graph is returned with ``connected=False``; analysis
     operations will refuse it.
@@ -97,8 +109,8 @@ def build_graph(n, edges, labels=None):
             u, v = e
         except (TypeError, ValueError):
             raise GraphError(f"edge {e!r} is not a pair") from None
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise GraphError(f"edge {e!r} has non-integer endpoints")
+        if type(u) is not int or type(v) is not int:
+            u, v = _endpoint(u, e), _endpoint(v, e)
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge {e!r} is out of range for n={n}")
         if u == v:

@@ -19,10 +19,11 @@ build through reduction.  They are built in blocks from bit slices of the
 distance rows (for each bit of the distances, the bitset of vertices where
 that bit is 1): the {l}-resolving mask is the union over slices of where
 two rows differ, the l-solid mask a bit-serial less-than, top bit first.
-They are then deduplicated and reduced to their minimal antichain: a set
-hits every mask iff it hits every mask that contains no other one.  Forced
-vertices are members of every passing set, so they are always included and
-the masks they hit are dropped.
+They are then deduplicated.  In the resolving and solid modes the
+single-vertex masks are the forced vertices, which every passing set
+contains; the masks they hit are dropped, and the rest are reduced to their
+minimal antichain: a set hits every mask iff it hits every mask that
+contains no other one.
 
 Cardinalities are tried in ascending order.  For each, one recursion over
 the non-forced vertices, branching on the members of an unhit mask, decides
@@ -153,13 +154,6 @@ def _compare(op, a, b):
     return words.reshape(-1, bits.shape[-1] // 64)
 
 
-def _word_row(vertices, n):
-    """One row of words with the bits of ``vertices`` set."""
-    bits = np.zeros((n + 63) // 64 * 64, dtype=bool)
-    bits[list(vertices)] = True
-    return np.packbits(bits, bitorder="little").view("<u8")
-
-
 def _set_rows(dist, order):
     """d(., X) for every nonempty X with |X| <= order, one row per X."""
     n = len(dist)
@@ -219,7 +213,7 @@ def _doubly_blocks(dist):
     n = len(dist)
     top = int(dist.max())
     levels = np.arange(-top, top + 1, dtype=dist.dtype)[None, :, None]
-    everyone = _word_row(range(n), n)
+    everyone = np.packbits(np.arange((n + 63) // 64 * 64) < n, bitorder="little").view("<u8")
     for u in range(n - 1):
         words = _compare(np.not_equal, (dist[u] - dist[u + 1:])[:, None, :], levels)
         # levels the difference never takes give all-vertex masks
@@ -252,23 +246,30 @@ def _unique_columns(cols):
     return np.compress(fresh, cols, axis=1)
 
 
-def _mode_masks(dm, mode, avoid=(), deadline=None):
-    """Distinct nonempty separator masks of ``mode`` that contain no vertex
-    of ``avoid``, as rows of words.  The deadline is checked between
-    blocks."""
+def _mode_masks(dm, mode, deadline=None):
+    """Distinct nonempty separator masks of ``mode``, as rows of words.  The
+    deadline is checked between blocks."""
     n = dm.n
     dist = dm.dist.astype(np.int16 if n < 1 << 15 else np.int32)
-    avoid_row = _word_row(avoid, n)
-    parts = [np.zeros((len(avoid_row), 0), dtype=np.uint64)]
+    parts = [np.zeros(((n + 63) // 64, 0), dtype=np.uint64)]
     for block in _mode_blocks(dist, mode):
-        cols = np.ascontiguousarray(block.T)
-        if avoid:
-            cols = np.compress(~(cols & avoid_row[:, None]).any(axis=0), cols, axis=1)
-        parts.append(_unique_columns(cols))
+        parts.append(_unique_columns(np.ascontiguousarray(block.T)))
         if len(parts) >= 32:
             parts = [_unique_columns(np.concatenate(parts, axis=1))]
         _check_deadline(deadline)
     return _unique_columns(np.concatenate(parts, axis=1)).T
+
+
+def _singletons(masks):
+    """The OR of the masks (rows of words) that have exactly one bit, as one
+    row of words: the vertices that every set hitting them contains."""
+    single = np.bitwise_count(masks).sum(axis=1) == 1
+    return np.bitwise_or.reduce(np.compress(single, masks, axis=0), axis=0)
+
+
+def _row_vertices(row):
+    """The vertices whose bits are set in one row of words, ascending."""
+    return tuple(np.flatnonzero(np.unpackbits(row.view(np.uint8), bitorder="little")).tolist())
 
 
 def _minimal_masks(masks, deadline=None):
@@ -411,10 +412,8 @@ def metric_dimension(g, config):
     mode.validate_for(g.n)
     dm = all_pairs_distances(g)
     n = g.n
-    forced = () if mode.kind == "doubly" else forced_vertices(g, mode.order, mode.kind)
-    bounds = dimension_lower_bounds(g, mode, forced=forced)
-    lb_source, lb = max(bounds, key=lambda b: (b[1], b[0] == PROVENANCE_FORCED))
-    free = [v for v in range(n) if v not in forced]
+    # the bound before the masks give the forced vertices
+    lb_source, lb = max(dimension_lower_bounds(g, mode, forced=()), key=lambda b: b[1])
     stats = SearchStats()
     deadline = None if config.budget_s is None else t0 + config.budget_s
     k_hi = min(n, config.k_max if config.k_max is not None else n)
@@ -432,8 +431,16 @@ def metric_dimension(g, config):
 
     try:
         with _phase(stats, "masks"):
-            masks = _mode_masks(dm, mode, avoid=forced, deadline=deadline)
+            masks = _mode_masks(dm, mode, deadline=deadline)
+            forced = ()
+            if mode.kind != "doubly":
+                row = _singletons(masks)
+                forced = _row_vertices(row)
+                masks = np.compress(~(masks.T & row[:, None]).any(axis=0), masks.T, axis=1).T
         stats.mask_count = len(masks)
+        lb_source, lb = max(dimension_lower_bounds(g, mode, forced=forced),
+                            key=lambda b: (b[1], b[0] == PROVENANCE_FORCED))
+        free = [v for v in range(n) if v not in forced]
         with _phase(stats, "reduce"):
             masks = _minimal_masks(masks, deadline)
             cover, lowest, members = _bitsets(masks, free)

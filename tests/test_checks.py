@@ -64,6 +64,11 @@ def test_mode_validation():
         Mode("doubly", 2)
     with pytest.raises(ModeError):
         Mode("weird", 1)
+    for order in (True, False, 1.0):
+        with pytest.raises(ModeError):
+            Mode.resolving(order)
+        with pytest.raises(ModeError):
+            Mode.solid(order)
     with pytest.raises(ModeError):
         Mode.resolving(5).validate_for(4)
     with pytest.raises(ModeError):
@@ -374,6 +379,9 @@ def test_forced_validation():
         forced_vertices(g, 0, "solid")
     with pytest.raises(ModeError):
         forced_vertices(g, 1, "weird")
+    for kind in ("solid", "resolving"):
+        with pytest.raises(ModeError):
+            forced_vertices(g, True, kind)
 
 
 # ---------------------------------------------------------------------------

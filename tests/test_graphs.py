@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from resolving import (
@@ -13,6 +14,7 @@ from resolving import (
     demo_graph,
     flower_snark,
     generate_family,
+    parse_edge_list,
     path_graph,
     product_coord,
     product_flat,
@@ -21,6 +23,7 @@ from resolving import (
     rook_graph,
     star_graph,
     tree_from_parents,
+    write_edge_list,
 )
 
 from conftest import bfs_distances
@@ -42,6 +45,17 @@ def test_build_graph_normalizes_and_rejects_duplicates():
     assert list(g.edges()) == [(0, 1), (0, 2)]
     with pytest.raises(GraphError):
         build_graph(3, [(0, 1), (1, 0)])
+
+
+def test_build_graph_endpoint_types():
+    # numpy integers are stored as plain ints; bools and floats are refused
+    g = build_graph(3, [(np.int64(0), np.int64(1)), (np.uint8(2), 1)])
+    assert g.adjacency == ((1,), (0, 2), (1,))
+    assert all(type(v) is int for row in g.adjacency for v in row)
+    assert parse_edge_list(write_edge_list(g)) == g
+    for edge in ((False, True), (0, True), (np.bool_(False), 1), (0.0, 1), ("0", 1)):
+        with pytest.raises(GraphError, match="non-integer endpoints"):
+            build_graph(2, [edge])
 
 
 def test_disconnected_is_flagged_and_refused():

@@ -10,6 +10,7 @@ from resolving import (
     Mode,
     ModeError,
     RookSet,
+    SearchConfig,
     all_pairs_distances,
     build_graph,
     cartesian_product,
@@ -23,6 +24,7 @@ from resolving import (
     is_l_resolving,
     is_l_solid,
     is_l_solid_oracle,
+    metric_dimension,
     parse_edge_list,
     path_graph,
     product_flat,
@@ -205,6 +207,24 @@ def _as_ints(words):
 def _as_words(masks, n_words):
     return np.array([[(m >> (64 * j)) & (2**64 - 1) for j in range(n_words)]
                      for m in masks], dtype=np.uint64).reshape(-1, n_words)
+
+
+@common
+@given(connected_graphs(n_max=9), st.sampled_from([
+    Mode.resolving(1), Mode.resolving(2), Mode.resolving(3),
+    Mode.solid(1), Mode.solid(2),
+]))
+def test_singleton_masks_are_forced_vertices(g, mode):
+    try:
+        mode.validate_for(g.n)
+    except ModeError:
+        return
+    forced = forced_vertices_oracle(g, mode.order, mode.kind)
+    masks = _as_ints(_mode_masks(all_pairs_distances(g), mode))
+    assert sorted(m.bit_length() - 1 for m in masks if m.bit_count() == 1) == list(forced)
+    avoiding = [m for m in masks if not any(m >> v & 1 for v in forced)]
+    stats = metric_dimension(g, SearchConfig(mode=mode, budget_s=None)).stats
+    assert stats.mask_count == len(avoiding)
 
 
 @common

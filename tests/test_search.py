@@ -16,6 +16,7 @@ from resolving import (
     flower_snark,
     metric_dimension,
     path_graph,
+    rook_graph,
     search,
     star_graph,
     verify_basis_certificate,
@@ -261,6 +262,19 @@ def test_k_max_cuts_off_search():
     assert res.value is None
     assert res.lower_bound == 3
     assert res.lower_bound_source == "forced-count"
+
+
+def test_forced_count_needs_the_masks():
+    # every cell of a rook's graph is forced for 2-solid, but the forced
+    # vertices are read off the separator masks, so a budget that runs out
+    # before they are built leaves only the l + 1 rule
+    g = rook_graph(4, 4)
+    res = dim(g, Mode.solid(2), budget_s=0.0)
+    assert res.value is None
+    assert (res.lower_bound, res.lower_bound_source) == (3, "l-plus-1-rule")
+    res = dim(g, Mode.solid(2))
+    assert res.value == 16 and res.basis == tuple(range(16))
+    assert (res.lower_bound, res.lower_bound_source) == (16, "forced-count")
 
 
 def test_lower_bound_provenances():
