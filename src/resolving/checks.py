@@ -425,6 +425,9 @@ def forced_vertices(g, order, kind):
     {v} is a separator mask of the search.  For both kinds that is an
     l-solid mask, l = order (solid) or order - 1 (resolving): a resolving
     pair whose arrays differ only at v is Y and Y + {v}, an l-solid pair.
+    The mask of x = v and Y is {v} iff every vertex but v is at least as
+    close to Y as to v, iff every neighbour of v is in N[Y]; so v is forced
+    iff at most l closed neighbourhoods other than N[v] cover N(v).
     For {1}-resolving there are no forced vertices.
     """
     mode = Mode(kind, order)
@@ -433,10 +436,26 @@ def forced_vertices(g, order, kind):
     mode.validate_for(g.n)
     if bound == 0:
         return ()
-    from .search import _row_vertices, _singletons, _solid_blocks
+    closed = [sum(1 << u for u in (w, *g.adjacency[w])) for w in range(g.n)]
+    return tuple(v for v in range(g.n)
+                 if _covers(closed, closed[v] ^ 1 << v, ~(1 << v), bound))
 
-    blocks = _solid_blocks(all_pairs_distances(g).dist, bound)
-    return _row_vertices(np.bitwise_or.reduce([_singletons(b) for b in blocks]))
+
+def _covers(closed, need, allowed, r):
+    """Whether the closed neighbourhoods N[u] of at most r vertices u of the
+    bitset ``allowed`` cover the bitset ``need``.  Branches on the vertices
+    whose neighbourhoods hold the lowest vertex of need, each branch
+    forbidding its own to the later ones."""
+    if need & allowed == need and need.bit_count() <= r:
+        return True
+    branches = closed[(need & -need).bit_length() - 1] & allowed if r else 0
+    while branches:
+        u = branches & -branches
+        branches ^= u
+        allowed ^= u
+        if _covers(closed, need & ~closed[u.bit_length() - 1], allowed, r - 1):
+            return True
+    return False
 
 
 def forced_vertices_oracle(g, order, kind, dm=None):

@@ -78,12 +78,9 @@ def _bfs_reach(adjacency, source):
 
 def _endpoint(x, edge):
     """``x`` as a plain int: any integer type (numpy ones too) except bool."""
-    try:
-        if not isinstance(x, (bool, np.bool_)):
-            return operator.index(x)
-    except TypeError:
-        pass
-    raise GraphError(f"edge {edge!r} has non-integer endpoints")
+    if isinstance(x, (bool, np.bool_)) or not hasattr(type(x), "__index__"):
+        raise GraphError(f"edge {edge!r} has non-integer endpoints")
+    return operator.index(x)
 
 
 def build_graph(n, edges, labels=None):
@@ -109,8 +106,7 @@ def build_graph(n, edges, labels=None):
             u, v = e
         except (TypeError, ValueError):
             raise GraphError(f"edge {e!r} is not a pair") from None
-        if type(u) is not int or type(v) is not int:
-            u, v = _endpoint(u, e), _endpoint(v, e)
+        u, v = _endpoint(u, e), _endpoint(v, e)
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge {e!r} is out of range for n={n}")
         if u == v:

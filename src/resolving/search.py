@@ -260,16 +260,15 @@ def _mode_masks(dm, mode, deadline=None):
     return _unique_columns(np.concatenate(parts, axis=1)).T
 
 
-def _singletons(masks):
-    """The OR of the masks (rows of words) that have exactly one bit, as one
-    row of words: the vertices that every set hitting them contains."""
-    single = np.bitwise_count(masks).sum(axis=1) == 1
-    return np.bitwise_or.reduce(np.compress(single, masks, axis=0), axis=0)
-
-
-def _row_vertices(row):
-    """The vertices whose bits are set in one row of words, ascending."""
-    return tuple(np.flatnonzero(np.unpackbits(row.view(np.uint8), bitorder="little")).tolist())
+def _split_forced(masks):
+    """The vertices of the single-vertex masks (rows of words), which every
+    set hitting the masks contains, ascending, and the masks that none of
+    them is in."""
+    cols = masks.T
+    single = np.compress(np.bitwise_count(cols).sum(axis=0) == 1, cols, axis=1)
+    row = np.bitwise_or.reduce(single, axis=1)
+    forced = np.flatnonzero(np.unpackbits(row.view(np.uint8), bitorder="little"))
+    return tuple(forced.tolist()), np.compress(~(cols & row[:, None]).any(axis=0), cols, axis=1).T
 
 
 def _minimal_masks(masks, deadline=None):
@@ -432,11 +431,7 @@ def metric_dimension(g, config):
     try:
         with _phase(stats, "masks"):
             masks = _mode_masks(dm, mode, deadline=deadline)
-            forced = ()
-            if mode.kind != "doubly":
-                row = _singletons(masks)
-                forced = _row_vertices(row)
-                masks = np.compress(~(masks.T & row[:, None]).any(axis=0), masks.T, axis=1).T
+            forced, masks = ((), masks) if mode.kind == "doubly" else _split_forced(masks)
         stats.mask_count = len(masks)
         lb_source, lb = max(dimension_lower_bounds(g, mode, forced=forced),
                             key=lambda b: (b[1], b[0] == PROVENANCE_FORCED))

@@ -339,6 +339,18 @@ def test_forced_snark_empty_for_small_orders():
     assert forced_vertices(g, 2, "solid") == ()
 
 
+def test_forced_at_orders_up_to_five():
+    # v is forced once N(v) has a cover by `bound` closed neighbourhoods
+    # other than N[v]: at bound 3 on a cubic graph (N(v) itself), at bound
+    # 2 on a rook's graph (one vertex in v's row, one in its column)
+    cases = ((flower_snark(31), 124, 3), (rook_graph(12, 10), 120, 2))
+    for g, n, least in cases:
+        for order in range(1, 6):
+            assert forced_vertices(g, order, "solid") == (tuple(range(n)) if order >= least else ())
+            expected = tuple(range(n)) if order - 1 >= least else ()
+            assert forced_vertices(g, order, "resolving") == expected
+
+
 def test_forced_resolving_order_one_is_empty():
     for g in (path_graph(5), complete_graph(3), demo_graph_cached()):
         assert forced_vertices(g, 1, "resolving") == ()
