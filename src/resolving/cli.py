@@ -2,8 +2,8 @@
 
 Subcommands: gen, check, dim, forced, rook-lb, design, snark-suite,
 product.  Reports print as text by default and as JSON with --json; JSON
-output is byte-identical across identical single-worker invocations, so
-wall-clock timings stay zero unless --timing is given.
+output is byte-identical across identical invocations, so wall-clock
+timings stay zero unless --timing is given.
 
 Graphs are named by small tokens: J7 / snark:7 (flower snark), P9 / path:9,
 C6 / cycle:6, K5 / complete:5, K1,3 / star:3, rook:7,7, tree:0,0,1 (parent
@@ -44,6 +44,9 @@ _TOKEN_FAMILIES = {
     "cycle": (r"\d+", "cycle:N", graphs.cycle_graph),
     "complete": (r"\d+", "complete:N", graphs.complete_graph),
 }
+# shorthand tokens, each rewritten to the family token it stands for
+_SHORTHANDS = ((r"J(\d+)", "snark"), (r"P(\d+)", "path"), (r"C(\d+)", "cycle"),
+               (r"K(\d+)", "complete"), (r"K0*1,(\d+)", "star"))
 
 
 def _graph_digest(g):
@@ -55,24 +58,13 @@ def parse_graph_token(token):
     tok = token.strip()
     if tok in ("H", "demo"):
         return graphs.demo_graph()
-    m = re.fullmatch(r"J(\d+)", tok)
-    if m:
-        return graphs.flower_snark(int(m.group(1)))
-    m = re.fullmatch(r"P(\d+)", tok)
-    if m:
-        return graphs.path_graph(int(m.group(1)))
-    m = re.fullmatch(r"C(\d+)", tok)
-    if m:
-        return graphs.cycle_graph(int(m.group(1)))
-    m = re.fullmatch(r"K(\d+)", tok)
-    if m:
-        return graphs.complete_graph(int(m.group(1)))
-    m = re.fullmatch(r"K(\d+),(\d+)", tok)
-    if m:
-        if int(m.group(1)) != 1:
-            raise GraphError(f"unsupported complete bipartite token {tok!r}; "
-                             "only stars K1,m are built in")
-        return graphs.star_graph(int(m.group(2)))
+    for pattern, family in _SHORTHANDS:
+        m = re.fullmatch(pattern, tok)
+        if m:
+            tok = f"{family}:{m.group(1)}"
+    if re.fullmatch(r"K\d+,\d+", tok):
+        raise GraphError(f"unsupported complete bipartite token {tok!r}; "
+                         "only stars K1,m are built in")
     if ":" in tok:
         family, _, params = tok.partition(":")
         if family not in _TOKEN_FAMILIES:
@@ -108,26 +100,23 @@ def parse_vertex_set(spec, g):
     return tuple(sorted(set(out)))
 
 
-def _witness_payload(witness):
-    if witness is None:
+def _labels(g, vertices):
+    """The labels of ``vertices`` when ``g`` carries labels, else None."""
+    if vertices is None or not g.labels:
         return None
-    if dataclasses.is_dataclass(witness):
-        body = dataclasses.asdict(witness)
-        body["type"] = type(witness).__name__
-        return _jsonable(body)
-    return _jsonable(witness)
+    return [g.label(v) for v in vertices]
 
 
 def _jsonable(obj):
+    """``obj`` as JSON values; a dataclass becomes its fields plus "type"."""
+    if dataclasses.is_dataclass(obj):
+        return _jsonable({**dataclasses.asdict(obj), "type": type(obj).__name__})
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_jsonable(x) for x in items]
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(x) for x in obj]
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
-    if dataclasses.is_dataclass(obj):
-        return _jsonable(dataclasses.asdict(obj))
     return str(obj)
 
 
@@ -142,26 +131,36 @@ class _Clock:
         return round((time.perf_counter() - self.start) * 1000.0, 3)
 
 
-def _emit(args, report, text_lines):
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
+def _finish(args, clock, command, result, lines, witness=None, digest=None):
+    """Print the JSON report under --json, else the text lines."""
+    if not args.json:
+        for line in lines:
             print(line)
-
-
-def _report(command, args, result, witness=None, digest=None, millis=0.0):
-    echo = {k: _jsonable(v) for k, v in sorted(vars(args).items())
-            if k not in ("func", "json", "timing")}
-    return {
+        return
+    report = {
         "command": command,
-        "arguments": echo,
+        "arguments": {k: v for k, v in vars(args).items()
+                      if k not in ("func", "json", "timing")},
         "version": __version__,
         "input_digest": digest,
         "result": result,
         "witness": witness,
-        "millis": millis,
+        "millis": clock.millis(),
     }
+    print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+
+
+def _write_graph(args, clock, command, g, result):
+    """Write the edge list of ``g`` to --out, or print it, and report."""
+    text = gio.write_edge_list(g)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+        lines = [f"wrote {g.n} vertices, {g.edge_count} edges to {args.out}"]
+    else:
+        lines = text.splitlines()
+    result = {**result, "n": g.n, "edges": g.edge_count, "out": args.out}
+    _finish(args, clock, command, result, lines, digest=_graph_digest(g))
 
 
 def _mode_from_args(args):
@@ -187,54 +186,24 @@ def _cmd_gen(args):
             raise GraphError("tree needs --parents, e.g. --parents 0,0,1")
         if not re.fullmatch(_INT_LIST, args.parents):
             raise GraphError(f"bad --parents {args.parents!r}; expected --parents P1,P2,...")
-        g = graphs.tree_from_parents(tuple(int(x) for x in args.parents.split(",")))
+        params = args.parents.split(",")
     elif args.n is None:
         raise GraphError(f"{family} needs --n")
-    elif family == "flower-snark":
-        g = graphs.flower_snark(args.n)
     elif family == "rook":
         if args.m is None:
             raise GraphError("rook needs --m and --n")
-        g = graphs.rook_graph(args.m, args.n)
-    elif family == "star":
-        g = graphs.star_graph(args.n)
+        params = (args.m, args.n)
     else:
-        g = graphs.generate_family(family, n=args.n)
-    text = gio.write_edge_list(g)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    digest = _graph_digest(g)
-    result = {"family": family, "n": g.n, "edges": g.edge_count,
-              "out": args.out}
-    report = _report("gen", args, result, digest=digest, millis=clock.millis())
-    if args.json:
-        _emit(args, report, [])
-    elif args.out:
-        print(f"wrote {g.n} vertices, {g.edge_count} edges to {args.out}")
-    else:
-        sys.stdout.write(text)
+        params = (args.n,)
+    g = _TOKEN_FAMILIES[family][2](*(int(x) for x in params))
+    _write_graph(args, clock, "gen", g, {"family": family})
     return 0
 
 
 def _cmd_product(args):
     clock = _Clock(args.timing)
-    g = parse_graph_token(args.g)
-    h = parse_graph_token(args.h)
-    p = graphs.cartesian_product(g, h)
-    text = gio.write_edge_list(p)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    result = {"n": p.n, "edges": p.edge_count, "out": args.out}
-    report = _report("product", args, result, digest=_graph_digest(p),
-                     millis=clock.millis())
-    if args.json:
-        _emit(args, report, [])
-    elif args.out:
-        print(f"wrote {p.n} vertices, {p.edge_count} edges to {args.out}")
-    else:
-        sys.stdout.write(text)
+    p = graphs.cartesian_product(parse_graph_token(args.g), parse_graph_token(args.h))
+    _write_graph(args, clock, "product", p, {})
     return 0
 
 
@@ -245,19 +214,16 @@ def _cmd_check(args):
     anchors = parse_vertex_set(args.set, g)
     dm = graphs.all_pairs_distances(g)
     verdict = checks.check_mode(dm, anchors, mode)
-    labels = [g.label(v) for v in anchors] if g.labels else None
     result = {
         "mode": mode.kind, "ell": mode.order, "holds": verdict.holds,
-        "set": list(anchors), "set_labels": labels, "n": g.n,
+        "set": list(anchors), "set_labels": _labels(g, anchors), "n": g.n,
     }
-    report = _report("check", args, result,
-                     witness=_witness_payload(verdict.witness),
-                     digest=_graph_digest(g), millis=clock.millis())
     lines = [f"{mode.describe()} on {args.graph}: "
              f"{'holds' if verdict.holds else 'fails'}"]
     if verdict.witness is not None:
         lines.append(f"witness: {verdict.witness}")
-    _emit(args, report, lines)
+    _finish(args, clock, "check", result, lines, witness=verdict.witness,
+            digest=_graph_digest(g))
     return 0 if verdict.holds else 1
 
 
@@ -267,9 +233,7 @@ def _cmd_dim(args):
     mode = _mode_from_args(args)
     config = SearchConfig(mode=mode, budget_s=args.budget, k_max=args.k_max)
     result = metric_dimension(g, config)
-    labels = None
-    if result.basis is not None and g.labels:
-        labels = [g.label(v) for v in result.basis]
+    labels = _labels(g, result.basis)
     payload = {
         "mode": mode.kind, "ell": mode.order, "n": g.n,
         "value": result.value,
@@ -282,13 +246,11 @@ def _cmd_dim(args):
         "exhausted_through": result.stats.exhausted_through,
         "mask_count": result.stats.mask_count,
     }
-    report = _report("dim", args, payload, digest=_graph_digest(g),
-                     millis=clock.millis())
     lines = [f"{mode.describe()} dimension of {args.graph}: {result.describe()}"]
     if result.basis is not None:
         shown = labels if labels else list(result.basis)
         lines.append(f"minimum set: {shown}")
-    _emit(args, report, lines)
+    _finish(args, clock, "dim", payload, lines, digest=_graph_digest(g))
     return 0 if result.exact else 1
 
 
@@ -299,16 +261,14 @@ def _cmd_forced(args):
     if mode.kind not in ("resolving", "solid"):
         raise ModeError("forced vertices are defined for resolving and solid modes")
     forced = checks.forced_vertices(g, mode.order, mode.kind)
-    labels = [g.label(v) for v in forced] if g.labels else None
+    labels = _labels(g, forced)
     payload = {"mode": mode.kind, "ell": mode.order, "n": g.n,
                "forced": list(forced), "forced_labels": labels,
                "count": len(forced)}
-    report = _report("forced", args, payload, digest=_graph_digest(g),
-                     millis=clock.millis())
     shown = labels if labels else list(forced)
-    _emit(args, report,
-          [f"forced vertices ({mode.describe()}) of {args.graph}: "
-           f"{shown if forced else 'none'}"])
+    _finish(args, clock, "forced", payload,
+            [f"forced vertices ({mode.describe()}) of {args.graph}: "
+             f"{shown if forced else 'none'}"], digest=_graph_digest(g))
     return 0
 
 
@@ -316,10 +276,9 @@ def _cmd_rook_lb(args):
     clock = _Clock(args.timing)
     bound = rook.rook_lower_bound(args.m, args.n)
     payload = {"m": args.m, "n": args.n, "bound": bound}
-    report = _report("rook-lb", args, payload, millis=clock.millis())
-    _emit(args, report,
-          [f"any order-2 distinguishing set on rook:{args.m},{args.n} "
-           f"has at least {bound} vertices"])
+    _finish(args, clock, "rook-lb", payload,
+            [f"any order-2 distinguishing set on rook:{args.m},{args.n} "
+             f"has at least {bound} vertices"])
     return 0
 
 
@@ -335,12 +294,10 @@ def _cmd_design(args):
     if args.action == "validate":
         payload = {"points": design.n_points, "blocks": design.m,
                    "valid": verdict.holds}
-        report = _report("design", args, payload,
-                         witness=_witness_payload(verdict.witness),
-                         millis=clock.millis())
-        _emit(args, report,
-              [f"design {args.file}: {'valid' if verdict.holds else 'invalid'}"
-               + ("" if verdict.holds else f" ({verdict.witness})")])
+        _finish(args, clock, "design", payload,
+                [f"design {args.file}: {'valid' if verdict.holds else 'invalid'}"
+                 + ("" if verdict.holds else f" ({verdict.witness})")],
+                witness=verdict.witness)
         return 0 if verdict.holds else 1
     # to-set
     rs = rook.design_to_set(design)
@@ -354,13 +311,10 @@ def _cmd_design(args):
         "cells": [list(c) for c in sorted(rs.cells)],
         "sufficiency": None if suff is None else suff.holds,
     }
-    report = _report("design", args, payload,
-                     witness=_witness_payload(verdict.witness),
-                     millis=clock.millis())
     lines = [f"{len(rs)}-cell set on rook:{rs.m},{rs.n}"]
     if suff is not None:
         lines.append(f"order-2 sufficiency: {'holds' if suff.holds else 'fails'}")
-    _emit(args, report, lines)
+    _finish(args, clock, "design", payload, lines, witness=verdict.witness)
     ok = verdict.holds and (suff is None or suff.holds)
     return 0 if ok else 1
 
@@ -411,16 +365,10 @@ def build_parser():
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--workers", type=_positive("workers"), default=1,
-                        help="accepted and ignored; the search runs in one process")
-    common.add_argument("--budget", type=float, default=60.0,
-                        help="time budget in seconds for searches")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sampling")
-    common.add_argument("--long", action="store_true",
-                        help="include long-running exact searches")
     common.add_argument("--timing", action="store_true",
                         help="report real wall-clock millis (breaks byte-identity)")
+    # fixed values, not options: every JSON report echoes them in "arguments"
+    common.set_defaults(budget=60.0, long=False, seed=0, workers=1)
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -455,6 +403,8 @@ def build_parser():
                    default="resolving")
     p.add_argument("--ell", type=_positive("--ell"), default=1)
     p.add_argument("--k-max", type=_positive("--k-max"), default=None)
+    p.add_argument("--budget", type=float, default=60.0,
+                   help="time budget in seconds for the search")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("forced", parents=[common],
@@ -482,6 +432,12 @@ def build_parser():
                        help="run every flower-snark verifier over a range of n")
     p.add_argument("--n", default="5..9",
                    help="range like 5..13 or a comma list (odd n only)")
+    p.add_argument("--budget", type=float, default=60.0,
+                   help="time budget in seconds for each --long search")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized sampling")
+    p.add_argument("--long", action="store_true",
+                   help="include long-running exact searches")
     p.set_defaults(func=_cmd_snark_suite)
 
     return parser

@@ -76,23 +76,34 @@ def _bfs_reach(adjacency, source):
     return seen
 
 
-def _endpoint(x, edge):
-    """``x`` as a plain int: any integer type (numpy ones too) except bool."""
+def _plain_int(x):
+    """``x`` as a plain int if it is of an integer type (numpy ones too)
+    other than bool, else None."""
     if isinstance(x, (bool, np.bool_)) or not hasattr(type(x), "__index__"):
-        raise GraphError(f"edge {edge!r} has non-integer endpoints")
+        return None
     return operator.index(x)
+
+
+def _endpoint(x, edge):
+    v = _plain_int(x)
+    if v is None:
+        raise GraphError(f"edge {edge!r} has non-integer endpoints")
+    return v
 
 
 def build_graph(n, edges, labels=None):
     """Validate and build an immutable graph.
 
-    Endpoints may be of any integer type but bool and are stored as ints.
+    The vertex count and the endpoints may be of any integer type but bool
+    and are stored as ints.
     Rejects self-loops, duplicate edges, and out-of-range endpoints.  A
     disconnected graph is returned with ``connected=False``; analysis
     operations will refuse it.
     """
-    if not isinstance(n, int) or n < 1:
+    count = _plain_int(n)
+    if count is None or count < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
+    n = count
     if labels is not None:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 from math import comb
 
+from .checks import CheckVerdict
 from .errors import DesignParseError, GraphError
 from .graphs import rook_flat
 
@@ -101,8 +102,6 @@ def quadruple_coverage(rs):
     One bitmask intersection per column pair; the witness is the first
     uncovered quadruple in (column pair, lowest rows) order.
     """
-    from .checks import CheckVerdict
-
     masks = rs.column_row_masks()
     full = (1 << rs.n) - 1
     for a in range(rs.m):
@@ -274,8 +273,6 @@ def validate_design(design):
     """The three conditions matching a generic {2}-resolving complement:
     (i) every block has at most n-2 points, (ii) every point lies in at
     most m-2 blocks, (iii) two distinct points share at most one block."""
-    from .checks import CheckVerdict
-
     n, m = design.n_points, design.m
     for j, block in enumerate(design.blocks):
         if len(block) > n - 2:

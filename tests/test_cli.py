@@ -377,6 +377,92 @@ def test_unknown_graph_exits_2(capsys):
     assert err
 
 
+# ---------------------------------------------------------------------------
+# option surface: each subcommand takes only the options it reads
+
+
+@pytest.mark.parametrize("argv", [
+    ("rook-lb", "--m", "7", "--n", "7", "--workers", "8"),
+    ("check", "H", "--set", "v1,v2", "--budget", "1"),
+    ("gen", "path", "--n", "3", "--seed", "1"),
+    ("dim", "P5", "--long"),
+])
+def test_unread_option_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_dim_budget_is_read(capsys):
+    code, out, _ = run(capsys, "dim", "J5", "--budget", "0", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["arguments"]["budget"] == 0.0
+    assert payload["result"]["exact"] is False
+
+
+def test_snark_suite_long_and_budget_are_read(capsys):
+    code, out, _ = run(capsys, "snark-suite", "--n", "5", "--long", "--json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    dims = [r for r in records if r["check_name"].startswith("dimension-")]
+    assert [r["check_name"] for r in dims] == ["dimension-solid-1",
+                                               "dimension-resolving-2"]
+    assert all(r["holds"] for r in dims)
+    code, out, _ = run(capsys, "snark-suite", "--n", "5", "--long",
+                       "--budget", "0", "--json")
+    assert code == 1
+    dims = [json.loads(line) for line in out.splitlines()][-2:]
+    assert [r["holds"] for r in dims] == [False, False]
+
+
+def test_snark_suite_passes_its_options_on(capsys, monkeypatch):
+    seen = {}
+
+    def suite(ns, **kwargs):
+        seen.update(kwargs, ns=ns)
+        return []
+
+    monkeypatch.setattr(cli.snark, "snark_suite", suite)
+    code, _, _ = run(capsys, "snark-suite", "--n", "5", "--seed", "3",
+                     "--long", "--budget", "2.5")
+    assert code == 0
+    assert seen == {"ns": [5], "long": True, "seed": 3, "budget_s": 2.5}
+    run(capsys, "snark-suite", "--n", "7")
+    assert seen == {"ns": [7], "long": False, "seed": 0, "budget_s": 60.0}
+
+
+# the report's "arguments" echo: each subcommand's own options plus keys
+# whose values are fixed for it
+_FIXED_ARGUMENTS = {"subcommand": None, "budget": 60.0, "long": False,
+                    "seed": 0, "workers": 1}
+
+
+@pytest.mark.parametrize("argv, own", [
+    (("gen", "path", "--n", "3"), {"family", "n", "m", "parents", "out"}),
+    (("product", "--g", "P2", "--h", "P3"), {"g", "h", "out"}),
+    (("check", "P3", "--set", "0"), {"graph", "set", "mode", "ell"}),
+    (("dim", "P3"), {"graph", "mode", "ell", "k_max"}),
+    (("forced", "P3"), {"graph", "mode", "ell"}),
+    (("rook-lb", "--m", "2", "--n", "3"), {"m", "n"}),
+    (("design", "--action", "validate", "--file", "FANO"),
+     {"action", "file", "m", "n"}),
+])
+def test_report_arguments_keep_their_keys(tmp_path, capsys, argv, own):
+    from resolving import fano_plane_design, write_design
+
+    path = tmp_path / "fano.design"
+    path.write_text(write_design(fano_plane_design()))
+    argv = [str(path) if a == "FANO" else a for a in argv]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    echo = json.loads(out)["arguments"]
+    assert set(echo) == own | set(_FIXED_ARGUMENTS)
+    assert {k: echo[k] for k in _FIXED_ARGUMENTS} == {**_FIXED_ARGUMENTS,
+                                                      "subcommand": argv[0]}
+
+
 def test_timing_flag_reports_nonzero(capsys):
     code, out, _ = run(capsys, "dim", "P5", "--mode", "resolving", "--ell", "1",
                        "--json", "--timing")

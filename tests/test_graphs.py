@@ -58,6 +58,19 @@ def test_build_graph_endpoint_types():
             build_graph(2, [edge])
 
 
+def test_build_graph_vertex_count_numpy_integer():
+    g = build_graph(np.int64(3), [(0, 1), (1, 2)])
+    assert type(g.n) is int and g.n == 3
+    assert write_edge_list(g) == "3\n0 1\n1 2\n"
+    assert parse_edge_list(write_edge_list(g)) == g
+
+
+@pytest.mark.parametrize("n", [True, np.bool_(True), 3.0, "3"])
+def test_build_graph_vertex_count_refuses_non_integers(n):
+    with pytest.raises(GraphError, match="vertex count must be a positive integer"):
+        build_graph(n, [])
+
+
 def test_disconnected_is_flagged_and_refused():
     g = build_graph(4, [(0, 1), (2, 3)])
     assert not g.connected
