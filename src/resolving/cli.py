@@ -451,8 +451,9 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (GraphError, ModeError, DesignParseError, FileNotFoundError,
-            ValueError) as exc:
+    # OSError: a path that cannot be opened, read or written (missing, a
+    # directory, no permission); its message names the path
+    except (GraphError, ModeError, DesignParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,20 +14,24 @@ candidate set passes iff it intersects every "separator" mask.
   d(., u) - d(., v), the complement of that level set; hitting all of them
   says the difference vector is not constant on the candidate set.
 
-The masks are uint64 bitsets kept word-major, one numpy row per word, from
-build through reduction.  They are built in blocks from bit slices of the
-distance rows (for each bit of the distances, the bitset of vertices where
-that bit is 1): the {l}-resolving mask is the union over slices of where
-two rows differ, the l-solid mask a bit-serial less-than, top bit first.
-They are then deduplicated.  In the resolving and solid modes the
-single-vertex masks are the forced vertices, which every passing set
-contains; the masks they hit are dropped, and the rest are reduced to their
-minimal antichain: a set hits every mask iff it hits every mask that
-contains no other one.
+The masks are bitsets kept word-major, one numpy row per word, from build
+through reduction.  They are built in uint64 words, in blocks from bit
+slices of the distance rows (for each bit of the distances, the bitset of
+vertices where that bit is 1): the {l}-resolving mask is the union over
+slices of where two rows differ, the l-solid mask a bit-serial less-than,
+top bit first.  When one word holds a mask (n <= 64), each block is
+narrowed to the smallest unsigned type that holds n bits, and the family
+stays in it, since narrower words sort and compare faster.  The masks are
+then deduplicated.  In the resolving and solid modes the single-vertex
+masks are the forced vertices, which every passing set contains; the masks
+they hit are dropped, and the rest are reduced to their minimal antichain:
+a set hits every mask iff it hits every mask that contains no other one.
 
 Cardinalities are tried in ascending order.  For each, one recursion over
 the non-forced vertices, branching on the members of an unhit mask, decides
-whether that many hit every mask; a failed decision exhausts the cardinality
+whether that many hit every mask; with one position left, only members of
+both the last and the first unhit mask are tried, since a lone position
+must hit every unhit mask.  A failed decision exhausts the cardinality
 and certifies the dimension exceeds it.  Otherwise the first passing set in
 colexicographic order is read off the same decision and re-verified with
 the public checker.
@@ -53,7 +57,7 @@ PROVENANCE_EXHAUSTED = "exhausted-cardinality"
 
 # search nodes between two progress calls (and deadline checks)
 PROGRESS_NODES = 4096
-# uint64 words per numpy block when building or reducing masks
+# mask words per numpy block when building or reducing masks
 _BLOCK_WORDS = 1 << 18
 
 
@@ -139,7 +143,10 @@ def _phase(stats, name):
 # separator masks: bit v % 64 of word v // 64 stands for vertex v.  A family
 # of N masks over W words is an (N, W) array held word-major (its transpose
 # is C-contiguous), so every reduction runs across the few words,
-# elementwise over rows of N.
+# elementwise over rows of N.  Blocks are built in uint64 words; a family
+# over n <= 64 vertices (one word) is kept in the narrowest unsigned type
+# that holds n bits (uint8, 16, 32 or 64, little-endian), which the later
+# steps read through uint8 views or np.bitwise_count.
 
 
 def _compare(op, a, b):
@@ -246,14 +253,21 @@ def _unique_columns(cols):
     return np.compress(fresh, cols, axis=1)
 
 
+def _word_type(n):
+    """The little-endian unsigned type of one mask word over n vertices:
+    the narrowest that holds n bits when one word does, else uint64."""
+    return np.dtype(np.min_scalar_type((1 << n) - 1) if n <= 64 else np.uint64).newbyteorder("<")
+
+
 def _mode_masks(dm, mode, deadline=None):
     """Distinct nonempty separator masks of ``mode``, as rows of words.  The
     deadline is checked between blocks."""
     n = dm.n
     dist = dm.dist.astype(np.int16 if n < 1 << 15 else np.int32)
-    parts = [np.zeros(((n + 63) // 64, 0), dtype=np.uint64)]
+    word = _word_type(n)
+    parts = [np.zeros(((n + 63) // 64, 0), dtype=word)]
     for block in _mode_blocks(dist, mode):
-        parts.append(_unique_columns(np.ascontiguousarray(block.T)))
+        parts.append(_unique_columns(block.T.astype(word, order="C", copy=False)))
         if len(parts) >= 32:
             parts = [_unique_columns(np.concatenate(parts, axis=1))]
         _check_deadline(deadline)
@@ -334,8 +348,11 @@ def _colex_first_cover(cover, lowest, members, r, tick):
     below, as ``allowed`` then holds r and a set can be padded.  It
     branches on the allowed members of the last unhit mask (the one with
     the largest lowest position), lowest first, each branch forbidding its
-    member to the later ones, so no set is visited twice.  The colex-first
-    set is read off it largest element first: the smallest t from the
+    member to the later ones, so no set is visited twice.  At r == 1 the
+    branches are cut to the members of the first unhit mask as well: a
+    lone position must hit every unhit mask, so it lies in both; the leaf
+    loop shrinks and the calls stay the same.  The colex-first set is
+    read off it largest element first: the smallest t from the
     last unhit mask's lowest position on such that r - 1 positions below t
     hit the masks t leaves unhit.  ``tick(nodes)`` runs every
     PROGRESS_NODES calls.
@@ -353,6 +370,9 @@ def _colex_first_cover(cover, lowest, members, r, tick):
         if r == 0:
             return False
         branches = members[unhit.bit_length() - 1] & allowed
+        if r == 1:
+            # a lone position hits every unhit mask, the first one too
+            branches &= members[(unhit & -unhit).bit_length() - 1]
         while branches:
             low = branches & -branches
             branches ^= low

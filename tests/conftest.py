@@ -7,7 +7,8 @@ what the randomized tests certify.  The one exception, oracle_first_basis,
 judges candidate sets with the package's checkers, which those tests pin,
 so that it can reach snark-sized graphs.  The reference scans are the
 pure-Python checkers that the numpy block scans replaced, kept to pin
-their verdicts and witnesses.
+their verdicts and witnesses, and the reference decision kernel is the
+search's recursion before its leaf prune.
 """
 
 import itertools
@@ -270,6 +271,51 @@ def reference_solid_scan(dm, anchors, bound):
         if dominated.any():
             return CheckVerdict(False, DominatedVertex(int(np.argmax(dominated)), y))
     return CheckVerdict(True)
+
+
+# ---------------------------------------------------------------------------
+# reference decision kernel
+
+
+def reference_colex_first_cover(cover, lowest, members, r):
+    """The search's decision kernel without the leaf prune: at r == 1 it
+    tries every allowed member of the last unhit mask.  Same arguments as
+    ``search._colex_first_cover`` less the progress callback; returns the
+    colex-first r-subset (or None) and the number of ``hits`` calls."""
+    complement = [((1 << len(lowest)) - 1) ^ c for c in cover]
+    nodes = 0
+
+    def hits(unhit, allowed, r):
+        nonlocal nodes
+        nodes += 1
+        if not unhit:
+            return True
+        if r == 0:
+            return False
+        branches = members[unhit.bit_length() - 1] & allowed
+        while branches:
+            low = branches & -branches
+            branches ^= low
+            allowed ^= low
+            rest = unhit & complement[low.bit_length() - 1]
+            if (not rest) if r == 1 else hits(rest, allowed, r - 1):
+                return True
+        return False
+
+    n = len(cover)
+    unhit = (1 << len(lowest)) - 1
+    if not hits(unhit, (1 << n) - 1, r):
+        return None, nodes
+    found = []
+    while r:
+        first = max(r - 1, lowest[unhit.bit_length() - 1]) if unhit else r - 1
+        for t in range(first, n):
+            rest = unhit & complement[t]
+            if hits(rest, (1 << t) - 1, r - 1):
+                break
+        found.append(t)
+        unhit, n, r = rest, t, r - 1
+    return found[::-1], nodes
 
 
 # ---------------------------------------------------------------------------

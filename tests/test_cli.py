@@ -278,6 +278,23 @@ def test_design_invalid_file_exit(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# paths that cannot be read or written
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "{dir}", "--set", "0"),
+    ("design", "--action", "validate", "--file", "{dir}"),
+    ("gen", "path", "--n", "3", "--out", "{dir}"),
+], ids=["check-graph", "design-file", "gen-out"])
+def test_directory_path_exits_2(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert str(tmp_path) in err
+
+
+# ---------------------------------------------------------------------------
 # snark-suite
 
 

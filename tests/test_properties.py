@@ -15,6 +15,7 @@ from resolving import (
     build_graph,
     cartesian_product,
     check_mode,
+    cycle_graph,
     design_to_set,
     flower_snark,
     forced_vertices,
@@ -34,6 +35,7 @@ from resolving import (
     verify_witness,
     write_edge_list,
 )
+from resolving import search
 from resolving.search import (
     _OutOfBudget,
     _bitsets,
@@ -52,7 +54,9 @@ from resolving.subsets import (
 
 from conftest import (
     bfs_distances,
+    oracle_first_basis,
     oracle_is_solid,
+    reference_colex_first_cover,
     reference_is_l_resolving,
     reference_solid_scan,
 )
@@ -319,6 +323,29 @@ def test_mode_masks_equal_pairwise_family_multiword(g, mode):
     _assert_exact_family(g, mode)
 
 
+# bytes in the narrowest word that holds n bits, at each boundary
+_WORD_BYTES = {8: 1, 9: 2, 16: 2, 17: 4, 32: 4, 33: 8, 64: 8, 65: 8}
+
+
+@pytest.mark.parametrize("mode", [Mode.resolving(2), Mode.solid(1), Mode.doubly()],
+                         ids=["resolving2", "solid1", "doubly"])
+@pytest.mark.parametrize("g", [path_graph(n) for n in _WORD_BYTES]
+                         + [cycle_graph(n) for n in _WORD_BYTES if n <= 33],
+                         ids=[f"P{n}" for n in _WORD_BYTES]
+                         + [f"C{n}" for n in _WORD_BYTES if n <= 33])
+def test_mode_masks_narrow_words(g, mode, monkeypatch):
+    dm = all_pairs_distances(g)
+    words = _mode_masks(dm, mode)
+    assert words.dtype == np.dtype(f"<u{_WORD_BYTES[g.n]}")
+    assert metric_dimension(g, SearchConfig(mode=mode, budget_s=None)).basis \
+        == oracle_first_basis(g, mode)
+    # the same masks in the same order as a build in uint64 words
+    monkeypatch.setattr(search, "_word_type", lambda n: np.dtype("<u8"))
+    wide = _mode_masks(dm, mode)
+    assert wide.dtype == np.uint64
+    assert _as_ints(words) == _as_ints(wide)
+
+
 @common
 @given(st.integers(1, 130), st.data())
 def test_minimal_masks_antichain(n, data):
@@ -367,6 +394,34 @@ def test_colex_first_cover_matches_brute_force(n, data):
                  if all(ps & set(c) for ps in positions)), None)
     assert got == want
     assert nodes >= 1
+
+
+@st.composite
+def cover_families(draw):
+    """Positions 0..n-1 and int-bitset masks over them, in about half the
+    draws in two groups on either side of a cut, so that the first and the
+    last mask are disjoint."""
+    n = draw(st.integers(1, 12))
+    cut = draw(st.integers(1, n))
+    spans = [(0, cut), (cut, n)] if cut < n and draw(st.booleans()) else [(0, n)]
+    masks = [m << lo for lo, hi in spans for m in draw(st.lists(
+        st.integers(1, 2 ** (hi - lo) - 1), min_size=1, max_size=10))]
+    return n, masks, len(spans) == 2
+
+
+@settings(max_examples=400, deadline=None)
+@given(cover_families())
+def test_colex_first_cover_matches_reference_kernel(case):
+    # the leaf prune drops only branches that cannot hit the first unhit
+    # mask: at every cardinality, r = 1 included, the same set (or None)
+    # and the same number of hits calls
+    n, masks, split = case
+    cover, lowest, members = _bitsets(_as_words(masks, 1), list(range(n)))
+    if split:
+        assert not members[0] & members[-1]
+    for r in range(n + 1):
+        got = _colex_first_cover(cover, lowest, members, r, lambda nodes: None)
+        assert got == reference_colex_first_cover(cover, lowest, members, r)
 
 
 # ---------------------------------------------------------------------------
