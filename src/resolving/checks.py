@@ -359,7 +359,8 @@ def is_l_solid_oracle(dm, anchors, order, *, cap=DEFAULT_ORACLE_CAP):
         prev = m ^ low
         base = rows[low.bit_length() - 1]
         arrays[m] = base if prev == 0 else tuple(map(min, arrays[prev], base))
-    enumeration = sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
+    # stable over an ascending range: by size, then numerically (colex)
+    enumeration = sorted(range(1, 1 << n), key=int.bit_count)
     first_seen = {}
     for m in enumeration:
         arr = arrays[m]

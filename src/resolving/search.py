@@ -5,22 +5,25 @@ candidate set passes iff it intersects every "separator" mask.
 
 * {l}-resolving: for every pair of distinct nonempty sets X, Y of size <= l,
   the mask of vertices whose distances to X and Y differ (never empty, since
-  any vertex in the symmetric difference separates).  For l >= 2 the
-  (l-1)-solid masks are added: every {l}-resolving set is (l-1)-solid, so
-  they reject no passing set, and many resolving masks contain one of them.
+  any vertex in the symmetric difference separates).  These include the
+  (l-1)-solid masks: for x not in Y, d(v, Y + x) = min(d(v, x), d(v, Y))
+  differs from d(v, Y) exactly where d(v, x) < d(v, Y), so the mask of (x, Y)
+  below is that of the pair (Y, Y + x).
 * l-solid: for every vertex x and set Y avoiding x with |Y| <= l, the mask
   of vertices strictly closer to x than to Y (x itself is always in it).
 * doubly resolving: for every vertex pair (u, v) and every value c taken by
   d(., u) - d(., v), the complement of that level set; hitting all of them
-  says the difference vector is not constant on the candidate set.
+  says the difference vector is not constant on the candidate set.  With
+  top the diameter, it is where the shifted rows d(., u) + top and
+  d(., v) + top + c differ.
 
 The masks are bitsets kept word-major, one numpy row per word, from build
 through reduction.  They are built in uint64 words, in blocks from bit
 slices of the distance rows (for each bit of the distances, the bitset of
-vertices where that bit is 1): the {l}-resolving mask is the union over
-slices of where two rows differ, the l-solid mask a bit-serial less-than,
-top bit first.  When one word holds a mask (n <= 64), each block is
-narrowed to the smallest unsigned type that holds n bits, and the family
+vertices where that bit is 1): the {l}-resolving and doubly masks are the
+union over slices of where two rows differ, the l-solid mask a bit-serial
+less-than, top bit first.  When one word holds a mask (n <= 64), each block
+is narrowed to the smallest unsigned type that holds n bits, and the family
 stays in it, since narrower words sort and compare faster.  The masks are
 then deduplicated.  In the resolving and solid modes the single-vertex
 masks are the forced vertices, which every passing set contains; the masks
@@ -42,7 +45,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import time
-from math import comb
+from math import comb, isnan
 
 import numpy as np
 
@@ -149,18 +152,6 @@ def _phase(stats, name):
 # steps read through uint8 views or np.bitwise_count.
 
 
-def _compare(op, a, b):
-    """``op(a, b, out=...)`` over broadcast rows of one cell per vertex,
-    packed into a 2-d array of rows of words."""
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    n = shape[-1]
-    bits = np.empty(shape[:-1] + ((n + 63) // 64 * 64,), dtype=bool)
-    bits[..., n:] = False
-    op(a, b, out=bits[..., :n])
-    words = np.packbits(bits, axis=None, bitorder="little").view("<u8")
-    return words.reshape(-1, bits.shape[-1] // 64)
-
-
 def _set_rows(dist, order):
     """d(., X) for every nonempty X with |X| <= order, one row per X."""
     n = len(dist)
@@ -185,6 +176,18 @@ def _row_blocks(count, words_per_row):
     return ((lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
+def _differ(x, y):
+    """Words of {v : two rows differ}, from bit slices ``x`` and ``y`` of
+    shape (depth, words, ...) broadcast against each other: one row of
+    words per broadcast pair, the pairs in C order."""
+    shape = np.broadcast_shapes(x.shape, y.shape)[1:]
+    # from zeros, so that rows of depth 0 (all zero) differ nowhere
+    words = np.zeros(shape, dtype=np.uint64)
+    for a, b in zip(x, y):
+        words |= a ^ b
+    return words.reshape(shape[0], -1).T
+
+
 def _resolving_blocks(dist, order):
     # {v : d(v, X) != d(v, Y)} is the union over bit slices of where X and Y
     # differ.  Row i is paired with row i + d (mod s) for d = 1 .. s // 2,
@@ -194,10 +197,7 @@ def _resolving_blocks(dist, order):
     shifted = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([slices, slices], axis=2), s, axis=2)
     for lo, hi in _row_blocks(s // 2, s * width):
-        words = np.zeros((width, hi - lo, s), dtype=np.uint64)
-        for x, y in zip(slices[:, :, None, :], shifted[:, :, lo + 1:hi + 1]):
-            words |= x ^ y
-        yield words.reshape(width, -1).T
+        yield _differ(slices[:, :, None, :], shifted[:, :, lo + 1:hi + 1])
 
 
 def _solid_blocks(dist, order):
@@ -217,21 +217,26 @@ def _solid_blocks(dist, order):
 
 
 def _doubly_blocks(dist):
+    # row (v, j) is d(., v) + j, v-major, for 0 <= j < span; the mask of
+    # (u, v, c) is where row (u, top) differs from row (v, top + c).  Each
+    # u is paired with every row from its block's first vertex on, so
+    # every unordered pair {u, v} is met (swapping u and v negates c)
     n = len(dist)
     top = int(dist.max())
-    levels = np.arange(-top, top + 1, dtype=dist.dtype)[None, :, None]
-    everyone = np.packbits(np.arange((n + 63) // 64 * 64) < n, bitorder="little").view("<u8")
-    for u in range(n - 1):
-        words = _compare(np.not_equal, (dist[u] - dist[u + 1:])[:, None, :], levels)
-        # levels the difference never takes give all-vertex masks
-        yield words[(words != everyone).any(axis=1)]
+    span = 2 * top + 1
+    rows = _slices((dist[:, None, :] + np.arange(span, dtype=dist.dtype)[:, None]).reshape(-1, n))
+    _, width, t = rows.shape
+    for lo, hi in _row_blocks(n, t * width):
+        words = _differ(rows[:, :, lo * span + top:hi * span:span, None],
+                        rows[:, :, None, lo * span:])
+        # levels the difference never takes, and u = v at c != 0, give
+        # all-vertex masks (u = v at c = 0 gives an empty one)
+        yield np.compress(np.bitwise_count(words).sum(axis=1) < n, words, axis=0)
 
 
 def _mode_blocks(dist, mode):
     if mode.kind == "resolving":
         yield from _resolving_blocks(dist, mode.order)
-        if mode.order >= 2:
-            yield from _solid_blocks(dist, mode.order - 1)
     elif mode.kind == "solid":
         yield from _solid_blocks(dist, mode.order)
     else:
@@ -424,11 +429,15 @@ def metric_dimension(g, config):
     """Smallest passing cardinality for the configured mode, with basis.
 
     Returns an exact value when the search completes; on budget exhaustion,
-    returns value None with the best certified lower bound.
+    returns value None with the best certified lower bound.  A NaN budget
+    raises ValueError.
     """
     t0 = time.monotonic()
     mode = config.mode
     mode.validate_for(g.n)
+    if config.budget_s is not None and isnan(config.budget_s):
+        # no clock reading exceeds t0 + nan, so it would never run out
+        raise ValueError("budget must be a number of seconds, not NaN")
     dm = all_pairs_distances(g)
     n = g.n
     # the bound before the masks give the forced vertices

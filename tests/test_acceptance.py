@@ -37,9 +37,8 @@ from resolving import (
     verify_triple_distinguishers,
 )
 from resolving.snark import admissible_vertices
-from resolving.subsets import subsets_size_colex
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, size_colex_subsets
 
 CORPUS_SEED = 412731
 
@@ -79,7 +78,7 @@ def test_criterion_2_oracle_equivalence(corpus):
     assert len(corpus) >= 200
     mismatches = 0
     for g, dm in corpus:
-        for anchors in subsets_size_colex(g.n, min(5, g.n)):
+        for anchors in size_colex_subsets(g.n, min(5, g.n)):
             for order in range(1, 4):
                 if order > g.n - 1:
                     continue
@@ -101,7 +100,7 @@ def test_criterion_3_implication_suite(corpus):
     violations = 0
     for g, dm in corpus:
         n = g.n
-        for anchors in subsets_size_colex(n, min(5, n)):
+        for anchors in size_colex_subsets(n, min(5, n)):
             res = {o: is_l_resolving(dm, anchors, o).holds
                    for o in range(1, min(3, n) + 1)}
             sol = {o: is_l_solid(dm, anchors, o).holds

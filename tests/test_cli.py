@@ -419,6 +419,13 @@ def test_dim_budget_is_read(capsys):
     assert payload["result"]["exact"] is False
 
 
+def test_dim_nan_budget_exits_2(capsys):
+    code, out, err = run(capsys, "dim", "J5", "--ell", "2", "--budget", "nan", "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "NaN" in err
+
+
 def test_snark_suite_long_and_budget_are_read(capsys):
     code, out, _ = run(capsys, "snark-suite", "--n", "5", "--long", "--json")
     assert code == 0

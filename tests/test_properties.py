@@ -42,15 +42,8 @@ from resolving.search import (
     _colex_first_cover,
     _minimal_masks,
     _mode_masks,
-    _resolving_blocks,
 )
-from resolving.subsets import (
-    bits_of,
-    colex_array,
-    colex_combinations,
-    colex_rank,
-    mask_of,
-)
+from resolving.subsets import colex_array, colex_rank
 
 from conftest import (
     bfs_distances,
@@ -59,6 +52,7 @@ from conftest import (
     reference_colex_first_cover,
     reference_is_l_resolving,
     reference_solid_scan,
+    size_colex_subsets,
 )
 
 
@@ -232,13 +226,11 @@ def test_singleton_masks_are_forced_vertices(g, mode):
 
 
 @common
-@given(graph_set_order(n_max=7, max_order=2), st.booleans())
-def test_separator_masks_equal_checkers(case, resolving_alone):
-    # both the {l}-resolving masks alone and the search's set, which adds
-    # the (l-1)-solid masks, encode the checks exactly
+@given(graph_set_order(n_max=7, max_order=2))
+def test_separator_masks_equal_checkers(case):
     g, anchors, order = case
     dm = all_pairs_distances(g)
-    smask = mask_of(anchors)
+    smask = sum(1 << v for v in anchors)
     modes = []
     if order <= g.n:
         modes.append(Mode.resolving(order))
@@ -247,11 +239,7 @@ def test_separator_masks_equal_checkers(case, resolving_alone):
     if len(anchors) >= 2:
         modes.append(Mode.doubly())
     for mode in modes:
-        if resolving_alone and mode.kind == "resolving":
-            words = np.concatenate(list(_resolving_blocks(dm.dist, mode.order)))
-        else:
-            words = _mode_masks(dm, mode)
-        hits_all = all(m & smask for m in _as_ints(words))
+        hits_all = all(m & smask for m in _as_ints(_mode_masks(dm, mode)))
         assert hits_all == check_mode(dm, anchors, mode).holds
 
 
@@ -278,15 +266,13 @@ def _pairwise_masks(dist, mode):
         rows = [to(xs) for xs in sets(mode.order)]
         out = {mask(v for v in vertices if a[v] != b[v])
                for a, b in itertools.combinations(rows, 2)}
-        if mode.order >= 2:
-            out |= solid(mode.order - 1)
     elif mode.kind == "solid":
         out = solid(mode.order)
     else:
         out = set()
         for u, w in itertools.combinations(vertices, 2):
             diff = [dist[v][u] - dist[v][w] for v in vertices]
-            out |= {mask(v for v in vertices if diff[v] != c) for c in diff}
+            out |= {mask(v for v in vertices if diff[v] != c) for c in set(diff)}
     return out - {0}
 
 
@@ -312,15 +298,40 @@ def test_mode_masks_equal_pairwise_family(g, mode):
     _assert_exact_family(g, mode)
 
 
+@common
+@given(connected_graphs(), st.sampled_from([2, 3]))
+def test_sub_solid_masks_are_resolving_masks(g, order):
+    # for x not in Y the (l-1)-solid mask of (x, Y) is the {l}-resolving
+    # mask of (Y, Y + x), so the search needs no separate pass for them
+    try:
+        Mode.resolving(order).validate_for(g.n)
+    except ModeError:
+        return
+    dist = all_pairs_distances(g).dist.tolist()
+    assert _pairwise_masks(dist, Mode.solid(order - 1)) <= \
+        _pairwise_masks(dist, Mode.resolving(order))
+
+
 @pytest.mark.parametrize("g, mode", [
     # 68 vertices: two words per mask
     (flower_snark(17), Mode.solid(1)),
+    (flower_snark(17), Mode.doubly()),
     # diameter 69: seven bit slices over two words
     (path_graph(70), Mode.resolving(1)),
     (path_graph(70), Mode.solid(1)),
-], ids=["J17-solid1", "P70-resolving1", "P70-solid1"])
+], ids=["J17-solid1", "J17-doubly", "P70-resolving1", "P70-solid1"])
 def test_mode_masks_equal_pairwise_family_multiword(g, mode):
     _assert_exact_family(g, mode)
+
+
+@pytest.mark.parametrize("mode", [Mode.resolving(2), Mode.solid(2), Mode.doubly()],
+                         ids=["resolving2", "solid2", "doubly"])
+def test_mode_masks_equal_pairwise_family_small_blocks(mode, monkeypatch):
+    # a few rows per block: doubly pairs each vertex with the rows from its
+    # block's first vertex on, so pairs across blocks are met from one side
+    # only; more than 32 blocks also merges the parts mid-build
+    monkeypatch.setattr(search, "_BLOCK_WORDS", 512)
+    _assert_exact_family(flower_snark(5), mode)
 
 
 # bytes in the narrowest word that holds n bits, at each boundary
@@ -387,10 +398,10 @@ def test_colex_first_cover_matches_brute_force(n, data):
     positions = data.draw(st.lists(
         st.sets(st.integers(0, n - 1), min_size=1), max_size=12))
     r = data.draw(st.integers(0, n))
-    words = _as_words([mask_of(free[p] for p in ps) for ps in positions], 1)
+    words = _as_words([sum(1 << free[p] for p in ps) for ps in positions], 1)
     cover, lowest, members = _bitsets(words, free)
     got, nodes = _colex_first_cover(cover, lowest, members, r, lambda nodes: None)
-    want = next((list(c) for c in colex_combinations(n, r)
+    want = next((list(c) for c in size_colex_subsets(n, r, r)
                  if all(ps & set(c) for ps in positions)), None)
     assert got == want
     assert nodes >= 1
@@ -496,37 +507,24 @@ def test_product_distance_sum(g, h):
 def test_colex_enumeration_order(n, k):
     if k > n:
         return
-    combos = list(colex_combinations(n, k))
-    assert combos == sorted(itertools.combinations(range(n), k),
-                            key=lambda c: c[::-1])
+    combos = list(size_colex_subsets(n, k, k))
     for rank, combo in enumerate(combos):
         assert colex_rank(combo) == rank
+    # colex order is numeric order of the masks, which the search's
+    # largest-element-first descent relies on
+    masks = [sum(1 << v for v in c) for c in combos]
+    assert all(a < b for a, b in zip(masks, masks[1:]))
 
 
 @common
 @given(st.integers(0, 10), st.integers(0, 6))
 def test_colex_array_rows_are_colex_combinations(n, k):
     rows = colex_array(n, k)
-    combos = list(colex_combinations(n, k))
+    combos = list(size_colex_subsets(n, k, k))
     assert rows.dtype == np.intp and rows.shape == (len(combos), k)
     for rank, (row, combo) in enumerate(zip(rows.tolist(), combos)):
         assert tuple(row) == combo
         assert colex_rank(row) == rank
-
-
-@common
-@given(st.integers(1, 9), st.integers(1, 9))
-def test_masks_round_trip(n, k):
-    if k > n:
-        return
-    mask = mask_of(range(k))
-    assert tuple(bits_of(mask)) == tuple(range(k))
-    # colex order is numeric order of the masks, which the search's
-    # largest-element-first descent relies on
-    masks = [mask_of(c) for c in colex_combinations(n, k)]
-    assert masks[0] == mask
-    assert all(a < b for a, b in zip(masks, masks[1:]))
-    assert all(tuple(bits_of(m)) == c for m, c in zip(masks, colex_combinations(n, k)))
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,15 @@ def test_budget_exhaustion_returns_lower_bound():
     assert res.describe().startswith("unknown >= ")
 
 
+def test_nan_budget_is_refused():
+    # t0 + nan is never exceeded, so a NaN budget would switch it off
+    with pytest.raises(ValueError, match="NaN"):
+        dim(flower_snark(5), Mode.resolving(2), budget_s=float("nan"))
+    for budget in (0, -1.0):
+        assert dim(flower_snark(5), Mode.resolving(2), budget_s=budget).value is None
+    assert dim(flower_snark(5), Mode.resolving(2), budget_s=float("inf")).value == 7
+
+
 def test_budget_holds_in_separator_build():
     # J9 {3}-resolving compares about 30 million pairs of sets of size <= 3;
     # the deadline is checked between blocks of them
