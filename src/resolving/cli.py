@@ -3,7 +3,8 @@
 Subcommands: gen, check, dim, forced, rook-lb, design, snark-suite,
 product.  Reports print as text by default and as JSON with --json; JSON
 output is byte-identical across identical invocations, so wall-clock
-timings stay zero unless --timing is given.
+timings stay zero unless --timing is given.  Under --timing, dim also
+reports the search's node count, kept masks and phase times.
 
 Graphs are named by small tokens: J7 / snark:7 (flower snark), P9 / path:9,
 C6 / cycle:6, K5 / complete:5, K1,3 / star:3, rook:7,7, tree:0,0,1 (parent
@@ -250,6 +251,13 @@ def _cmd_dim(args):
     if result.basis is not None:
         shown = labels if labels else list(result.basis)
         lines.append(f"minimum set: {shown}")
+    if args.timing:
+        stats = result.stats
+        phase_ms = {name: round(ms, 3) for name, ms in stats.phase_ms.items()}
+        payload.update(nodes=stats.nodes, masks_kept=stats.masks_kept, phase_ms=phase_ms)
+        lines.append(f"search: {stats.nodes} nodes, {stats.masks_kept} of "
+                     f"{stats.mask_count} masks kept, phase ms "
+                     + ", ".join(f"{name} {ms}" for name, ms in phase_ms.items()))
     _finish(args, clock, "dim", payload, lines, digest=_graph_digest(g))
     return 0 if result.exact else 1
 

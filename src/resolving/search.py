@@ -34,10 +34,16 @@ Cardinalities are tried in ascending order.  For each, one recursion over
 the non-forced vertices, branching on the members of an unhit mask, decides
 whether that many hit every mask; with one position left, only members of
 both the last and the first unhit mask are tried, since a lone position
-must hit every unhit mask.  A failed decision exhausts the cardinality
-and certifies the dimension exceeds it.  Otherwise the first passing set in
-colexicographic order is read off the same decision and re-verified with
-the public checker.
+must hit every unhit mask.  The decision runs on the positions sorted by
+descending mask degree (how many kept masks contain the vertex; ties in
+vertex order), so the vertices that hit the most masks are tried first
+and the labels only break ties.  Its answer does not depend on the order
+of the positions.  A failed decision exhausts the cardinality and
+certifies the dimension exceeds it.  At the first cardinality that
+passes, the same recursion runs again on the positions in vertex order,
+and the first passing set in colexicographic order is read off it and
+re-verified with the public checker; the labels order that read-off, and
+the set it finds is the one an ascending search in vertex order finds.
 """
 
 from __future__ import annotations
@@ -88,7 +94,8 @@ class SearchStats:
     # them are minimal (the ones searched)
     mask_count: int = 0
     masks_kept: int = 0
-    # calls of the decision recursion, over all cardinalities
+    # calls of the decision recursion: the degree-ordered decisions of all
+    # cardinalities tried, plus the vertex-ordered read-off at the value
     nodes: int = 0
     # milliseconds per phase: masks, reduce, search, verify
     phase_ms: dict = dataclasses.field(default_factory=dict)
@@ -319,50 +326,65 @@ def _minimal_masks(masks, deadline=None):
 
 
 def _row_ints(bits):
-    """Each row of a 2-d 0/1 array as a Python-int bitset."""
-    raw = np.packbits(bits, axis=1, bitorder="little")
-    width = raw.shape[1]
-    raw = raw.tobytes()
-    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(len(bits))]
+    """Each row of a 2-d 0/1 array as a Python-int bitset, built from its
+    64-bit words top word first (int.from_bytes per row is several times
+    slower)."""
+    rows, width = bits.shape
+    raw = np.zeros((rows, -(-width // 64) * 8), dtype=np.uint8)
+    raw[:, :-(-width // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    words = raw.view("<u8").T
+    if not len(words):
+        return [0] * rows
+    ints = words[-1].tolist()
+    for word in words[-2::-1]:
+        ints = [i << 64 | w for i, w in zip(ints, word.tolist())]
+    return ints
+
+
+def _member_matrix(masks, free):
+    """0/1 array of the masks (rows of words) over the vertices in
+    ``free``: entry [i, j] says whether mask i contains vertex free[j]."""
+    raw = np.ascontiguousarray(masks).view(np.uint8)
+    return np.unpackbits(raw, axis=1, bitorder="little")[:, free]
+
+
+def _family(member):
+    """The masks of a member matrix numbered by their lowest position:
+    ``cover[j]`` is the Python-int bitset of the masks that contain
+    position j, ``members[i]`` the int bitset of the positions in mask i,
+    and ``lowest[i]`` the first of them."""
+    first = member.argmax(axis=1) if member.size else np.zeros(len(member), dtype=np.intp)
+    order = np.argsort(first, kind="stable")
+    member = member[order]
+    return _row_ints(member.T), first[order].tolist(), _row_ints(member)
 
 
 def _bitsets(masks, free):
-    """The masks reindexed onto the positions in ``free`` and numbered by
-    their lowest position: ``cover[j]`` is the Python-int bitset of the
-    masks that contain position j, ``members[i]`` the int bitset of the
-    positions in mask i, and ``lowest[i]`` the first of them."""
-    raw = np.ascontiguousarray(masks).view(np.uint8)
-    member = np.unpackbits(raw, axis=1, bitorder="little")[:, free]
-    if member.size:
-        member = member[np.argsort(member.argmax(axis=1), kind="stable")]
-    members = _row_ints(member)
-    return _row_ints(member.T), [(m & -m).bit_length() - 1 for m in members], members
+    """The masks reindexed onto the positions in ``free`` (position j is
+    vertex free[j]), as :func:`_family` numbers them."""
+    return _family(_member_matrix(masks, free))
 
 
 # ---------------------------------------------------------------------------
 # exhaustive decision over one cardinality
 
 
-def _colex_first_cover(cover, lowest, members, r, tick):
-    """First r-subset of range(len(cover)) in colex order whose covers
-    together hold every mask (an ascending list, or None), and the number
-    of ``hits`` calls.
+def _decision(cover, members, tick):
+    """The decision recursion over one family, the complements of its
+    covers, and a function that returns how many calls it has made.
 
     ``hits(unhit, allowed, r)`` decides whether at most r positions of the
-    bitset ``allowed`` hit every unhit mask: exactly r where it is called
-    below, as ``allowed`` then holds r and a set can be padded.  It
-    branches on the allowed members of the last unhit mask (the one with
-    the largest lowest position), lowest first, each branch forbidding its
-    member to the later ones, so no set is visited twice.  At r == 1 the
-    branches are cut to the members of the first unhit mask as well: a
-    lone position must hit every unhit mask, so it lies in both; the leaf
-    loop shrinks and the calls stay the same.  The colex-first set is
-    read off it largest element first: the smallest t from the
-    last unhit mask's lowest position on such that r - 1 positions below t
-    hit the masks t leaves unhit.  ``tick(nodes)`` runs every
+    bitset ``allowed`` hit every unhit mask: exactly r where it is called,
+    as ``allowed`` then holds r and a set can be padded.  It branches on
+    the allowed members of the last unhit mask (the one with the largest
+    lowest position), lowest first, each branch forbidding its member to
+    the later ones, so no set is visited twice.  At r == 1 the branches
+    are cut to the members of the first unhit mask as well: a lone
+    position must hit every unhit mask, so it lies in both; the leaf loop
+    shrinks and the calls stay the same.  ``tick(nodes)`` runs every
     PROGRESS_NODES calls.
     """
-    complement = [((1 << len(lowest)) - 1) ^ c for c in cover]
+    complement = [((1 << len(members)) - 1) ^ c for c in cover]
     nodes = 0
 
     def hits(unhit, allowed, r):
@@ -388,10 +410,32 @@ def _colex_first_cover(cover, lowest, members, r, tick):
                 return True
         return False
 
+    return hits, complement, lambda: nodes
+
+
+def _covers(cover, members, r, tick):
+    """Whether some r positions together cover every mask, and the number
+    of ``hits`` calls: the decision of :func:`_colex_first_cover` without
+    its read-off.  The answer does not depend on how the positions are
+    ordered, but the work does."""
+    hits, _, calls = _decision(cover, members, tick)
+    return hits((1 << len(members)) - 1, (1 << len(cover)) - 1, r), calls()
+
+
+def _colex_first_cover(cover, lowest, members, r, tick):
+    """First r-subset of range(len(cover)) in colex order whose covers
+    together hold every mask (an ascending list, or None), and the number
+    of ``hits`` calls (see :func:`_decision`).
+
+    The colex-first set is read off the decision largest element first:
+    the smallest t from the last unhit mask's lowest position on such that
+    r - 1 positions below t hit the masks t leaves unhit.
+    """
+    hits, complement, calls = _decision(cover, members, tick)
     n = len(cover)
     unhit = (1 << len(lowest)) - 1
     if not hits(unhit, (1 << n) - 1, r):
-        return None, nodes
+        return None, calls()
     found = []
     while r:
         first = max(r - 1, lowest[unhit.bit_length() - 1]) if unhit else r - 1
@@ -403,7 +447,7 @@ def _colex_first_cover(cover, lowest, members, r, tick):
             raise RuntimeError(f"no element completes a cover the search found ({r} left)")
         found.append(t)
         unhit, n, r = rest, t, r - 1
-    return found[::-1], nodes
+    return found[::-1], calls()
 
 
 # ---------------------------------------------------------------------------
@@ -467,15 +511,21 @@ def metric_dimension(g, config):
         free = [v for v in range(n) if v not in forced]
         with _phase(stats, "reduce"):
             masks = _minimal_masks(masks, deadline)
-            cover, lowest, members = _bitsets(masks, free)
+            member = _member_matrix(masks, free)
+            cover, lowest, members = _family(member)
+            # the positions by descending mask degree, ties in vertex order
+            degree = member.sum(axis=0, dtype=np.int64)
+            by_degree, _, degree_members = _family(member[:, np.argsort(-degree, kind="stable")])
         stats.masks_kept = len(masks)
         with _phase(stats, "search"):
             for k in range(lb, k_hi + 1):
                 step = 0
                 tick(0)
-                hit, nodes = _colex_first_cover(cover, lowest, members, k - len(forced), tick)
+                found, nodes = _covers(by_degree, degree_members, k - len(forced), tick)
                 stats.nodes += nodes
-                if hit is not None:
+                if found:
+                    hit, nodes = _colex_first_cover(cover, lowest, members, k - len(forced), tick)
+                    stats.nodes += nodes
                     stats.subsets_checked += colex_rank(hit) + 1
                     break
                 stats.subsets_checked += comb(len(free), k - len(forced))

@@ -7,13 +7,15 @@ what the randomized tests certify.  The one exception, oracle_first_basis,
 judges candidate sets with the package's checkers, which those tests pin,
 so that it can reach snark-sized graphs.  The reference scans are the
 pure-Python checkers that the numpy block scans replaced, kept to pin
-their verdicts and witnesses, and the reference decision kernel is the
-search's recursion before its leaf prune.
+their verdicts and witnesses, the reference decision kernel is the
+search's recursion before its leaf prune, and the reference search runs
+it over every cardinality in vertex order.
 """
 
 import itertools
 import random
 from collections import deque
+from math import comb
 
 import numpy as np
 import pytest
@@ -27,7 +29,9 @@ from resolving import (
     build_graph,
     check_mode,
     forced_vertices,
+    search,
 )
+from resolving.subsets import colex_rank
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +320,29 @@ def reference_colex_first_cover(cover, lowest, members, r):
         found.append(t)
         unhit, n, r = rest, t, r - 1
     return found[::-1], nodes
+
+
+def reference_metric_dimension(g, mode):
+    """The search before degree-ordered decisions: over the same masks as
+    ``search.metric_dimension`` (its ``_bitsets`` family in vertex order),
+    each cardinality from the lower bound up is decided and read off by
+    ``reference_colex_first_cover``.  Returns (value, basis, lower_bound,
+    lower_bound_source, subsets_checked, exhausted_through)."""
+    masks = search._mode_masks(all_pairs_distances(g), mode)
+    forced, masks = ((), masks) if mode.kind == "doubly" else search._split_forced(masks)
+    source, bound = max(search.dimension_lower_bounds(g, mode, forced=forced),
+                        key=lambda b: (b[1], b[0] == search.PROVENANCE_FORCED))
+    free = [v for v in range(g.n) if v not in forced]
+    cover, lowest, members = search._bitsets(search._minimal_masks(masks), free)
+    checked = exhausted = 0
+    for k in range(bound, g.n + 1):
+        hit, _ = reference_colex_first_cover(cover, lowest, members, k - len(forced))
+        if hit is not None:
+            basis = tuple(sorted(forced + tuple(free[j] for j in hit)))
+            return k, basis, bound, source, checked + colex_rank(hit) + 1, exhausted
+        checked += comb(len(free), k - len(forced))
+        exhausted, bound, source = k, k + 1, search.PROVENANCE_EXHAUSTED
+    raise AssertionError("no cardinality up to n hits every mask")
 
 
 # ---------------------------------------------------------------------------

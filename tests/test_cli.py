@@ -492,3 +492,29 @@ def test_timing_flag_reports_nonzero(capsys):
                        "--json", "--timing")
     assert code == 0
     assert json.loads(out)["millis"] > 0
+
+
+def test_dim_timing_reports_search_counters(capsys):
+    argv = ("dim", "J5", "--mode", "resolving", "--ell", "2")
+    code, out, _ = run(capsys, *argv, "--json", "--timing")
+    assert code == 0
+    check_schema(json.loads(out))
+    result = json.loads(out)["result"]
+    assert result["nodes"] > 0
+    assert 0 < result["masks_kept"] <= result["mask_count"]
+    assert set(result["phase_ms"]) == {"masks", "reduce", "search", "verify"}
+    assert all(ms >= 0.0 for ms in result["phase_ms"].values())
+    # the text report gains one line, and only under --timing
+    code, out, _ = run(capsys, *argv, "--timing")
+    timed = out.splitlines()
+    code, out, _ = run(capsys, *argv)
+    plain = out.splitlines()
+    assert timed[:-1] == plain
+    assert timed[-1].startswith(f"search: {result['nodes']} nodes, "
+                                f"{result['masks_kept']} of {result['mask_count']} masks kept")
+
+
+def test_dim_without_timing_has_no_search_counters(capsys):
+    code, out, _ = run(capsys, "dim", "J5", "--mode", "resolving", "--ell", "2", "--json")
+    assert code == 0
+    assert not {"nodes", "masks_kept", "phase_ms"} & set(json.loads(out)["result"])

@@ -40,8 +40,10 @@ from resolving.search import (
     _OutOfBudget,
     _bitsets,
     _colex_first_cover,
+    _covers,
     _minimal_masks,
     _mode_masks,
+    _row_ints,
 )
 from resolving.subsets import colex_array, colex_rank
 
@@ -388,6 +390,16 @@ def test_minimal_masks_checks_the_deadline():
         _minimal_masks(words, deadline=time.monotonic() - 1.0)
 
 
+@common
+@given(st.integers(0, 8), st.integers(0, 200), st.data())
+def test_row_ints_reads_each_row_as_a_bitset(rows, width, data):
+    bits = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=width, max_size=width),
+        min_size=rows, max_size=rows)), dtype=np.uint8).reshape(rows, width)
+    assert _row_ints(bits) == [sum(int(b) << j for j, b in enumerate(row)) for row in bits]
+    assert _row_ints(bits.T) == [sum(int(b) << i for i, b in enumerate(col)) for col in bits.T]
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 11), st.data())
 def test_colex_first_cover_matches_brute_force(n, data):
@@ -433,6 +445,24 @@ def test_colex_first_cover_matches_reference_kernel(case):
     for r in range(n + 1):
         got = _colex_first_cover(cover, lowest, members, r, lambda nodes: None)
         assert got == reference_colex_first_cover(cover, lowest, members, r)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cover_families(), st.data())
+def test_decision_ignores_position_order(case, data):
+    # whether r positions cover every mask is a property of the family:
+    # the decision on any reordering of the positions agrees with the
+    # vertex-ordered kernel at every cardinality
+    n, masks, _ = case
+    words = _as_words(masks, 1)
+    cover, lowest, members = _bitsets(words, list(range(n)))
+    perm = data.draw(st.permutations(range(n)))
+    shuffled, _, shuffled_members = _bitsets(words, perm)
+    for r in range(n + 1):
+        found, nodes = _covers(shuffled, shuffled_members, r, lambda nodes: None)
+        hit, _ = _colex_first_cover(cover, lowest, members, r, lambda nodes: None)
+        assert found == (hit is not None)
+        assert nodes >= 1
 
 
 # ---------------------------------------------------------------------------

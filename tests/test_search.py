@@ -12,6 +12,7 @@ from resolving import (
     check_mode,
     complete_graph,
     cycle_graph,
+    demo_graph,
     dimension_lower_bounds,
     flower_snark,
     metric_dimension,
@@ -27,6 +28,7 @@ from conftest import (
     oracle_first_basis,
     oracle_minimum_size,
     random_connected_graph,
+    reference_metric_dimension,
 )
 
 
@@ -148,6 +150,60 @@ def test_same_basis_as_colex_oracle_past_64_vertices(g, mode):
     want = oracle_first_basis(g, mode)
     got = dim(g, mode)
     assert (got.value, got.basis) == (len(want), want)
+
+
+def _outcome(res):
+    return (res.value, res.basis, res.lower_bound, res.lower_bound_source,
+            res.stats.subsets_checked, res.stats.exhausted_through)
+
+
+_SMALL_GRAPHS = {
+    "P6": path_graph(6), "C6": cycle_graph(6), "H": demo_graph(),
+    "K1,3": star_graph(3), "J5": flower_snark(5),
+    "rook3x3": rook_graph(3, 3), "rook4x3": rook_graph(4, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_GRAPHS))
+def test_degree_ordered_search_matches_vertex_ordered_reference(name):
+    # deciding on positions sorted by mask degree changes only the nodes:
+    # value, basis, bound and counters are those of the ascending search
+    # that decides and reads off in vertex order
+    g = _SMALL_GRAPHS[name]
+    for mode in _modes_for(g.n):
+        assert _outcome(dim(g, mode)) == reference_metric_dimension(g, mode), mode
+
+
+@pytest.mark.parametrize("name, g", [
+    ("J5", flower_snark(5)), ("J7", flower_snark(7)), ("rook4x4", rook_graph(4, 4)),
+])
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_degree_ordered_search_matches_reference_relabelled(name, g, seed):
+    g = _relabelled(g, seed)
+    for mode in (Mode.resolving(1), Mode.resolving(2), Mode.solid(1), Mode.solid(2),
+                 Mode.doubly()):
+        assert _outcome(dim(g, mode)) == reference_metric_dimension(g, mode), mode
+
+
+def test_certificate_smaller_set_matches_reference():
+    # one more vertex on the colex-first basis passes but is not minimum:
+    # the certificate names that basis and its size
+    g = _relabelled(flower_snark(7), 1)
+    value, basis, *_ = reference_metric_dimension(g, Mode.resolving(2))
+    extra = min(set(range(g.n)) - set(basis))
+    report = verify_basis_certificate(g, Mode.resolving(2), sorted(basis + (extra,)))
+    assert (report.certified, report.status) == (False, "smaller-set-exists")
+    assert (report.smaller_set, report.lower_bound) == (basis, value)
+
+
+def test_nodes_nearly_label_invariant():
+    # the cardinalities below the value are decided on degree-ordered
+    # positions, so relabelling J7 barely moves the node count (vertex
+    # order gave 1.6-2.1x the native count)
+    native = dim(flower_snark(7), Mode.resolving(2)).stats.nodes
+    for seed in (1, 2, 3, 4):
+        nodes = dim(_relabelled(flower_snark(7), seed), Mode.resolving(2)).stats.nodes
+        assert abs(nodes - native) <= 0.1 * native, (seed, nodes, native)
 
 
 def test_flower_snark_11_solid_2():
