@@ -34,16 +34,17 @@ Cardinalities are tried in ascending order.  For each, one recursion over
 the non-forced vertices, branching on the members of an unhit mask, decides
 whether that many hit every mask; with one position left, only members of
 both the last and the first unhit mask are tried, since a lone position
-must hit every unhit mask.  The decision runs on the positions sorted by
-descending mask degree (how many kept masks contain the vertex; ties in
-vertex order), so the vertices that hit the most masks are tried first
-and the labels only break ties.  Its answer does not depend on the order
-of the positions.  A failed decision exhausts the cardinality and
-certifies the dimension exceeds it.  At the first cardinality that
-passes, the same recursion runs again on the positions in vertex order,
-and the first passing set in colexicographic order is read off it and
-re-verified with the public checker; the labels order that read-off, and
-the set it finds is the one an ascending search in vertex order finds.
+must hit every unhit mask.  The recursion runs on one family, whose
+positions are the vertices sorted by descending mask degree (how many kept
+masks contain the vertex; ties in vertex order), so the vertices that hit
+the most masks are tried first and the labels only break ties.  Its answer
+does not depend on the order of the positions.  A failed decision
+exhausts the cardinality and certifies the dimension exceeds it.  At the
+first cardinality that passes, the same recursion on the same family,
+allowed only the positions of the vertices before each candidate, reads
+off the first passing set in colexicographic order of the vertices, which
+is re-verified with the public checker; the labels order that read-off,
+and the set it finds is the one an ascending search in vertex order finds.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import time
+from itertools import accumulate
 from math import comb, isnan
+from operator import or_
 
 import numpy as np
 
@@ -94,8 +97,8 @@ class SearchStats:
     # them are minimal (the ones searched)
     mask_count: int = 0
     masks_kept: int = 0
-    # calls of the decision recursion: the degree-ordered decisions of all
-    # cardinalities tried, plus the vertex-ordered read-off at the value
+    # calls of the decision recursion on the degree-ordered family: the
+    # decisions of all cardinalities tried, plus the read-off at the value
     nodes: int = 0
     # milliseconds per phase: masks, reduce, search, verify
     phase_ms: dict = dataclasses.field(default_factory=dict)
@@ -351,27 +354,22 @@ def _member_matrix(masks, free):
 def _family(member):
     """The masks of a member matrix numbered by their lowest position:
     ``cover[j]`` is the Python-int bitset of the masks that contain
-    position j, ``members[i]`` the int bitset of the positions in mask i,
-    and ``lowest[i]`` the first of them."""
+    position j, and ``members[i]`` the int bitset of the positions in
+    mask i."""
     first = member.argmax(axis=1) if member.size else np.zeros(len(member), dtype=np.intp)
-    order = np.argsort(first, kind="stable")
-    member = member[order]
-    return _row_ints(member.T), first[order].tolist(), _row_ints(member)
-
-
-def _bitsets(masks, free):
-    """The masks reindexed onto the positions in ``free`` (position j is
-    vertex free[j]), as :func:`_family` numbers them."""
-    return _family(_member_matrix(masks, free))
+    member = member[np.argsort(first, kind="stable")]
+    return _row_ints(member.T), _row_ints(member)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive decision over one cardinality
 
 
-def _decision(cover, members, tick):
-    """The decision recursion over one family, the complements of its
-    covers, and a function that returns how many calls it has made.
+def _colex_first_cover(cover, members, place, r, tick):
+    """First r-subset of the vertices range(len(place)) in colex order
+    whose covers together hold every mask (an ascending list, or None),
+    and the number of ``hits`` calls.  Vertex v sits at position
+    ``place[v]`` of the family.
 
     ``hits(unhit, allowed, r)`` decides whether at most r positions of the
     bitset ``allowed`` hit every unhit mask: exactly r where it is called,
@@ -382,7 +380,13 @@ def _decision(cover, members, tick):
     are cut to the members of the first unhit mask as well: a lone
     position must hit every unhit mask, so it lies in both; the leaf loop
     shrinks and the calls stay the same.  ``tick(nodes)`` runs every
-    PROGRESS_NODES calls.
+    PROGRESS_NODES calls.  The answer does not depend on the positions,
+    but the work does.
+
+    When r positions hit every mask, the same family gives the colex-first
+    set, largest vertex first: the smallest t such that r - 1 vertices
+    before t hit the masks t leaves unhit.  The scan for t starts where
+    the vertices up to t first reach every unhit mask.
     """
     complement = [((1 << len(members)) - 1) ^ c for c in cover]
     nodes = 0
@@ -410,44 +414,26 @@ def _decision(cover, members, tick):
                 return True
         return False
 
-    return hits, complement, lambda: nodes
-
-
-def _covers(cover, members, r, tick):
-    """Whether some r positions together cover every mask, and the number
-    of ``hits`` calls: the decision of :func:`_colex_first_cover` without
-    its read-off.  The answer does not depend on how the positions are
-    ordered, but the work does."""
-    hits, _, calls = _decision(cover, members, tick)
-    return hits((1 << len(members)) - 1, (1 << len(cover)) - 1, r), calls()
-
-
-def _colex_first_cover(cover, lowest, members, r, tick):
-    """First r-subset of range(len(cover)) in colex order whose covers
-    together hold every mask (an ascending list, or None), and the number
-    of ``hits`` calls (see :func:`_decision`).
-
-    The colex-first set is read off the decision largest element first:
-    the smallest t from the last unhit mask's lowest position on such that
-    r - 1 positions below t hit the masks t leaves unhit.
-    """
-    hits, complement, calls = _decision(cover, members, tick)
-    n = len(cover)
-    unhit = (1 << len(lowest)) - 1
+    n = len(place)
+    unhit = (1 << len(members)) - 1
     if not hits(unhit, (1 << n) - 1, r):
-        return None, calls()
+        return None, nodes
+    # below[t]: the positions of the vertices before t; reach[t]: the masks
+    # that some vertex up to t is in
+    below = list(accumulate((1 << p for p in place), or_, initial=0))
+    reach = list(accumulate((cover[p] for p in place), or_))
     found = []
     while r:
-        first = max(r - 1, lowest[unhit.bit_length() - 1]) if unhit else r - 1
-        for t in range(first, n):
-            rest = unhit & complement[t]
-            if hits(rest, (1 << t) - 1, r - 1):
+        start = next((t for t in range(r - 1, n) if not unhit & ~reach[t]), n)
+        for t in range(start, n):
+            rest = unhit & complement[place[t]]
+            if hits(rest, below[t], r - 1):
                 break
         else:
             raise RuntimeError(f"no element completes a cover the search found ({r} left)")
         found.append(t)
         unhit, n, r = rest, t, r - 1
-    return found[::-1], calls()
+    return found[::-1], nodes
 
 
 # ---------------------------------------------------------------------------
@@ -512,20 +498,18 @@ def metric_dimension(g, config):
         with _phase(stats, "reduce"):
             masks = _minimal_masks(masks, deadline)
             member = _member_matrix(masks, free)
-            cover, lowest, members = _family(member)
             # the positions by descending mask degree, ties in vertex order
-            degree = member.sum(axis=0, dtype=np.int64)
-            by_degree, _, degree_members = _family(member[:, np.argsort(-degree, kind="stable")])
+            by_degree = np.argsort(-member.sum(axis=0, dtype=np.int64), kind="stable")
+            cover, members = _family(member[:, by_degree])
+            place = np.argsort(by_degree).tolist()
         stats.masks_kept = len(masks)
         with _phase(stats, "search"):
             for k in range(lb, k_hi + 1):
                 step = 0
                 tick(0)
-                found, nodes = _covers(by_degree, degree_members, k - len(forced), tick)
+                hit, nodes = _colex_first_cover(cover, members, place, k - len(forced), tick)
                 stats.nodes += nodes
-                if found:
-                    hit, nodes = _colex_first_cover(cover, lowest, members, k - len(forced), tick)
-                    stats.nodes += nodes
+                if hit is not None:
                     stats.subsets_checked += colex_rank(hit) + 1
                     break
                 stats.subsets_checked += comb(len(free), k - len(forced))

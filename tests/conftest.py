@@ -281,6 +281,15 @@ def reference_solid_scan(dm, anchors, bound):
 # reference decision kernel
 
 
+def reference_family(masks, free):
+    """The masks (rows of words) reindexed onto the positions in ``free``
+    (position j is vertex free[j]) and numbered by their lowest position,
+    as ``search._family`` numbers them: (cover, lowest, members), where
+    ``lowest[i]`` is the first position in mask i."""
+    cover, members = search._family(search._member_matrix(masks, free))
+    return cover, [(m & -m).bit_length() - 1 for m in members], members
+
+
 def reference_colex_first_cover(cover, lowest, members, r):
     """The search's decision kernel without the leaf prune: at r == 1 it
     tries every allowed member of the last unhit mask.  Same arguments as
@@ -324,16 +333,16 @@ def reference_colex_first_cover(cover, lowest, members, r):
 
 def reference_metric_dimension(g, mode):
     """The search before degree-ordered decisions: over the same masks as
-    ``search.metric_dimension`` (its ``_bitsets`` family in vertex order),
-    each cardinality from the lower bound up is decided and read off by
-    ``reference_colex_first_cover``.  Returns (value, basis, lower_bound,
+    ``search.metric_dimension``, in the vertex-ordered family of
+    ``reference_family``, each cardinality from the lower bound up is
+    decided and read off by ``reference_colex_first_cover``.  Returns (value, basis, lower_bound,
     lower_bound_source, subsets_checked, exhausted_through)."""
     masks = search._mode_masks(all_pairs_distances(g), mode)
     forced, masks = ((), masks) if mode.kind == "doubly" else search._split_forced(masks)
     source, bound = max(search.dimension_lower_bounds(g, mode, forced=forced),
                         key=lambda b: (b[1], b[0] == search.PROVENANCE_FORCED))
     free = [v for v in range(g.n) if v not in forced]
-    cover, lowest, members = search._bitsets(search._minimal_masks(masks), free)
+    cover, lowest, members = reference_family(search._minimal_masks(masks), free)
     checked = exhausted = 0
     for k in range(bound, g.n + 1):
         hit, _ = reference_colex_first_cover(cover, lowest, members, k - len(forced))

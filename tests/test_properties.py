@@ -38,9 +38,7 @@ from resolving import (
 from resolving import search
 from resolving.search import (
     _OutOfBudget,
-    _bitsets,
     _colex_first_cover,
-    _covers,
     _minimal_masks,
     _mode_masks,
     _row_ints,
@@ -52,6 +50,7 @@ from conftest import (
     oracle_first_basis,
     oracle_is_solid,
     reference_colex_first_cover,
+    reference_family,
     reference_is_l_resolving,
     reference_solid_scan,
     size_colex_subsets,
@@ -405,14 +404,17 @@ def test_row_ints_reads_each_row_as_a_bitset(rows, width, data):
 def test_colex_first_cover_matches_brute_force(n, data):
     # masks over the free vertices of a graph with up to 3 forced ones,
     # not an antichain in general; r runs past the value, so infeasible
-    # cardinalities are drawn too
+    # cardinalities are drawn too.  The family's positions are the free
+    # vertices in a drawn order, and the set is read off in vertex order
     free = sorted(data.draw(st.sets(st.integers(0, n + 2), min_size=n, max_size=n)))
     positions = data.draw(st.lists(
         st.sets(st.integers(0, n - 1), min_size=1), max_size=12))
     r = data.draw(st.integers(0, n))
+    order = data.draw(st.permutations(range(n)))
     words = _as_words([sum(1 << free[p] for p in ps) for ps in positions], 1)
-    cover, lowest, members = _bitsets(words, free)
-    got, nodes = _colex_first_cover(cover, lowest, members, r, lambda nodes: None)
+    cover, _, members = reference_family(words, [free[p] for p in order])
+    place = np.argsort(order).tolist()
+    got, nodes = _colex_first_cover(cover, members, place, r, lambda nodes: None)
     want = next((list(c) for c in size_colex_subsets(n, r, r)
                  if all(ps & set(c) for ps in positions)), None)
     assert got == want
@@ -437,31 +439,32 @@ def cover_families(draw):
 def test_colex_first_cover_matches_reference_kernel(case):
     # the leaf prune drops only branches that cannot hit the first unhit
     # mask: at every cardinality, r = 1 included, the same set (or None)
-    # and the same number of hits calls
+    # and the same number of hits calls on positions in vertex order
     n, masks, split = case
-    cover, lowest, members = _bitsets(_as_words(masks, 1), list(range(n)))
+    cover, lowest, members = reference_family(_as_words(masks, 1), list(range(n)))
     if split:
         assert not members[0] & members[-1]
     for r in range(n + 1):
-        got = _colex_first_cover(cover, lowest, members, r, lambda nodes: None)
+        got = _colex_first_cover(cover, members, list(range(n)), r, lambda nodes: None)
         assert got == reference_colex_first_cover(cover, lowest, members, r)
 
 
 @settings(max_examples=400, deadline=None)
 @given(cover_families(), st.data())
 def test_decision_ignores_position_order(case, data):
-    # whether r positions cover every mask is a property of the family:
-    # the decision on any reordering of the positions agrees with the
-    # vertex-ordered kernel at every cardinality
+    # whether r positions cover every mask is a property of the family,
+    # and the read-off follows the vertices: on any reordering of the
+    # positions, the set found at every cardinality (or None) is the one
+    # the reference kernel finds in vertex order
     n, masks, _ = case
     words = _as_words(masks, 1)
-    cover, lowest, members = _bitsets(words, list(range(n)))
+    cover, lowest, members = reference_family(words, list(range(n)))
     perm = data.draw(st.permutations(range(n)))
-    shuffled, _, shuffled_members = _bitsets(words, perm)
+    shuffled, _, shuffled_members = reference_family(words, perm)
+    place = np.argsort(perm).tolist()
     for r in range(n + 1):
-        found, nodes = _covers(shuffled, shuffled_members, r, lambda nodes: None)
-        hit, _ = _colex_first_cover(cover, lowest, members, r, lambda nodes: None)
-        assert found == (hit is not None)
+        got, nodes = _colex_first_cover(shuffled, shuffled_members, place, r, lambda nodes: None)
+        assert got == reference_colex_first_cover(cover, lowest, members, r)[0]
         assert nodes >= 1
 
 
