@@ -18,14 +18,14 @@ candidate set passes iff it intersects every "separator" mask.
   d(., v) + top + c differ.
 
 The masks are bitsets kept word-major, one numpy row per word, from build
-through reduction.  They are built in uint64 words, in blocks from bit
-slices of the distance rows (for each bit of the distances, the bitset of
-vertices where that bit is 1): the {l}-resolving and doubly masks are the
-union over slices of where two rows differ, the l-solid mask a bit-serial
-less-than, top bit first.  When one word holds a mask (n <= 64), each block
-is narrowed to the smallest unsigned type that holds n bits, and the family
-stays in it, since narrower words sort and compare faster.  The masks are
-then deduplicated.  In the resolving and solid modes the single-vertex
+through reduction.  Their words are of the smallest unsigned type that
+holds n bits when one word holds a mask (n <= 64), since narrower words
+sort and compare faster, and uint64 otherwise.  They are built in that
+type, in blocks from bit slices of the distance rows (for each bit of the
+distances, the bitset of vertices where that bit is 1): the {l}-resolving
+and doubly masks are the union over slices of where two rows differ, the
+l-solid mask a bit-serial less-than, top bit first.  The masks are then
+deduplicated.  In the resolving and solid modes the single-vertex
 masks are the forced vertices, which every passing set contains; the masks
 they hit are dropped, and the rest are reduced to their minimal antichain:
 a set hits every mask iff it hits every mask that contains no other one.
@@ -45,6 +45,20 @@ allowed only the positions of the vertices before each candidate, reads
 off the first passing set in colexicographic order of the vertices, which
 is re-verified with the public checker; the labels order that read-off,
 and the set it finds is the one an ascending search in vertex order finds.
+
+The masks are defined from distances alone, so every automorphism of the
+graph maps the forced vertices onto themselves and the kept masks onto
+the kept masks.  At the first cardinality with two or more positions to
+place, the group is read off the distance matrix: an automorphism is
+fixed by the images of a resolving base, so the candidate images of a
+greedy base are extended level by level and every map they give is
+checked against the edges (or, past a fixed number of candidates, the
+search goes on without it).  Each cardinality is then decided by orbital
+branching: when the branch on a position fails, so do the branches on
+every position that an automorphism fixing the positions taken so far
+maps it to, and they are dropped.  Where no such automorphism is left
+the plain recursion takes over.  The answer is unchanged; only the nodes
+it takes are fewer.
 """
 
 from __future__ import annotations
@@ -71,6 +85,8 @@ PROVENANCE_EXHAUSTED = "exhausted-cardinality"
 PROGRESS_NODES = 4096
 # mask words per numpy block when building or reducing masks
 _BLOCK_WORDS = 1 << 18
+# candidate image tuples of a base beyond which the group is not enumerated
+_MAX_IMAGES = 1024
 
 
 @dataclasses.dataclass
@@ -97,10 +113,12 @@ class SearchStats:
     # them are minimal (the ones searched)
     mask_count: int = 0
     masks_kept: int = 0
-    # calls of the decision recursion on the degree-ordered family: the
-    # decisions of all cardinalities tried, plus the read-off at the value
+    # calls of the decision recursion on the degree-ordered family, the
+    # orbital branching included: the decisions of all cardinalities
+    # tried, plus the read-off at the value
     nodes: int = 0
-    # milliseconds per phase: masks, reduce, search, verify
+    # milliseconds per phase: masks, reduce, search, verify, and group
+    # (within search) once the automorphisms are read off
     phase_ms: dict = dataclasses.field(default_factory=dict)
 
 
@@ -156,10 +174,10 @@ def _phase(stats, name):
 # separator masks: bit v % 64 of word v // 64 stands for vertex v.  A family
 # of N masks over W words is an (N, W) array held word-major (its transpose
 # is C-contiguous), so every reduction runs across the few words,
-# elementwise over rows of N.  Blocks are built in uint64 words; a family
-# over n <= 64 vertices (one word) is kept in the narrowest unsigned type
-# that holds n bits (uint8, 16, 32 or 64, little-endian), which the later
-# steps read through uint8 views or np.bitwise_count.
+# elementwise over rows of N.  A family over n <= 64 vertices (one word) is
+# built and kept in the narrowest unsigned type that holds n bits (uint8,
+# 16, 32 or 64, little-endian), which the later steps read through uint8
+# views or np.bitwise_count.
 
 
 def _set_rows(dist, order):
@@ -170,14 +188,16 @@ def _set_rows(dist, order):
 
 def _slices(rows):
     """Bit slices of nonnegative ``rows``, top bit first: with depth =
-    ``rows.max().bit_length()``, entry [b, w, i] is word w of the bitset
-    {v : bit depth - 1 - b of rows[i, v] is 1}."""
+    ``rows.max().bit_length()``, entry [b, w, i] is word w (of
+    ``_word_type(n)``) of the bitset {v : bit depth - 1 - b of rows[i, v]
+    is 1}."""
     s, n = rows.shape
+    word = _word_type(n)
     depth = int(rows.max()).bit_length()
-    bits = np.zeros((depth, s, (n + 63) // 64 * 64), dtype=bool)
+    bits = np.zeros((depth, s, -(-n // (8 * word.itemsize)) * 8 * word.itemsize), dtype=bool)
     for b in range(depth):
         np.not_equal(rows & (1 << (depth - 1 - b)), 0, out=bits[b, :, :n])
-    words = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    words = np.packbits(bits, axis=-1, bitorder="little").view(word)
     return np.ascontiguousarray(words.transpose(0, 2, 1))
 
 
@@ -192,9 +212,10 @@ def _differ(x, y):
     words per broadcast pair, the pairs in C order."""
     shape = np.broadcast_shapes(x.shape, y.shape)[1:]
     # from zeros, so that rows of depth 0 (all zero) differ nowhere
-    words = np.zeros(shape, dtype=np.uint64)
+    words = np.zeros(shape, dtype=x.dtype)
+    step = np.empty_like(words)
     for a, b in zip(x, y):
-        words |= a ^ b
+        words |= np.bitwise_xor(a, b, out=step)
     return words.reshape(shape[0], -1).T
 
 
@@ -217,12 +238,15 @@ def _solid_blocks(dist, order):
     _, width, t = targets.shape
     n = len(dist)
     for lo, hi in _row_blocks(n, t * width):
-        less = np.zeros((width, hi - lo, t), dtype=np.uint64)
+        less = np.zeros((width, hi - lo, t), dtype=targets.dtype)
         same = ~less
-        # ~x and ~y are small; the parentheses keep full-size temporaries few
+        step = np.empty_like(less)
+        # ~x and ~y are small; one full-size scratch block serves every slice
         for x, y in zip(targets[:, :, lo:hi, None], targets[:, :, None, :]):
-            less |= same & (~x & y)
-            same &= x ^ ~y
+            np.bitwise_and(~x, y, out=step)
+            step &= same
+            less |= step
+            same &= np.bitwise_xor(x, ~y, out=step)
         yield less.reshape(width, -1).T
 
 
@@ -241,7 +265,7 @@ def _doubly_blocks(dist):
                         rows[:, :, None, lo * span:])
         # levels the difference never takes, and u = v at c != 0, give
         # all-vertex masks (u = v at c = 0 gives an empty one)
-        yield np.compress(np.bitwise_count(words).sum(axis=1) < n, words, axis=0)
+        yield np.compress(np.bitwise_count(words).sum(axis=1) < n, words.T, axis=1).T
 
 
 def _mode_blocks(dist, mode):
@@ -282,7 +306,7 @@ def _mode_masks(dm, mode, deadline=None):
     word = _word_type(n)
     parts = [np.zeros(((n + 63) // 64, 0), dtype=word)]
     for block in _mode_blocks(dist, mode):
-        parts.append(_unique_columns(block.T.astype(word, order="C", copy=False)))
+        parts.append(_unique_columns(block.T))
         if len(parts) >= 32:
             parts = [_unique_columns(np.concatenate(parts, axis=1))]
         _check_deadline(deadline)
@@ -362,13 +386,114 @@ def _family(member):
 
 
 # ---------------------------------------------------------------------------
+# automorphisms, read off a resolving base
+
+
+def _automorphisms(dist):
+    """Every automorphism of the connected graph with distance matrix
+    ``dist``, as the rows of an int array (entry [g, v] is the image of v),
+    or None when the images of the base below take more than _MAX_IMAGES
+    candidate tuples at some level.
+
+    An automorphism is fixed by the images of a resolving set (Boutin
+    2009).  The base is chosen greedily: each step adds the vertex whose
+    distance column splits the current classes of distance codes most,
+    until the codes are distinct.  Candidate image tuples grow a level at
+    a time, over the vertices with the same sorted distance row as the
+    base vertex and the same distances to the earlier images.  A tuple
+    maps each vertex to the one whose codes to the images match its codes
+    to the base, and the map is kept only if it sends every edge to an
+    edge."""
+    n = len(dist)
+    dist = dist.astype(np.intp)
+    span = int(dist.max()) + 1
+    # code[v]: v's class of distance codes to the base so far.  A step
+    # numbers the keys code * span + d that occur; as a table, entry [c, d]
+    # is the class after the step of class c at distance d from the new
+    # base vertex, or -1 where no vertex has that code (the last row, which
+    # class -1 reads, too)
+    code, classes = np.zeros(n, dtype=np.intp), 1
+    base, steps = [], []
+    while classes < n:
+        keys = code[:, None] * span + dist
+        # seen[b, key]: the key occurs if b joins the base
+        seen = np.zeros((n, classes * span), dtype=bool)
+        seen[np.arange(n), keys] = True
+        b = int(np.argmax(seen.sum(axis=1)))
+        step = np.full((classes + 1) * span, -1, dtype=np.intp)
+        step[:-span] = np.where(seen[b], np.cumsum(seen[b]) - 1, -1)
+        base.append(b)
+        steps.append(step.reshape(classes + 1, span))
+        code, classes = step[keys[:, b]], int(seen[b].sum())
+    rows = np.sort(dist, axis=1)
+    images = np.zeros((1, 0), dtype=np.intp)
+    for i, b in enumerate(base):
+        candidates = np.flatnonzero((rows == rows[b]).all(axis=1))
+        fits = (dist[images[:, :, None], candidates] == dist[base[:i], b][:, None]).all(axis=1)
+        tuples, picks = np.nonzero(fits)
+        if len(tuples) > _MAX_IMAGES:
+            return None
+        images = np.column_stack([images[tuples], candidates[picks]])
+    # each tuple's classes of codes to its images; a vertex matches the
+    # vertex of the base's class of the same number
+    matched = np.zeros((len(images), n), dtype=np.intp)
+    for i, step in enumerate(steps):
+        matched = step[matched, dist[images[:, i]]]
+    bijective = (np.sort(matched, axis=1) == np.arange(n)).all(axis=1)
+    autos = np.argsort(matched[bijective], axis=1)[:, code]
+    u, v = np.nonzero(np.triu(dist == 1))
+    return autos[(dist[autos[:, u], autos[:, v]] == 1).all(axis=1)]
+
+
+class _Orbits(dict):
+    """The automorphisms ``autos`` (rows of vertex images, or None for
+    none) acting on the family positions, where vertex ``free[j]`` sits at
+    position ``place[j]``.  ``group`` is the bitset of the rows that move
+    some position.  Item (h, low), for a bitset h of those rows and the
+    bit ``low`` of position p, is made on first use: the bitset of p's
+    orbit under h and the identity, and the bitset of the rows of h that
+    fix p."""
+
+    def __init__(self, autos, free, place):
+        super().__init__()
+        rows = np.zeros((0, len(free)), dtype=np.intp)
+        if autos is not None:
+            at = np.full(autos.shape[1], -1)
+            at[free] = place
+            rows = np.empty((len(autos), len(free)), dtype=np.intp)
+            rows[:, place] = at[autos[:, free]]
+        # the identity, and an automorphism that moves only forced vertices,
+        # fix every position
+        self.rows = rows[(rows != np.arange(len(free))).any(axis=1)]
+        self.group = (1 << len(self.rows)) - 1
+        # images[p][bit of q]: the bitset of the rows that map p to q
+        self.images = {}
+
+    def __missing__(self, key):
+        h, low = key
+        p = low.bit_length() - 1
+        if p not in self.images:
+            by_image = self.images[p] = {}
+            for g, q in enumerate(self.rows[:, p].tolist()):
+                by_image[1 << q] = by_image.get(1 << q, 0) | 1 << g
+        orbit, fixing = low, 0
+        for bit, by in self.images[p].items():
+            if h & by:
+                orbit |= bit
+                if bit == low:
+                    fixing = h & by
+        self[key] = orbit, fixing
+        return orbit, fixing
+
+
+# ---------------------------------------------------------------------------
 # exhaustive decision over one cardinality
 
 
-def _colex_first_cover(cover, members, place, r, tick):
+def _colex_first_cover(cover, members, place, r, tick, orbits=None):
     """First r-subset of the vertices range(len(place)) in colex order
     whose covers together hold every mask (an ascending list, or None),
-    and the number of ``hits`` calls.  Vertex v sits at position
+    and the number of decision calls.  Vertex v sits at position
     ``place[v]`` of the family.
 
     ``hits(unhit, allowed, r)`` decides whether at most r positions of the
@@ -382,6 +507,14 @@ def _colex_first_cover(cover, members, place, r, tick):
     shrinks and the calls stay the same.  ``tick(nodes)`` runs every
     PROGRESS_NODES calls.  The answer does not depend on the positions,
     but the work does.
+
+    ``orbits`` is an ``_Orbits`` of permutations of the positions that map
+    the family onto itself, or None.  The decision then branches the same
+    way, but with the group h of the permutations that fix every position
+    taken so far: a subproblem is invariant under h, so when the branch on
+    p fails, every branch on p's h-orbit fails too, and the whole orbit
+    leaves ``allowed`` (orbital branching, Ostrowski et al. 2011).  Once h
+    is trivial, or r < 2, ``hits`` goes on.
 
     When r positions hit every mask, the same family gives the colex-first
     set, largest vertex first: the smallest t such that r - 1 vertices
@@ -414,9 +547,26 @@ def _colex_first_cover(cover, members, place, r, tick):
                 return True
         return False
 
+    def orbital(unhit, allowed, r, h):
+        nonlocal nodes
+        if not h or r < 2 or not unhit:
+            return hits(unhit, allowed, r)
+        nodes += 1
+        if not nodes % PROGRESS_NODES:
+            tick(nodes)
+        branches = members[unhit.bit_length() - 1] & allowed
+        while branches:
+            low = branches & -branches
+            orbit, fixing = orbits[h, low]
+            if orbital(unhit & complement[low.bit_length() - 1], allowed ^ low, r - 1, fixing):
+                return True
+            allowed &= ~orbit
+            branches &= ~orbit
+        return False
+
     n = len(place)
     unhit = (1 << len(members)) - 1
-    if not hits(unhit, (1 << n) - 1, r):
+    if not orbital(unhit, (1 << n) - 1, r, 0 if orbits is None else orbits.group):
         return None, nodes
     # below[t]: the positions of the vertices before t; reach[t]: the masks
     # that some vertex up to t is in
@@ -503,11 +653,15 @@ def metric_dimension(g, config):
             cover, members = _family(member[:, by_degree])
             place = np.argsort(by_degree).tolist()
         stats.masks_kept = len(masks)
+        orbits = None
         with _phase(stats, "search"):
             for k in range(lb, k_hi + 1):
                 step = 0
                 tick(0)
-                hit, nodes = _colex_first_cover(cover, members, place, k - len(forced), tick)
+                if orbits is None and k - len(forced) >= 2:
+                    with _phase(stats, "group"):
+                        orbits = _Orbits(_automorphisms(dm.dist), free, place)
+                hit, nodes = _colex_first_cover(cover, members, place, k - len(forced), tick, orbits)
                 stats.nodes += nodes
                 if hit is not None:
                     stats.subsets_checked += colex_rank(hit) + 1

@@ -9,7 +9,8 @@ so that it can reach snark-sized graphs.  The reference scans are the
 pure-Python checkers that the numpy block scans replaced, kept to pin
 their verdicts and witnesses, the reference decision kernel is the
 search's recursion before its leaf prune, and the reference search runs
-it over every cardinality in vertex order.
+it over every cardinality in vertex order.  The automorphism oracle tries
+every permutation of the vertices.
 """
 
 import itertools
@@ -352,6 +353,14 @@ def reference_metric_dimension(g, mode):
         checked += comb(len(free), k - len(forced))
         exhausted, bound, source = k, k + 1, search.PROVENANCE_EXHAUSTED
     raise AssertionError("no cardinality up to n hits every mask")
+
+
+def oracle_automorphisms(g):
+    """Every permutation of the vertices (as a tuple of images) that maps
+    the edge set onto itself, in lexicographic order."""
+    edges = set(g.edges())
+    return [p for p in itertools.permutations(range(g.n))
+            if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in edges)]
 
 
 # ---------------------------------------------------------------------------

@@ -502,7 +502,7 @@ def test_dim_timing_reports_search_counters(capsys):
     result = json.loads(out)["result"]
     assert result["nodes"] > 0
     assert 0 < result["masks_kept"] <= result["mask_count"]
-    assert set(result["phase_ms"]) == {"masks", "reduce", "search", "verify"}
+    assert set(result["phase_ms"]) == {"masks", "reduce", "group", "search", "verify"}
     assert all(ms >= 0.0 for ms in result["phase_ms"].values())
     # the text report gains one line, and only under --timing
     code, out, _ = run(capsys, *argv, "--timing")

@@ -38,6 +38,7 @@ from resolving import (
 from resolving import search
 from resolving.search import (
     _OutOfBudget,
+    _automorphisms,
     _colex_first_cover,
     _minimal_masks,
     _mode_masks,
@@ -47,6 +48,7 @@ from resolving.subsets import colex_array, colex_rank
 
 from conftest import (
     bfs_distances,
+    oracle_automorphisms,
     oracle_first_basis,
     oracle_is_solid,
     reference_colex_first_cover,
@@ -419,6 +421,21 @@ def test_colex_first_cover_matches_brute_force(n, data):
                  if all(ps & set(c) for ps in positions)), None)
     assert got == want
     assert nodes >= 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(n_min=1, n_max=7))
+def test_automorphisms_equal_brute_force(g):
+    # a base's images fix an automorphism; the edge check drops the maps
+    # that match distance codes but are not automorphisms
+    autos = _automorphisms(all_pairs_distances(g).dist)
+    want = oracle_automorphisms(g)
+    if autos is None:
+        # over 1024 candidate images of the base: on at most 7 vertices,
+        # only a group that large has them
+        assert len(want) > 1024
+    else:
+        assert sorted(map(tuple, autos.tolist())) == want
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -25,6 +26,7 @@ from resolving import (
 
 from conftest import (
     bfs_distances,
+    oracle_automorphisms,
     oracle_first_basis,
     oracle_minimum_size,
     random_connected_graph,
@@ -196,14 +198,115 @@ def test_certificate_smaller_set_matches_reference():
     assert (report.smaller_set, report.lower_bound) == (basis, value)
 
 
+def _nodes_below_value(g, mode):
+    """The nodes spent on the cardinalities below the value (the progress
+    hook's reading as the value's cardinality starts), and in all."""
+    starts = {}
+    res = dim(g, mode, progress=lambda k, step, nodes: starts.setdefault(k, nodes))
+    return starts[res.value], res.stats.nodes
+
+
 def test_nodes_nearly_label_invariant():
     # the cardinalities below the value are decided on degree-ordered
-    # positions, so relabelling J7 barely moves the node count (vertex
-    # order gave 1.6-2.1x the native count)
-    native = dim(flower_snark(7), Mode.resolving(2)).stats.nodes
+    # positions, over orbits of a group read off the distances, so
+    # relabelling J7 barely moves their node count (vertex order gave
+    # 1.6-2.1x the native count).  The read-off at the value follows the
+    # labels by definition; the totals stay under a quarter of the 19,523
+    # nodes of the search without the group
+    native, total = _nodes_below_value(flower_snark(7), Mode.resolving(2))
+    assert total < 19523 / 4
     for seed in (1, 2, 3, 4):
-        nodes = dim(_relabelled(flower_snark(7), seed), Mode.resolving(2)).stats.nodes
+        nodes, total = _nodes_below_value(_relabelled(flower_snark(7), seed), Mode.resolving(2))
         assert abs(nodes - native) <= 0.1 * native, (seed, nodes, native)
+        assert total < 19523 / 4, (seed, total)
+
+
+# ---------------------------------------------------------------------------
+# symmetry
+
+
+def _petersen():
+    return build_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                       + [(i, 5 + i) for i in range(5)])
+
+
+def _complete_bipartite(a, b):
+    return build_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+@pytest.mark.parametrize("g, order", [
+    *((cycle_graph(n), 2 * n) for n in (3, 5, 8, 12)),
+    *((path_graph(n), 2) for n in (2, 5, 9)),
+    (_petersen(), 120),
+    (_complete_bipartite(3, 3), 72),
+    *((flower_snark(n), 4 * n) for n in (5, 7, 9, 11, 13)),
+    (rook_graph(3, 3), 72),
+    (rook_graph(4, 4), None),
+])
+def test_automorphism_group_orders(g, order):
+    autos = search._automorphisms(all_pairs_distances(g).dist)
+    if order is None:
+        # 1152 automorphisms, more than the cutoff of candidate images
+        assert autos is None
+        return
+    assert len(autos) == len({tuple(row) for row in autos.tolist()}) == order
+    edges = set(g.edges())
+    for row in autos.tolist():
+        assert {(min(row[u], row[v]), max(row[u], row[v])) for u, v in edges} == edges
+
+
+def test_automorphisms_skip_distance_preserving_non_automorphisms():
+    # the images of a base match every distance code here in four ways,
+    # and two of those maps send some edge to a non-edge
+    g = build_graph(5, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 4), (3, 4)])
+    autos = search._automorphisms(all_pairs_distances(g).dist)
+    assert sorted(map(tuple, autos.tolist())) == oracle_automorphisms(g)
+    assert len(autos) == 2
+
+
+_GROUP_GRAPHS = {
+    **{f"C{n}": cycle_graph(n) for n in (5, 6, 7, 8)},
+    "Petersen": _petersen(), "J5": flower_snark(5), "J7": flower_snark(7),
+    "rook3x3": rook_graph(3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GROUP_GRAPHS))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_orbital_branching_matches_search_without_group(name, seed, monkeypatch):
+    # pruning whole orbits changes only the nodes: value, basis, bound and
+    # counters are those of the same search with no group
+    g = _GROUP_GRAPHS[name]
+    g = _relabelled(g, seed) if seed else g
+    assert len(search._automorphisms(all_pairs_distances(g).dist)) > 1
+    modes = _modes_for(g.n)
+    with_group = [_outcome(dim(g, mode)) for mode in modes]
+    monkeypatch.setattr(search, "_automorphisms", lambda dist: None)
+    assert [_outcome(dim(g, mode)) for mode in modes] == with_group
+
+
+def test_budget_runs_out_inside_an_orbital_exhaustion(monkeypatch):
+    # every node ticks, and the hook sleeps out the budget at its first
+    # tick from the orbital recursion: the search stops there, with that
+    # cardinality as the bound
+    monkeypatch.setattr(search, "PROGRESS_NODES", 1)
+    budget = 0.3
+    interrupted = []
+
+    def progress(k, step, nodes):
+        # frames: this hook, the search's tick, and the caller of tick
+        if not interrupted and sys._getframe(2).f_code.co_name == "orbital":
+            interrupted.append(k)
+            time.sleep(budget)
+
+    started = time.monotonic()
+    res = dim(flower_snark(7), Mode.resolving(2), budget_s=budget, progress=progress)
+    assert time.monotonic() - started < budget + 0.2
+    [k] = interrupted
+    assert res.value is None and res.basis is None
+    assert (res.lower_bound, res.lower_bound_source) == (k, "exhausted-cardinality")
+    assert res.stats.exhausted_through == k - 1
 
 
 def test_flower_snark_11_solid_2():
@@ -260,7 +363,7 @@ def test_progress_hook_steps_within_a_cardinality(monkeypatch):
 def test_stats_phases_and_counters():
     res = dim(flower_snark(5), Mode.resolving(2))
     stats = res.stats
-    assert set(stats.phase_ms) == {"masks", "reduce", "search", "verify"}
+    assert set(stats.phase_ms) == {"masks", "reduce", "group", "search", "verify"}
     assert all(ms >= 0.0 for ms in stats.phase_ms.values())
     assert 0 < stats.masks_kept <= stats.mask_count
     assert stats.nodes > 0
