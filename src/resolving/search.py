@@ -53,12 +53,12 @@ place, the group is read off the distance matrix: an automorphism is
 fixed by the images of a resolving base, so the candidate images of a
 greedy base are extended level by level and every map they give is
 checked against the edges (or, past a fixed number of candidates, the
-search goes on without it).  Each cardinality is then decided by orbital
-branching: when the branch on a position fails, so do the branches on
-every position that an automorphism fixing the positions taken so far
-maps it to, and they are dropped.  Where no such automorphism is left
-the plain recursion takes over.  The answer is unchanged; only the nodes
-it takes are fewer.
+search goes on without it).  The same recursion then decides each
+cardinality by orbital branching: it is handed the automorphisms that fix
+the positions taken so far, and when the branch on a position fails, so
+do the branches on every position they map it to, which are dropped.
+Where none is left it branches as without the group.  The answer is
+unchanged; only the nodes it takes are fewer.
 """
 
 from __future__ import annotations
@@ -113,9 +113,8 @@ class SearchStats:
     # them are minimal (the ones searched)
     mask_count: int = 0
     masks_kept: int = 0
-    # calls of the decision recursion on the degree-ordered family, the
-    # orbital branching included: the decisions of all cardinalities
-    # tried, plus the read-off at the value
+    # calls of the decision recursion on the degree-ordered family: the
+    # decisions of all cardinalities tried, plus the read-off at the value
     nodes: int = 0
     # milliseconds per phase: masks, reduce, search, verify, and group
     # (within search) once the automorphisms are read off
@@ -252,19 +251,21 @@ def _solid_blocks(dist, order):
 
 def _doubly_blocks(dist):
     # row (v, j) is d(., v) + j, v-major, for 0 <= j < span; the mask of
-    # (u, v, c) is where row (u, top) differs from row (v, top + c).  Each
-    # u is paired with every row from its block's first vertex on, so
-    # every unordered pair {u, v} is met (swapping u and v negates c)
+    # (u, v, c) is where row (u, top) differs from row (v, top + c).
+    # Swapping u and v negates c, so row (u, top) is paired with the rows
+    # of v = u + d (mod n) for d = 1 .. n // 2, which meets every unordered
+    # pair {u, v} once (those at d = n / 2 twice)
     n = len(dist)
     top = int(dist.max())
     span = 2 * top + 1
     rows = _slices((dist[:, None, :] + np.arange(span, dtype=dist.dtype)[:, None]).reshape(-1, n))
-    _, width, t = rows.shape
-    for lo, hi in _row_blocks(n, t * width):
-        words = _differ(rows[:, :, lo * span + top:hi * span:span, None],
-                        rows[:, :, None, lo * span:])
-        # levels the difference never takes, and u = v at c != 0, give
-        # all-vertex masks (u = v at c = 0 gives an empty one)
+    width = rows.shape[1]
+    after = n // 2 * span
+    shifted = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([rows, rows], axis=2), after, axis=2)[:, :, span::span]
+    for lo, hi in _row_blocks(n, after * width):
+        words = _differ(rows[:, :, lo * span + top:hi * span:span, None], shifted[:, :, lo:hi])
+        # levels the difference never takes give all-vertex masks
         yield np.compress(np.bitwise_count(words).sum(axis=1) < n, words.T, axis=1).T
 
 
@@ -496,25 +497,23 @@ def _colex_first_cover(cover, members, place, r, tick, orbits=None):
     and the number of decision calls.  Vertex v sits at position
     ``place[v]`` of the family.
 
-    ``hits(unhit, allowed, r)`` decides whether at most r positions of the
-    bitset ``allowed`` hit every unhit mask: exactly r where it is called,
-    as ``allowed`` then holds r and a set can be padded.  It branches on
-    the allowed members of the last unhit mask (the one with the largest
-    lowest position), lowest first, each branch forbidding its member to
-    the later ones, so no set is visited twice.  At r == 1 the branches
-    are cut to the members of the first unhit mask as well: a lone
-    position must hit every unhit mask, so it lies in both; the leaf loop
-    shrinks and the calls stay the same.  ``tick(nodes)`` runs every
-    PROGRESS_NODES calls.  The answer does not depend on the positions,
-    but the work does.
-
-    ``orbits`` is an ``_Orbits`` of permutations of the positions that map
-    the family onto itself, or None.  The decision then branches the same
-    way, but with the group h of the permutations that fix every position
-    taken so far: a subproblem is invariant under h, so when the branch on
-    p fails, every branch on p's h-orbit fails too, and the whole orbit
-    leaves ``allowed`` (orbital branching, Ostrowski et al. 2011).  Once h
-    is trivial, or r < 2, ``hits`` goes on.
+    ``hits(unhit, allowed, r, h)`` decides whether at most r positions of
+    the bitset ``allowed`` hit every unhit mask: exactly r where it is
+    called, as ``allowed`` then holds r and a set can be padded.  It
+    branches on the allowed members of the last unhit mask (the one with
+    the largest lowest position), lowest first, each branch forbidding its
+    member to the later ones, so no set is visited twice.  At r == 1 the
+    branches are cut to the members of the first unhit mask as well: a
+    lone position must hit every unhit mask, so it lies in both; the leaf
+    loop shrinks and the calls stay the same.  Above r == 1, h is the
+    bitset of the rows of ``orbits`` (an ``_Orbits`` of permutations of
+    the positions that map the family onto itself, or None) that fix
+    every position taken so far, 0 for none.  The subproblem is invariant
+    under h, so when the branch on p fails, every branch on p's h-orbit
+    fails too, and the whole orbit leaves ``allowed``; the branch on p
+    hands on the rows of h that fix p (orbital branching, Ostrowski et
+    al. 2011).  ``tick(nodes)`` runs every PROGRESS_NODES calls.  The
+    answer depends neither on the positions nor on h, but the work does.
 
     When r positions hit every mask, the same family gives the colex-first
     set, largest vertex first: the smallest t such that r - 1 vertices
@@ -524,7 +523,7 @@ def _colex_first_cover(cover, members, place, r, tick, orbits=None):
     complement = [((1 << len(members)) - 1) ^ c for c in cover]
     nodes = 0
 
-    def hits(unhit, allowed, r):
+    def hits(unhit, allowed, r, h=0):
         nonlocal nodes
         nodes += 1
         if not nodes % PROGRESS_NODES:
@@ -537,36 +536,31 @@ def _colex_first_cover(cover, members, place, r, tick, orbits=None):
         if r == 1:
             # a lone position hits every unhit mask, the first one too
             branches &= members[(unhit & -unhit).bit_length() - 1]
+            while branches:
+                low = branches & -branches
+                branches ^= low
+                if not unhit & complement[low.bit_length() - 1]:
+                    return True
+            return False
         while branches:
             low = branches & -branches
             branches ^= low
             allowed ^= low
             rest = unhit & complement[low.bit_length() - 1]
-            # with one position left, its member must hit every unhit mask
-            if (not rest) if r == 1 else hits(rest, allowed, r - 1):
-                return True
-        return False
-
-    def orbital(unhit, allowed, r, h):
-        nonlocal nodes
-        if not h or r < 2 or not unhit:
-            return hits(unhit, allowed, r)
-        nodes += 1
-        if not nodes % PROGRESS_NODES:
-            tick(nodes)
-        branches = members[unhit.bit_length() - 1] & allowed
-        while branches:
-            low = branches & -branches
-            orbit, fixing = orbits[h, low]
-            if orbital(unhit & complement[low.bit_length() - 1], allowed ^ low, r - 1, fixing):
-                return True
-            allowed &= ~orbit
-            branches &= ~orbit
+            if not h:
+                if hits(rest, allowed, r - 1, 0):
+                    return True
+            else:
+                orbit, fixing = orbits[h, low]
+                if hits(rest, allowed, r - 1, fixing):
+                    return True
+                allowed &= ~orbit
+                branches &= ~orbit
         return False
 
     n = len(place)
     unhit = (1 << len(members)) - 1
-    if not orbital(unhit, (1 << n) - 1, r, 0 if orbits is None else orbits.group):
+    if not hits(unhit, (1 << n) - 1, r, 0 if orbits is None else orbits.group):
         return None, nodes
     # below[t]: the positions of the vertices before t; reach[t]: the masks
     # that some vertex up to t is in

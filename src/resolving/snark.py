@@ -19,6 +19,8 @@ import random
 import time
 from functools import lru_cache
 
+import numpy as np
+
 from . import checks
 from .checks import CheckVerdict, Mode, distance_array
 from .errors import GraphError
@@ -208,6 +210,13 @@ def _flank_sets(n, i):
     }
 
 
+def _flank_columns(n, i):
+    """d(s, X) for every vertex s, one column per flank set X of star i."""
+    _, dm = snark_context(n)
+    return {name: dm.dist[:, list(members)].min(axis=1)
+            for name, members in _flank_sets(n, i).items()}
+
+
 def verify_flank_table(n, i):
     """Distances from star i to B = {b_{i-1}, b_{i+1}} and its one-leaf
     extensions X, Y, Z.
@@ -217,23 +226,20 @@ def verify_flank_table(n, i):
     latter is why no anchor outside star i can tell X, Y and Z apart.
     """
     _validate_n(n)
-    _, dm = snark_context(n)
-    sets = _flank_sets(n, i)
+    cols = _flank_columns(n, i)
     star = {role: snark_vertex(role, i, n) for role in _ROLES}
     for role, expected_row in _FLANK_TABLE.items():
         s = star[role]
-        for (name, members), expected in zip(sets.items(), expected_row):
-            got = min(dm[s, x] for x in members)
-            if got != expected:
-                return CheckVerdict(False, TableMismatch(role, name, expected, got))
-    star_flats = set(star.values())
-    for s in range(4 * n):
-        if s in star_flats:
-            continue
-        vals = {name: min(dm[s, x] for x in members)
-                for name, members in sets.items()}
-        if len(set(vals.values())) != 1:
-            return CheckVerdict(False, ("outside-star", s, vals))
+        for (name, col), expected in zip(cols.items(), expected_row):
+            if col[s] != expected:
+                return CheckVerdict(False, TableMismatch(role, name, expected, int(col[s])))
+    table = np.column_stack(list(cols.values()))
+    apart = (table != table[:, :1]).any(axis=1)
+    apart[list(star.values())] = False
+    if apart.any():
+        s = int(apart.argmax())
+        vals = {name: int(col[s]) for name, col in cols.items()}
+        return CheckVerdict(False, ("outside-star", s, vals))
     return CheckVerdict(True)
 
 
@@ -249,19 +255,14 @@ def verify_triple_distinguishers(n, i):
     whose distance to one set differs from the other are exactly the two
     involved leaves: XY -> {a_i, c_i}, XZ -> {a_i, d_i}, YZ -> {c_i, d_i}."""
     _validate_n(n)
-    _, dm = snark_context(n)
-    sets = _flank_sets(n, i)
+    cols = _flank_columns(n, i)
     expected = {
         "XY": (snark_vertex("a", i, n), snark_vertex("c", i, n)),
         "XZ": (snark_vertex("a", i, n), snark_vertex("d", i, n)),
         "YZ": (snark_vertex("c", i, n), snark_vertex("d", i, n)),
     }
     for pair, want in expected.items():
-        first, second = sets[pair[0]], sets[pair[1]]
-        got = tuple(
-            s for s in range(4 * n)
-            if min(dm[s, x] for x in first) != min(dm[s, y] for y in second)
-        )
+        got = tuple(np.flatnonzero(cols[pair[0]] != cols[pair[1]]).tolist())
         if got != tuple(sorted(want)):
             return CheckVerdict(False, DistinguisherMismatch(pair, want, got))
     return CheckVerdict(True)

@@ -2,6 +2,7 @@ import random
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from resolving import (
@@ -286,17 +287,54 @@ def test_orbital_branching_matches_search_without_group(name, seed, monkeypatch)
     assert [_outcome(dim(g, mode)) for mode in modes] == with_group
 
 
+def _search_family(g, mode):
+    """The degree-ordered family that ``metric_dimension`` searches for
+    ``mode`` (cover, members, place), and the graph's group on it."""
+    dm = all_pairs_distances(g)
+    masks = search._mode_masks(dm, mode)
+    forced, masks = ((), masks) if mode.kind == "doubly" else search._split_forced(masks)
+    free = [v for v in range(g.n) if v not in forced]
+    member = search._member_matrix(search._minimal_masks(masks), free)
+    by_degree = np.argsort(-member.sum(axis=0, dtype=np.int64), kind="stable")
+    cover, members = search._family(member[:, by_degree])
+    place = np.argsort(by_degree).tolist()
+    return cover, members, place, search._Orbits(search._automorphisms(dm.dist), free, place)
+
+
+@pytest.mark.parametrize("name", sorted(_GROUP_GRAPHS))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_orbital_kernel_matches_kernel_without_group(name, seed):
+    # at every cardinality, those above the value included, the group
+    # leaves the set found unchanged, and an exhaustion takes no more
+    # nodes with it than without
+    g = _GROUP_GRAPHS[name]
+    g = _relabelled(g, seed) if seed else g
+    pruned = False
+    for mode in _modes_for(g.n):
+        cover, members, place, orbits = _search_family(g, mode)
+        family = cover, members, place
+        for r in range(len(place) + 1):
+            want, plain = search._colex_first_cover(*family, r, lambda nodes: None)
+            got, nodes = search._colex_first_cover(*family, r, lambda nodes: None, orbits)
+            assert got == want, (mode, r)
+            if got is None:
+                assert nodes <= plain, (mode, r)
+                pruned |= nodes < plain
+    assert pruned
+
+
 def test_budget_runs_out_inside_an_orbital_exhaustion(monkeypatch):
     # every node ticks, and the hook sleeps out the budget at its first
-    # tick from the orbital recursion: the search stops there, with that
-    # cardinality as the bound
+    # tick from a node that branches on orbits (nonzero h): the search
+    # stops there, with that cardinality as the bound
     monkeypatch.setattr(search, "PROGRESS_NODES", 1)
     budget = 0.3
     interrupted = []
 
     def progress(k, step, nodes):
         # frames: this hook, the search's tick, and the caller of tick
-        if not interrupted and sys._getframe(2).f_code.co_name == "orbital":
+        caller = sys._getframe(2)
+        if not interrupted and caller.f_code.co_name == "hits" and caller.f_locals.get("h"):
             interrupted.append(k)
             time.sleep(budget)
 

@@ -18,6 +18,8 @@ from resolving import (
     verify_recipe,
     verify_triple_distinguishers,
 )
+from resolving import snark
+from resolving.graphs import DistanceMatrix
 from resolving.snark import (
     RECIPE_KINDS,
     admissible_stars,
@@ -143,6 +145,57 @@ def test_triple_distinguishers_every_star(n):
     for i in range(1, n + 1):
         verdict = verify_triple_distinguishers(n, i)
         assert verdict.holds, (n, i, verdict.witness)
+
+
+def _plain_ints(value):
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, tuple):
+        return all(_plain_ints(v) for v in value)
+    return type(value) is int
+
+
+def test_flank_table_witness_of_a_corrupted_entry(monkeypatch):
+    monkeypatch.setitem(snark._FLANK_TABLE, "c", (2, 2, 1, 2))
+    verdict = verify_flank_table(7, 3)
+    assert not verdict.holds
+    assert verdict.witness == snark.TableMismatch("c", "Y", 1, 0)
+    assert type(verdict.witness.got) is int
+
+
+def test_star_lemma_witnesses_of_a_corrupted_distance(monkeypatch):
+    # a5 is brought next to d3: the flank sets no longer look alike from
+    # a5, and a5 tells X from Z
+    n, i = 7, 3
+    g, dm = snark.snark_context(n)
+    dist = dm.dist.copy()
+    s, x = snark_vertex("a", i + 3, n), snark_vertex("d", i, n)
+    dist[s, x] = dist[x, s] = 1
+    monkeypatch.setattr(snark, "snark_context", lambda m: (g, DistanceMatrix(dist)))
+    verdict = verify_flank_table(n, i)
+    assert verdict.witness == ("outside-star", 5, {"B": 3, "X": 3, "Y": 3, "Z": 1})
+    assert _plain_ints(verdict.witness[1:])
+    verdict = verify_triple_distinguishers(n, i)
+    assert verdict.witness == snark.DistinguisherMismatch("XZ", (2, 23), (2, 5, 23))
+    assert _plain_ints(verdict.witness.got)
+
+
+def test_star_lemma_witnesses_of_a_wrong_set(monkeypatch):
+    # Z built on b_i instead of the leaf d_i
+    flank_sets = snark._flank_sets
+
+    def wrong(n, i):
+        sets = flank_sets(n, i)
+        sets["Z"] = sets["B"] + (snark_vertex("b", i, n),)
+        return sets
+
+    monkeypatch.setattr(snark, "_flank_sets", wrong)
+    verdict = verify_flank_table(7, 3)
+    assert verdict.witness == snark.TableMismatch("b", "Z", 1, 0)
+    assert type(verdict.witness.got) is int
+    verdict = verify_triple_distinguishers(7, 3)
+    assert verdict.witness == snark.DistinguisherMismatch("XZ", (2, 23), (2, 9, 16, 23))
+    assert _plain_ints(verdict.witness.got)
 
 
 # ---------------------------------------------------------------------------
