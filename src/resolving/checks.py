@@ -17,13 +17,15 @@ Witness enumeration is deterministic: candidate sets are scanned by size,
 then in colexicographic order, and the first violation in that order is
 reported.
 
-Both scans run over numpy blocks of sets, one size at a time.  A block's
-distance arrays are a min-reduce over the rows of its sets' vertices.  The
-{l}-resolving scan reduces each array to a 64-bit key and keeps only the
-sorted keys and positions of the sets scanned so far; every key match is
-confirmed on recomputed arrays.  The l-solid scan builds the bitsets of
-dominated vertices for a whole block of Y sets at once.  Blocks start
-small and double, so a scan that fails early stops early.
+Both scans run over numpy blocks of one array that lists every set of at
+most l vertices, size-then-colex, each row padded with its set's smallest
+vertex (``subsets.size_colex_array``); a set's position is its row.  A
+block's distance arrays are a min-reduce over the rows of its sets'
+vertices.  The {l}-resolving scan reduces each array to a 64-bit key and
+keeps only the sorted keys and rows of the sets scanned so far; every key
+match is confirmed on recomputed arrays.  The l-solid scan builds the
+bitsets of dominated vertices for a whole block of Y sets at once.  Blocks
+start small and double, so a scan that fails early stops early.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import ModeError, OracleCapError
 from .graphs import all_pairs_distances
-from .subsets import colex_array
+from .subsets import size_colex_array
 
 DEFAULT_ORACLE_CAP = 12
 # entries (sets times anchors, or anchor words) in a scan's first block of
@@ -209,44 +211,43 @@ def _array_keys(arrays, weights):
 def is_l_resolving(dm, anchors, order):
     """Check whether ``anchors`` is an {order}-resolving set.
 
-    Sets are taken by size, and within a size in colex order, in blocks.
-    A block's distance arrays are reduced to 64-bit keys, which are sorted
-    stably together with the sorted keys of every earlier set.  Only keys
-    and set positions are kept, never arrays: when a key of the block
-    matches another key, the arrays of all sets sharing those keys are
-    recomputed and compared, so the check is exact even when distinct
-    arrays share a key.  The reported collision is the equal-array pair
-    whose later set comes first in size-then-colex order; no earlier set
-    has an equal-array partner before it, so its partner is unique.  The
-    scan stops at the first block holding a collision.
+    Sets are taken in blocks of rows of ``size_colex_array``: by size, and
+    within a size in colex order.  A block's distance arrays are reduced
+    to 64-bit keys, which are sorted stably together with the sorted keys
+    of every earlier set.  Only keys and rows are kept, never arrays: when
+    a key of the block matches another key, the arrays of all sets sharing
+    those keys are recomputed and compared, so the check is exact even
+    when distinct arrays share a key.  The reported collision is the
+    equal-array pair whose later set comes first in size-then-colex order;
+    no earlier set has an equal-array partner before it, so its partner is
+    unique.  The scan stops at the first block holding a collision.
     """
     n = dm.n
     anchors = _as_vertex_set(anchors, n)
     Mode.resolving(order).validate_for(n)
     rows = _anchor_rows(dm, anchors)
     weights = _key_weights(len(anchors))
-    sets = []                            # sets[k - 1]: the k-sets in colex order
+    sets = size_colex_array(n, order)
     keys = np.empty(0, dtype=np.uint64)  # keys of the sets scanned so far, sorted
-    where = np.empty(0, dtype=np.intp)   # their positions in size-then-colex order
-    start = 0
-    for k in range(1, order + 1):
-        sets.append(colex_array(n, k))
-        for lo, hi in _blocks(len(sets[-1]), len(anchors)):
-            keys = np.concatenate([keys, _array_keys(set_arrays(rows, sets[-1][lo:hi]), weights)])
-            where = np.concatenate([where, np.arange(start + lo, start + hi)])
-            perm = np.argsort(keys, kind="stable")
-            keys, where = keys[perm], where[perm]
-            tied = keys[1:] == keys[:-1]
-            if tied.any() and (witness := _first_collision(rows, sets, tied, where, start + lo)):
-                return CheckVerdict(False, witness)
-        start += len(sets[-1])
+    where = np.empty(0, dtype=np.intp)   # their rows of ``sets``
+    for lo, hi in _blocks(len(sets), len(anchors)):
+        keys = np.concatenate([keys, _array_keys(set_arrays(rows, sets[lo:hi]), weights)])
+        where = np.concatenate([where, np.arange(lo, hi)])
+        perm = np.argsort(keys, kind="stable")
+        # one at a time, so that the old keys are freed before the new rows
+        keys = keys[perm]
+        where = where[perm]
+        tied = keys[1:] == keys[:-1]
+        if tied.any() and (witness := _first_collision(rows, sets, tied, where, lo)):
+            return CheckVerdict(False, witness)
     return CheckVerdict(True)
 
 
 def _first_collision(rows, sets, tied, where, block_start):
-    """The first collision whose later set is at ``block_start`` or after,
-    or None.  ``where`` holds the set positions in key order, and
-    ``tied[i]`` says whether entries i and i + 1 share a key."""
+    """The first collision whose later set is at row ``block_start`` of
+    ``sets`` or after, or None.  ``where`` holds the rows of the sets in
+    key order, and ``tied[i]`` says whether entries i and i + 1 share a
+    key."""
     # runs of equal keys that hold two or more sets, one of them new
     run = np.concatenate([[0], np.cumsum(~tied)])
     size = np.bincount(run)
@@ -254,7 +255,7 @@ def _first_collision(rows, sets, tied, where, block_start):
     fresh[run[where >= block_start]] = True
     picked = fresh[run] & (size[run] > 1)
     positions = np.sort(where[picked])
-    arrays = _arrays_at(rows, sets, positions)
+    arrays = set_arrays(rows, sets[positions])
     # equal arrays end up adjacent, each run in ascending position, so the
     # earliest later set is a run's second member and follows its partner
     order = np.lexsort(arrays.T)
@@ -263,27 +264,13 @@ def _first_collision(rows, sets, tied, where, block_start):
     if not len(same):
         return None
     t = same[np.argmin(order[same + 1])]
-    return ArrayCollision(_set_at(sets, positions[order[t]]),
-                          _set_at(sets, positions[order[t + 1]]), tuple(ranked[t].tolist()))
+    return ArrayCollision(_members(sets[positions[order[t]]]),
+                          _members(sets[positions[order[t + 1]]]), tuple(ranked[t].tolist()))
 
 
-def _arrays_at(rows, sets, positions):
-    """Distance arrays of the sets at ``positions`` of the size-then-colex
-    order, where ``sets[k - 1]`` holds the k-sets."""
-    out = np.empty((len(positions), rows.shape[1]), dtype=rows.dtype)
-    start = 0
-    for combos in sets:
-        sel = (positions >= start) & (positions < start + len(combos))
-        out[sel] = set_arrays(rows, combos[positions[sel] - start])
-        start += len(combos)
-    return out
-
-
-def _set_at(sets, position):
-    for combos in sets:
-        if position < len(combos):
-            return tuple(combos[position].tolist())
-        position -= len(combos)
+def _members(row):
+    """The set of a row of ``size_colex_array``, without its padding."""
+    return tuple(np.unique(row).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +285,8 @@ def _solid_condition_scan(dm, anchors, bound):
     x is dominated by Y iff d(x, s) >= d(s, Y) at every anchor s, so the
     bitset is the AND over anchors of the precomputed {x : d(x, s) >= t}
     at t = d(s, Y).  An anchor s is never dominated by a Y avoiding it,
-    since d(s, s) = 0 < d(s, Y); the members of Y are cleared.
+    since d(s, s) = 0 < d(s, Y); the members of Y are cleared (a padded
+    row's smallest member more than once, which does nothing).
     """
     n = dm.n
     rows = _anchor_rows(dm, anchors)
@@ -309,18 +297,17 @@ def _solid_condition_scan(dm, anchors, bound):
     at_least = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
     columns = np.arange(len(anchors))
     bit = np.uint64(1) << (np.arange(n) % 64).astype(np.uint64)
-    for size in range(1, bound + 1):
-        ys = colex_array(n, size)
-        for lo, hi in _blocks(len(ys), len(anchors) * width):
-            block = ys[lo:hi]
-            dominated = np.bitwise_and.reduce(at_least[columns, set_arrays(rows, block)], axis=1)
-            for member in block.T:
-                dominated[np.arange(len(block)), member // 64] &= ~bit[member]
-            hit = np.flatnonzero(dominated.any(axis=1))
-            if len(hit):
-                y = hit[0]
-                x = np.argmax(np.unpackbits(dominated[y].view(np.uint8), bitorder="little"))
-                return CheckVerdict(False, DominatedVertex(int(x), tuple(block[y].tolist())))
+    ys = size_colex_array(n, bound)
+    for lo, hi in _blocks(len(ys), len(anchors) * width):
+        block = ys[lo:hi]
+        dominated = np.bitwise_and.reduce(at_least[columns, set_arrays(rows, block)], axis=1)
+        for member in block.T:
+            dominated[np.arange(len(block)), member // 64] &= ~bit[member]
+        hit = np.flatnonzero(dominated.any(axis=1))
+        if len(hit):
+            y = hit[0]
+            x = np.argmax(np.unpackbits(dominated[y].view(np.uint8), bitorder="little"))
+            return CheckVerdict(False, DominatedVertex(int(x), _members(block[y])))
     return CheckVerdict(True)
 
 
@@ -459,7 +446,7 @@ def _covers(closed, need, allowed, r):
     return False
 
 
-def forced_vertices_oracle(g, order, kind, dm=None):
+def forced_vertices_oracle(g, order, kind):
     """Deletion oracle: v is forced iff V - {v} fails the fast checker.
 
     Sound because the checks are superset-monotone: if V - {v} fails, so
@@ -467,8 +454,7 @@ def forced_vertices_oracle(g, order, kind, dm=None):
     """
     if g.n == 1:
         return ()
-    if dm is None:
-        dm = all_pairs_distances(g)
+    dm = all_pairs_distances(g)
     bound = _forced_bound(order, kind)
     if bound == 0:
         return ()

@@ -140,24 +140,14 @@ def classify_conditions(rs):
     """Type 1: S contains a whole closed non-neighbourhood {v} + (V - N(v)).
     Type 2: every row and column has >= 2 members and quadruples are covered.
     A set satisfying neither is certified not {2}-resolving."""
-    cells = rs.cells
-    type1_cell = None
-    for r in range(rs.n):
-        for c in range(rs.m):
-            if (r, c) not in cells:
-                continue
-            # V - N[(r,c)] = cells differing in both coordinates
-            if all(
-                (rr, cc) in cells
-                for rr in range(rs.n) if rr != r
-                for cc in range(rs.m) if cc != c
-            ):
-                type1_cell = (r, c)
-                break
-        if type1_cell:
-            break
-    rows_ok = all(x >= 2 for x in rs.row_counts())
-    cols_ok = all(x >= 2 for x in rs.col_counts())
+    rows, cols = rs.row_counts(), rs.col_counts()
+    # V - N[(r, c)] is the (n-1)(m-1) cells off row r and column c; S holds
+    # all of them iff that many of its members lie off both
+    off = (rs.n - 1) * (rs.m - 1)
+    type1_cell = min((cell for cell in rs.cells
+                      if len(rs) - rows[cell[0]] - cols[cell[1]] + 1 == off), default=None)
+    rows_ok = all(x >= 2 for x in rows)
+    cols_ok = all(x >= 2 for x in cols)
     coverage = quadruple_coverage(rs)
     return RookClassification(
         type1=type1_cell is not None,

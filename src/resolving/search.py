@@ -74,7 +74,7 @@ import numpy as np
 
 from .checks import Mode, check_mode, forced_vertices, set_arrays
 from .graphs import all_pairs_distances
-from .subsets import colex_array, colex_rank
+from .subsets import colex_rank, size_colex_array
 
 PROVENANCE_FORCED = "forced-count"
 PROVENANCE_RULE = "l-plus-1-rule"
@@ -179,12 +179,6 @@ def _phase(stats, name):
 # views or np.bitwise_count.
 
 
-def _set_rows(dist, order):
-    """d(., X) for every nonempty X with |X| <= order, one row per X."""
-    n = len(dist)
-    return np.concatenate([set_arrays(dist, colex_array(n, k)) for k in range(1, order + 1)])
-
-
 def _slices(rows):
     """Bit slices of nonnegative ``rows``, top bit first: with depth =
     ``rows.max().bit_length()``, entry [b, w, i] is word w (of
@@ -222,7 +216,7 @@ def _resolving_blocks(dist, order):
     # {v : d(v, X) != d(v, Y)} is the union over bit slices of where X and Y
     # differ.  Row i is paired with row i + d (mod s) for d = 1 .. s // 2,
     # which meets every pair of rows once (those at d = s / 2 twice)
-    slices = _slices(_set_rows(dist, order))
+    slices = _slices(set_arrays(dist, size_colex_array(len(dist), order)))
     _, width, s = slices.shape
     shifted = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([slices, slices], axis=2), s, axis=2)
@@ -233,7 +227,7 @@ def _resolving_blocks(dist, order):
 def _solid_blocks(dist, order):
     # {v : d(v, x) < d(v, Y)} by a bit-serial compare, top bit first; the
     # row of x in dist is d(., x), and pairs with x in Y give empty masks
-    targets = _slices(_set_rows(dist, order))
+    targets = _slices(set_arrays(dist, size_colex_array(len(dist), order)))
     _, width, t = targets.shape
     n = len(dist)
     for lo, hi in _row_blocks(n, t * width):
@@ -301,16 +295,17 @@ def _word_type(n):
 
 def _mode_masks(dm, mode, deadline=None):
     """Distinct nonempty separator masks of ``mode``, as rows of words.  The
-    deadline is checked between blocks."""
+    deadline is checked after each block is deduplicated, so no merge of
+    the parts starts once it has passed."""
     n = dm.n
     dist = dm.dist.astype(np.int16 if n < 1 << 15 else np.int32)
     word = _word_type(n)
     parts = [np.zeros(((n + 63) // 64, 0), dtype=word)]
     for block in _mode_blocks(dist, mode):
         parts.append(_unique_columns(block.T))
+        _check_deadline(deadline)
         if len(parts) >= 32:
             parts = [_unique_columns(np.concatenate(parts, axis=1))]
-        _check_deadline(deadline)
     return _unique_columns(np.concatenate(parts, axis=1)).T
 
 

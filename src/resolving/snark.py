@@ -414,7 +414,7 @@ class ReductionReport:
         return self.holds
 
 
-def _fold_counterparts(v, n, m, k, l):
+def _fold_counterparts(v, n, m, k):
     """The J_n vertices a fold-star target v stands for, as (low, high) by
     source star.
 
@@ -478,7 +478,7 @@ def reduction_distance_check(n, s):
             star_v = star_of(v, m)
             got = dm_m[r, v]
             if star_v in (1, l + 1):
-                low, high = _fold_counterparts(v, n, m, k, l)
+                low, high = _fold_counterparts(v, n, m, k)
                 near, far = (low, high) if r_side == "I" else (high, low)
                 checked += 2
                 if got != dm_n[src, near]:

@@ -16,6 +16,7 @@ from resolving import (
     checks,
     complete_graph,
     cycle_graph,
+    design_to_set,
     distance_array,
     flower_snark,
     forced_vertices,
@@ -29,6 +30,7 @@ from resolving import (
     recipe_set,
     rook_graph,
     star_graph,
+    ten_point_design,
     verify_witness,
 )
 
@@ -184,7 +186,9 @@ def test_resolving_exact_when_every_key_clashes(monkeypatch, rng, first_entries)
 
 def test_pinned_recipe_witnesses():
     # the witnesses of the one-tuple-per-set scans, with the middle vertex
-    # of each recipe set dropped
+    # of each recipe set dropped; the l3 J13 and rook 12x10 collisions pair
+    # sets of two sizes, so each set must be reported without its row's
+    # padding
     l3 = list(recipe_set("l3", 13))
     l3.remove(l3[len(l3) // 2])
     assert is_l_resolving(all_pairs_distances(flower_snark(13)), l3, 3).witness == \
@@ -196,6 +200,15 @@ def test_pinned_recipe_witnesses():
     dm21 = all_pairs_distances(flower_snark(21))
     assert is_l_solid(dm21, solid2, 2).witness == DominatedVertex(33, (0, 11))
     assert is_l_resolving(dm21, recipe_set("l3", 21), 3).holds
+    solid2 = list(recipe_set("solid2", 31))
+    solid2.remove(solid2[len(solid2) // 2])
+    assert is_l_solid(all_pairs_distances(flower_snark(31)), solid2, 2).witness == \
+        DominatedVertex(48, (0, 16))
+    # and the ten-point design set on rook 12x10, at order 3
+    design = design_to_set(ten_point_design()).vertices()
+    dm = all_pairs_distances(rook_graph(12, 10))
+    assert is_l_resolving(dm, design, 3).witness == \
+        ArrayCollision((1, 10), (0, 1, 10), distance_array(dm, design, (1, 10)))
 
 
 def test_resolving_single_vertex_graph():

@@ -15,6 +15,7 @@ from resolving import (
     build_graph,
     cartesian_product,
     check_mode,
+    classify_conditions,
     cycle_graph,
     design_to_set,
     flower_snark,
@@ -44,7 +45,7 @@ from resolving.search import (
     _mode_masks,
     _row_ints,
 )
-from resolving.subsets import colex_array, colex_rank
+from resolving.subsets import colex_rank, size_colex_array
 
 from conftest import (
     bfs_distances,
@@ -549,6 +550,33 @@ def test_product_distance_sum(g, h):
 
 
 # ---------------------------------------------------------------------------
+# rook conditions
+
+
+def _type1_scan(rs):
+    """The first member (r, c) in (row, col) order whose off-row, off-column
+    cells are all in the set, found cell by cell."""
+    for r in range(rs.n):
+        for c in range(rs.m):
+            if (r, c) in rs.cells and all((rr, cc) in rs.cells
+                                          for rr in range(rs.n) if rr != r
+                                          for cc in range(rs.m) if cc != c):
+                return (r, c)
+    return None
+
+
+@common
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_type1_cell_by_counting_matches_the_scan(m, n, data):
+    grid = [(r, c) for r in range(n) for c in range(m)]
+    # near-full grids hold Type 1 cells; arbitrary ones mostly do not
+    most = data.draw(st.sampled_from([2, len(grid)]))
+    missing = data.draw(st.sets(st.sampled_from(grid), max_size=most))
+    rs = RookSet.from_cells(m, n, set(grid) - missing)
+    assert classify_conditions(rs).type1_cell == _type1_scan(rs)
+
+
+# ---------------------------------------------------------------------------
 # subset enumeration primitives
 
 
@@ -568,13 +596,19 @@ def test_colex_enumeration_order(n, k):
 
 @common
 @given(st.integers(0, 10), st.integers(0, 6))
-def test_colex_array_rows_are_colex_combinations(n, k):
-    rows = colex_array(n, k)
-    combos = list(size_colex_subsets(n, k, k))
-    assert rows.dtype == np.intp and rows.shape == (len(combos), k)
-    for rank, (row, combo) in enumerate(zip(rows.tolist(), combos)):
-        assert tuple(row) == combo
-        assert colex_rank(row) == rank
+def test_size_colex_array_rows_are_padded_colex_combinations(n, top):
+    rows = size_colex_array(n, top)
+    combos = list(size_colex_subsets(n, top))
+    assert rows.dtype == np.intp and rows.shape == (len(combos), top)
+    ranks = [0] * (top + 1)
+    for row, combo in zip(rows.tolist(), combos):
+        k = len(combo)
+        # the set in the last k columns, its smallest vertex repeated before
+        assert tuple(row[top - k:]) == combo
+        assert row[:top - k] == [combo[0]] * (top - k)
+        # colex rank counts up within each size
+        assert colex_rank(row[top - k:]) == ranks[k]
+        ranks[k] += 1
 
 
 # ---------------------------------------------------------------------------

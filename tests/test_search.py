@@ -441,6 +441,28 @@ def test_budget_holds_in_separator_build():
     assert res.describe().startswith("unknown >= ")
 
 
+def test_no_mask_merge_starts_after_the_deadline(monkeypatch):
+    # the clock passes the deadline once the block that fills the 32nd part
+    # (the first part is the empty one) is deduplicated; J9 {3}-resolving
+    # has over 100 blocks, so the 32 parts would be merged next
+    now = [0.0]
+    calls = []
+    dedup = search._unique_columns
+
+    def unique_columns(cols):
+        calls.append(cols.shape)
+        out = dedup(cols)
+        if len(calls) == 31:
+            now[0] = 2.0
+        return out
+
+    monkeypatch.setattr(search, "_unique_columns", unique_columns)
+    monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
+    with pytest.raises(search._OutOfBudget):
+        search._mode_masks(all_pairs_distances(flower_snark(9)), Mode.resolving(3), deadline=1.0)
+    assert len(calls) == 31
+
+
 def test_budget_runs_out_inside_a_cardinality(monkeypatch):
     # the hook sleeps past the budget at its first step inside a
     # cardinality; that cardinality is not exhausted, so it is the bound
