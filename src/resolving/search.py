@@ -25,10 +25,10 @@ type, in blocks from bit slices of the distance rows (for each bit of the
 distances, the bitset of vertices where that bit is 1): the {l}-resolving
 and doubly masks are the union over slices of where two rows differ, the
 l-solid mask a bit-serial less-than, top bit first.  The masks are then
-deduplicated.  In the resolving and solid modes the single-vertex
-masks are the forced vertices, which every passing set contains; the masks
-they hit are dropped, and the rest are reduced to their minimal antichain:
-a set hits every mask iff it hits every mask that contains no other one.
+deduplicated.  One pass reads the forced vertices, which every passing set
+contains, off the single-vertex masks (resolving and solid modes), drops the
+masks they hit, sorts the rest by size and reduces them to their minimal
+antichain: a set hits every mask iff it hits every mask that holds no other.
 
 Cardinalities are tried in ascending order.  For each, one recursion over
 the non-forced vertices, branching on the members of an unhit mask, decides
@@ -66,6 +66,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import time
+from functools import reduce
 from itertools import accumulate
 from math import comb, isnan
 from operator import or_
@@ -110,14 +111,14 @@ class SearchStats:
     wall_ms: float = 0.0
     exhausted_through: int = 0
     # distinct separator masks that no forced vertex hits, and how many of
-    # them are minimal (the ones searched)
+    # them are minimal (the ones searched), both read off in "reduce"
     mask_count: int = 0
     masks_kept: int = 0
     # calls of the decision recursion on the degree-ordered family: the
     # decisions of all cardinalities tried, plus the read-off at the value
     nodes: int = 0
-    # milliseconds per phase: masks, reduce, search, verify, and group
-    # (within search) once the automorphisms are read off
+    # milliseconds per phase: masks, reduce (forced split, minimal masks,
+    # family), search, verify, and group (within search) for automorphisms
     phase_ms: dict = dataclasses.field(default_factory=dict)
 
 
@@ -279,7 +280,7 @@ def _unique_columns(cols):
     if len(cols) == 1:
         cols = np.sort(cols, axis=1)
     else:
-        cols = cols[:, np.lexsort(cols[::-1])]
+        cols = np.take(cols, np.lexsort(cols[::-1]), axis=1)
     # a zero column sorts first
     fresh = np.empty(cols.shape[1], dtype=bool)
     fresh[:1] = cols[:, :1].any()
@@ -296,40 +297,38 @@ def _word_type(n):
 def _mode_masks(dm, mode, deadline=None):
     """Distinct nonempty separator masks of ``mode``, as rows of words.  The
     deadline is checked after each block is deduplicated, so no merge of
-    the parts starts once it has passed."""
+    the parts starts once it has passed.  A lone part is not sorted again."""
     n = dm.n
     dist = dm.dist.astype(np.int16 if n < 1 << 15 else np.int32)
-    word = _word_type(n)
-    parts = [np.zeros(((n + 63) // 64, 0), dtype=word)]
+    parts = []
     for block in _mode_blocks(dist, mode):
         parts.append(_unique_columns(block.T))
         _check_deadline(deadline)
         if len(parts) >= 32:
             parts = [_unique_columns(np.concatenate(parts, axis=1))]
-    return _unique_columns(np.concatenate(parts, axis=1)).T
+    if len(parts) > 1:
+        parts = [_unique_columns(np.concatenate(parts, axis=1))]
+    return parts[0].T if parts else np.zeros((0, (n + 63) // 64), dtype=_word_type(n))
 
 
-def _split_forced(masks):
-    """The vertices of the single-vertex masks (rows of words), which every
-    set hitting the masks contains, ascending, and the masks that none of
-    them is in."""
+def _kept_masks(masks, split, deadline=None):
+    """One pass from distinct masks (rows of words) to the family searched:
+    with ``split``, the vertices of the single-vertex masks are forced and
+    the masks they are in dropped.  Returns the forced vertices, ascending,
+    the number of masks left, and those that contain no other one, fewest
+    bits first, in input order within a size.  Checks the deadline per chunk."""
     cols = masks.T
-    single = np.compress(np.bitwise_count(cols).sum(axis=0) == 1, cols, axis=1)
-    row = np.bitwise_or.reduce(single, axis=1)
-    forced = np.flatnonzero(np.unpackbits(row.view(np.uint8), bitorder="little"))
-    return tuple(forced.tolist()), np.compress(~(cols & row[:, None]).any(axis=0), cols, axis=1).T
-
-
-def _minimal_masks(masks, deadline=None):
-    """The masks (distinct rows of words) that contain no other one, fewest
-    bits first, in input order within a size.  The deadline is checked
-    after each chunk."""
-    cols = masks.T
-    # the smallest unsigned type that holds 64 * W, so that the stable
-    # argsort is a radix sort
+    # in the smallest unsigned type that holds 64 * W: a radix argsort
     sizes = np.bitwise_count(cols).sum(axis=0, dtype=np.min_scalar_type(64 * len(cols)))
+    single = np.compress(sizes == 1, cols, axis=1) if split else cols[:, :0]
+    row = np.bitwise_or.reduce(single, axis=1, keepdims=True)
+    forced = np.flatnonzero(np.unpackbits(row.view(np.uint8), bitorder="little"))
+    # np.take, since cols[:, order] returns the words column-major (strided)
+    if forced.size:
+        at = np.flatnonzero(((cols & row) == 0).all(axis=0))
+        cols, sizes = np.take(cols, at, axis=1), sizes[at]
     order = np.argsort(sizes, kind="stable")
-    cols, sizes = cols[:, order], sizes[order]
+    cols, sizes = np.take(cols, order, axis=1), sizes[order]
     kept = [cols[:, :0]]
     # the smallest masks left contain no other one: keep them, and drop
     # every larger mask that contains one of them, a chunk at a time
@@ -340,12 +339,15 @@ def _minimal_masks(masks, deadline=None):
         lo = 0
         while lo < level.shape[1] and sizes.size:
             step = max(1, _BLOCK_WORDS // cols.size)
+            # word by word, in one statement: a chunk-sized array kept into
+            # the next chunk made each chunk fault in fresh pages (J7: 1.6x)
             sub = level[:, lo:lo + step, None]
-            keep = ~((cols[:, None, :] & sub) == sub).all(axis=0).any(axis=0)
-            cols, sizes = np.compress(keep, cols, axis=1), sizes[keep]
+            inside = ((words & part) == part for words, part in zip(cols, sub))
+            at = np.flatnonzero(~reduce(np.logical_and, inside).any(axis=0))
+            cols, sizes = np.take(cols, at, axis=1), sizes[at]
             lo += step
             _check_deadline(deadline)
-    return np.concatenate(kept, axis=1).T
+    return tuple(forced.tolist()), len(order), np.concatenate(kept, axis=1).T
 
 
 def _row_ints(bits):
@@ -629,19 +631,17 @@ def metric_dimension(g, config):
     try:
         with _phase(stats, "masks"):
             masks = _mode_masks(dm, mode, deadline=deadline)
-            forced, masks = ((), masks) if mode.kind == "doubly" else _split_forced(masks)
-        stats.mask_count = len(masks)
-        lb_source, lb = max(dimension_lower_bounds(g, mode, forced=forced),
-                            key=lambda b: (b[1], b[0] == PROVENANCE_FORCED))
-        free = [v for v in range(n) if v not in forced]
         with _phase(stats, "reduce"):
-            masks = _minimal_masks(masks, deadline)
+            forced, stats.mask_count, masks = _kept_masks(masks, mode.kind != "doubly", deadline)
+            free = [v for v in range(n) if v not in forced]
             member = _member_matrix(masks, free)
             # the positions by descending mask degree, ties in vertex order
             by_degree = np.argsort(-member.sum(axis=0, dtype=np.int64), kind="stable")
             cover, members = _family(member[:, by_degree])
             place = np.argsort(by_degree).tolist()
         stats.masks_kept = len(masks)
+        lb_source, lb = max(dimension_lower_bounds(g, mode, forced=forced),
+                            key=lambda b: (b[1], b[0] == PROVENANCE_FORCED))
         orbits = None
         with _phase(stats, "search"):
             for k in range(lb, k_hi + 1):

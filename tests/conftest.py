@@ -7,9 +7,11 @@ what the randomized tests certify.  The one exception, oracle_first_basis,
 judges candidate sets with the package's checkers, which those tests pin,
 so that it can reach snark-sized graphs.  The reference scans are the
 pure-Python checkers that the numpy block scans replaced, kept to pin
-their verdicts and witnesses, the reference decision kernel is the
-search's recursion before its leaf prune, and the reference search runs
-it over every cardinality in vertex order.  The automorphism oracle tries
+their verdicts and witnesses, the reference mask reduction is the forced
+split and the minimal antichain as the two passes that the search's one
+pass replaced, the reference decision kernel is the search's recursion
+before its leaf prune, and the reference search runs it over every
+cardinality in vertex order.  The automorphism oracle tries
 every permutation of the vertices.
 """
 
@@ -279,6 +281,57 @@ def reference_solid_scan(dm, anchors, bound):
 
 
 # ---------------------------------------------------------------------------
+# reference mask reduction: the forced split and the minimal antichain as
+# two passes, each sorting or counting on its own
+
+
+def reference_split_forced(masks):
+    """The vertices of the single-vertex masks (rows of words), which every
+    set hitting the masks contains, ascending, and the masks that none of
+    them is in."""
+    cols = masks.T
+    single = np.compress(np.bitwise_count(cols).sum(axis=0) == 1, cols, axis=1)
+    row = np.bitwise_or.reduce(single, axis=1)
+    forced = np.flatnonzero(np.unpackbits(row.view(np.uint8), bitorder="little"))
+    return tuple(forced.tolist()), np.compress(~(cols & row[:, None]).any(axis=0), cols, axis=1).T
+
+
+def reference_minimal_masks(masks, deadline=None):
+    """The masks (distinct rows of words) that contain no other one, fewest
+    bits first, in input order within a size.  The deadline is checked
+    after each chunk."""
+    cols = masks.T
+    # the smallest unsigned type that holds 64 * W, so that the stable
+    # argsort is a radix sort
+    sizes = np.bitwise_count(cols).sum(axis=0, dtype=np.min_scalar_type(64 * len(cols)))
+    order = np.argsort(sizes, kind="stable")
+    cols, sizes = cols[:, order], sizes[order]
+    kept = [cols[:, :0]]
+    # the smallest masks left contain no other one: keep them, and drop
+    # every larger mask that contains one of them, a chunk at a time
+    while sizes.size:
+        cut = np.searchsorted(sizes, sizes[0], side="right")
+        level, cols, sizes = cols[:, :cut], cols[:, cut:], sizes[cut:]
+        kept.append(level)
+        lo = 0
+        while lo < level.shape[1] and sizes.size:
+            step = max(1, search._BLOCK_WORDS // cols.size)
+            sub = level[:, lo:lo + step, None]
+            keep = ~((cols[:, None, :] & sub) == sub).all(axis=0).any(axis=0)
+            cols, sizes = np.compress(keep, cols, axis=1), sizes[keep]
+            lo += step
+            search._check_deadline(deadline)
+    return np.concatenate(kept, axis=1).T
+
+
+def reference_kept_masks(masks, split):
+    """``search._kept_masks`` as the two reference passes: (forced,
+    mask_count, kept masks)."""
+    forced, masks = reference_split_forced(masks) if split else ((), masks)
+    return forced, len(masks), reference_minimal_masks(masks)
+
+
+# ---------------------------------------------------------------------------
 # reference decision kernel
 
 
@@ -339,11 +392,11 @@ def reference_metric_dimension(g, mode):
     decided and read off by ``reference_colex_first_cover``.  Returns (value, basis, lower_bound,
     lower_bound_source, subsets_checked, exhausted_through)."""
     masks = search._mode_masks(all_pairs_distances(g), mode)
-    forced, masks = ((), masks) if mode.kind == "doubly" else search._split_forced(masks)
+    forced, masks = ((), masks) if mode.kind == "doubly" else reference_split_forced(masks)
     source, bound = max(search.dimension_lower_bounds(g, mode, forced=forced),
                         key=lambda b: (b[1], b[0] == search.PROVENANCE_FORCED))
     free = [v for v in range(g.n) if v not in forced]
-    cover, lowest, members = reference_family(search._minimal_masks(masks), free)
+    cover, lowest, members = reference_family(reference_minimal_masks(masks), free)
     checked = exhausted = 0
     for k in range(bound, g.n + 1):
         hit, _ = reference_colex_first_cover(cover, lowest, members, k - len(forced))

@@ -41,7 +41,7 @@ from resolving.search import (
     _OutOfBudget,
     _automorphisms,
     _colex_first_cover,
-    _minimal_masks,
+    _kept_masks,
     _mode_masks,
     _row_ints,
 )
@@ -365,7 +365,7 @@ def test_mode_masks_narrow_words(g, mode, monkeypatch):
 @given(st.integers(1, 130), st.data())
 def test_minimal_masks_antichain(n, data):
     masks = data.draw(st.sets(st.integers(1, 2**n - 1), max_size=60))
-    kept = _as_ints(_minimal_masks(_as_words(sorted(masks), (n + 63) // 64)))
+    kept = _as_ints(_kept_masks(_as_words(sorted(masks), (n + 63) // 64), False)[2])
     assert set(kept) <= masks
     # no kept mask contains another one
     for a, b in itertools.permutations(kept, 2):
@@ -379,7 +379,7 @@ def test_minimal_masks_antichain(n, data):
 @given(st.integers(1, 130), st.data())
 def test_minimal_masks_fewest_bits_first(n, data):
     masks = data.draw(st.lists(st.integers(1, 2**n - 1), unique=True, max_size=60))
-    kept = _as_ints(_minimal_masks(_as_words(masks, (n + 63) // 64)))
+    kept = _as_ints(_kept_masks(_as_words(masks, (n + 63) // 64), False)[2])
     # the masks that contain no other one, by popcount, in input order
     # within a popcount
     minimal = [m for m in masks if not any(k != m and k & m == k for k in masks)]
@@ -389,7 +389,7 @@ def test_minimal_masks_fewest_bits_first(n, data):
 def test_minimal_masks_checks_the_deadline():
     words = _as_words([0b001, 0b110, 0b111], 1)
     with pytest.raises(_OutOfBudget):
-        _minimal_masks(words, deadline=time.monotonic() - 1.0)
+        _kept_masks(words, False, deadline=time.monotonic() - 1.0)
 
 
 @common

@@ -22,6 +22,7 @@ from resolving import (
     rook_graph,
     search,
     star_graph,
+    tree_from_parents,
     verify_basis_certificate,
 )
 
@@ -31,6 +32,7 @@ from conftest import (
     oracle_first_basis,
     oracle_minimum_size,
     random_connected_graph,
+    reference_kept_masks,
     reference_metric_dimension,
 )
 
@@ -291,10 +293,9 @@ def _search_family(g, mode):
     """The degree-ordered family that ``metric_dimension`` searches for
     ``mode`` (cover, members, place), and the graph's group on it."""
     dm = all_pairs_distances(g)
-    masks = search._mode_masks(dm, mode)
-    forced, masks = ((), masks) if mode.kind == "doubly" else search._split_forced(masks)
+    forced, _, masks = search._kept_masks(search._mode_masks(dm, mode), mode.kind != "doubly")
     free = [v for v in range(g.n) if v not in forced]
-    member = search._member_matrix(search._minimal_masks(masks), free)
+    member = search._member_matrix(masks, free)
     by_degree = np.argsort(-member.sum(axis=0, dtype=np.int64), kind="stable")
     cover, members = search._family(member[:, by_degree])
     place = np.argsort(by_degree).tolist()
@@ -408,6 +409,64 @@ def test_stats_phases_and_counters():
 
 
 # ---------------------------------------------------------------------------
+# one pass from the separator masks to the searched family
+
+
+def _mode_id(mode):
+    return f"{mode.kind}{mode.order or ''}"
+
+
+# word boundaries: P8-P65 and C8-C33 take one to eight bytes per mask word,
+# and P65 two words
+_BOUNDARY_CASES = [(f"{name}{n}-{_mode_id(mode)}", make(n), mode)
+                   for name, make, sizes in (("P", path_graph, (8, 9, 16, 17, 32, 33, 64, 65)),
+                                             ("C", cycle_graph, (8, 9, 16, 17, 32, 33)))
+                   for n in sizes
+                   for mode in (Mode.resolving(2), Mode.solid(1), Mode.doubly())]
+_J5_CASES = [(f"J5-{_mode_id(mode)}", flower_snark(5), mode) for mode in
+             (Mode.resolving(1), Mode.resolving(2), Mode.resolving(3),
+              Mode.solid(1), Mode.solid(2), Mode.doubly())]
+# the graphs with forced vertices, the tree being the cli workload's
+_FORCED_CASES = [
+    ("P9-solid1", path_graph(9), Mode.solid(1)),
+    ("K1,3-solid2", star_graph(3), Mode.solid(2)),
+    ("tree-solid1", tree_from_parents((0, 0, 1, 1, 2, 2, 3, 3)), Mode.solid(1)),
+    ("tree-solid2", tree_from_parents((0, 0, 1, 1, 2, 2, 3, 3)), Mode.solid(2)),
+]
+# J17 (68 vertices, two words) keeps masks that differ in the second word,
+# which P65 (whose masks its forced vertices all hit) does not
+_KEPT_CASES = _BOUNDARY_CASES + _J5_CASES + _FORCED_CASES + [
+    ("J7-resolving2", flower_snark(7), Mode.resolving(2)),
+    ("rook5x4-resolving2", rook_graph(5, 4), Mode.resolving(2)),
+] + [(f"J17-{_mode_id(mode)}", flower_snark(17), mode)
+     for mode in (Mode.resolving(1), Mode.solid(1), Mode.doubly())]
+
+
+@pytest.mark.parametrize("block_words", [None, 512], ids=["blocks", "small-blocks"])
+@pytest.mark.parametrize("g, mode", [case[1:] for case in _KEPT_CASES],
+                         ids=[case[0] for case in _KEPT_CASES])
+def test_kept_masks_match_reference_passes(g, mode, block_words, monkeypatch):
+    # the one pass returns what the forced split and the minimal-mask
+    # reduction returned: the same forced vertices, count and kept masks,
+    # byte for byte in the same order; with small blocks the reduction
+    # runs a chunk of a few masks at a time
+    if block_words is not None:
+        monkeypatch.setattr(search, "_BLOCK_WORDS", block_words)
+    masks = search._mode_masks(all_pairs_distances(g), mode)
+    forced, count, kept = search._kept_masks(masks, mode.kind != "doubly")
+    ref_forced, ref_count, ref_kept = reference_kept_masks(masks, mode.kind != "doubly")
+    assert (forced, count) == (ref_forced, ref_count)
+    assert (kept.shape, kept.dtype) == (ref_kept.shape, ref_kept.dtype)
+    assert kept.tobytes() == ref_kept.tobytes()
+
+
+def test_kept_masks_cases_have_forced_vertices():
+    for _, g, mode in _FORCED_CASES:
+        masks = search._mode_masks(all_pairs_distances(g), mode)
+        assert search._kept_masks(masks, True)[0], mode
+
+
+# ---------------------------------------------------------------------------
 # budgets and bounds
 
 
@@ -443,8 +502,8 @@ def test_budget_holds_in_separator_build():
 
 def test_no_mask_merge_starts_after_the_deadline(monkeypatch):
     # the clock passes the deadline once the block that fills the 32nd part
-    # (the first part is the empty one) is deduplicated; J9 {3}-resolving
-    # has over 100 blocks, so the 32 parts would be merged next
+    # is deduplicated; J9 {3}-resolving has over 100 blocks, so the 32
+    # parts would be merged next
     now = [0.0]
     calls = []
     dedup = search._unique_columns
@@ -452,7 +511,7 @@ def test_no_mask_merge_starts_after_the_deadline(monkeypatch):
     def unique_columns(cols):
         calls.append(cols.shape)
         out = dedup(cols)
-        if len(calls) == 31:
+        if len(calls) == 32:
             now[0] = 2.0
         return out
 
@@ -460,7 +519,7 @@ def test_no_mask_merge_starts_after_the_deadline(monkeypatch):
     monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
     with pytest.raises(search._OutOfBudget):
         search._mode_masks(all_pairs_distances(flower_snark(9)), Mode.resolving(3), deadline=1.0)
-    assert len(calls) == 31
+    assert len(calls) == 32
 
 
 def test_budget_runs_out_inside_a_cardinality(monkeypatch):
