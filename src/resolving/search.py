@@ -25,10 +25,14 @@ type, in blocks from bit slices of the distance rows (for each bit of the
 distances, the bitset of vertices where that bit is 1): the {l}-resolving
 and doubly masks are the union over slices of where two rows differ, the
 l-solid mask a bit-serial less-than, top bit first.  The masks are then
-deduplicated.  One pass reads the forced vertices, which every passing set
-contains, off the single-vertex masks (resolving and solid modes), drops the
-masks they hit, sorts the rest by size and reduces them to their minimal
-antichain: a set hits every mask iff it hits every mask that holds no other.
+deduplicated: where one word holds a mask and a table of 2^n flags takes
+no more bytes than the masks built, each block sets its masks' flags and
+the set flags are read off ascending, with no sort and no merge; otherwise
+each block is sorted and the parts are merged.  One pass reads the forced
+vertices, which every passing set contains, off the single-vertex masks
+(resolving and solid modes), drops the masks they hit, sorts the rest by
+size and reduces them to their minimal antichain: a set hits every mask iff
+it hits every mask that holds no other.
 
 Cardinalities are tried in ascending order.  For each, one recursion over
 the non-forced vertices, branching on the members of an unhit mask, decides
@@ -182,12 +186,14 @@ def _phase(stats, name):
 
 def _slices(rows):
     """Bit slices of nonnegative ``rows``, top bit first: with depth =
-    ``rows.max().bit_length()``, entry [b, w, i] is word w (of
+    ``rows.max().bit_length()`` (or 1), entry [b, w, i] is word w (of
     ``_word_type(n)``) of the bitset {v : bit depth - 1 - b of rows[i, v]
     is 1}."""
     s, n = rows.shape
     word = _word_type(n)
-    depth = int(rows.max()).bit_length()
+    # at least one slice for _differ to start from; all-zero rows (n = 1)
+    # leave it zero
+    depth = max(1, int(rows.max()).bit_length())
     bits = np.zeros((depth, s, -(-n // (8 * word.itemsize)) * 8 * word.itemsize), dtype=bool)
     for b in range(depth):
         np.not_equal(rows & (1 << (depth - 1 - b)), 0, out=bits[b, :, :n])
@@ -205,10 +211,9 @@ def _differ(x, y):
     shape (depth, words, ...) broadcast against each other: one row of
     words per broadcast pair, the pairs in C order."""
     shape = np.broadcast_shapes(x.shape, y.shape)[1:]
-    # from zeros, so that rows of depth 0 (all zero) differ nowhere
-    words = np.zeros(shape, dtype=x.dtype)
+    words = np.bitwise_xor(x[0], y[0])
     step = np.empty_like(words)
-    for a, b in zip(x, y):
+    for a, b in zip(x[1:], y[1:]):
         words |= np.bitwise_xor(a, b, out=step)
     return words.reshape(shape[0], -1).T
 
@@ -294,12 +299,36 @@ def _word_type(n):
     return np.dtype(np.min_scalar_type((1 << n) - 1) if n <= 64 else np.uint64).newbyteorder("<")
 
 
+def _raw_count(n, mode, top):
+    """Masks ``_mode_blocks`` builds for diameter ``top``, before any drop."""
+    if mode.kind == "doubly":
+        return n * (n // 2) * (2 * top + 1)
+    s = sum(comb(n, i) for i in range(1, mode.order + 1))
+    return s // 2 * s if mode.kind == "resolving" else n * s
+
+
+def _table_fits(n, raw):
+    """Whether ``raw`` masks over n vertices go through a table of 2^n
+    flags: one word holds a mask, and the table is no larger than they are."""
+    return n <= 64 and 1 << n <= raw * _word_type(n).itemsize
+
+
 def _mode_masks(dm, mode, deadline=None):
-    """Distinct nonempty separator masks of ``mode``, as rows of words.  The
-    deadline is checked after each block is deduplicated, so no merge of
-    the parts starts once it has passed.  A lone part is not sorted again."""
+    """Distinct nonempty separator masks of ``mode``, as rows of words
+    sorted by their first word, then the next: read off a table of flags
+    where ``_table_fits``, else sorted per block and merged (a lone part
+    is not sorted again).  The deadline is checked after each block, so
+    no read-off or merge starts once it has passed."""
     n = dm.n
     dist = dm.dist.astype(np.int16 if n < 1 << 15 else np.int32)
+    if _table_fits(n, _raw_count(n, mode, int(dist.max()))):
+        seen = np.zeros(1 << n, dtype=bool)
+        for block in _mode_blocks(dist, mode):
+            # indexing with an intp copy is faster than with the mask words
+            seen[block[:, 0].astype(np.intp)] = True
+            _check_deadline(deadline)
+        seen[0] = False
+        return np.flatnonzero(seen).astype(_word_type(n))[:, None]
     parts = []
     for block in _mode_blocks(dist, mode):
         parts.append(_unique_columns(block.T))

@@ -467,6 +467,60 @@ def test_kept_masks_cases_have_forced_vertices():
 
 
 # ---------------------------------------------------------------------------
+# the two ways of deduplicating one-word masks: a presence table, or a sort
+# per block and a merge
+
+
+_DEDUP_CASES = [(f"{name}{n}-{_mode_id(mode)}", make(n), mode)
+                for name, make in (("P", path_graph), ("C", cycle_graph))
+                for n in range(4, 21)
+                for mode in (Mode.resolving(1), Mode.resolving(2), Mode.solid(1), Mode.doubly())
+                ] + _J5_CASES + [
+    (f"rook{m}x4-{_mode_id(mode)}", rook_graph(m, 4), mode)
+    for m in (4, 5) for mode in (Mode.resolving(2), Mode.resolving(3))
+] + [("K1,3-solid2", star_graph(3), Mode.solid(2))]
+
+
+def _takes_table(g, mode):
+    top = int(all_pairs_distances(g).dist.max())
+    return search._table_fits(g.n, search._raw_count(g.n, mode, top))
+
+
+@pytest.mark.parametrize("g, mode", [case[1:] for case in _DEDUP_CASES],
+                         ids=[case[0] for case in _DEDUP_CASES])
+def test_table_and_sort_dedup_agree(g, mode, monkeypatch):
+    dm = all_pairs_distances(g)
+    out = {}
+    for table in (True, False):
+        monkeypatch.setattr(search, "_table_fits", lambda n, raw: table)
+        out[table] = search._mode_masks(dm, mode)
+    assert (out[True].shape, out[True].dtype) == (out[False].shape, out[False].dtype)
+    assert out[True].tobytes() == out[False].tobytes()
+
+
+def test_dedup_cases_take_both_paths():
+    taken = {_takes_table(g, mode) for _, g, mode in _DEDUP_CASES}
+    assert taken == {True, False}
+    # the benchmark's slowest call takes the table, J7 and J9 the sort
+    assert _takes_table(flower_snark(5), Mode.resolving(3))
+    assert not _takes_table(flower_snark(5), Mode.resolving(2))
+    assert not _takes_table(flower_snark(7), Mode.resolving(3))
+    assert not _takes_table(flower_snark(9), Mode.resolving(3))
+
+
+@pytest.mark.parametrize("g", [flower_snark(5), rook_graph(4, 4)], ids=["J5", "rook4x4"])
+def test_table_and_sort_dedup_give_one_search(g, monkeypatch):
+    assert _takes_table(g, Mode.resolving(3))
+    out = {}
+    for table in (True, False):
+        monkeypatch.setattr(search, "_table_fits", lambda n, raw: table)
+        res = dim(g, Mode.resolving(3), budget_s=None)
+        out[table] = (res.value, res.basis, res.stats.mask_count, res.stats.masks_kept,
+                      res.stats.nodes)
+    assert out[True] == out[False]
+
+
+# ---------------------------------------------------------------------------
 # budgets and bounds
 
 
@@ -520,6 +574,41 @@ def test_no_mask_merge_starts_after_the_deadline(monkeypatch):
     with pytest.raises(search._OutOfBudget):
         search._mode_masks(all_pairs_distances(flower_snark(9)), Mode.resolving(3), deadline=1.0)
     assert len(calls) == 32
+
+
+def test_no_table_read_off_after_the_deadline(monkeypatch):
+    # J5 {3}-resolving fills a presence table from four blocks; the clock
+    # passes the deadline as the second is handed out, so neither the third
+    # block nor the read-off of the table follows
+    now = [0.0]
+    blocks = []
+    read_offs = []
+    mode_blocks, flatnonzero = search._mode_blocks, np.flatnonzero
+
+    def counted_blocks(dist, mode):
+        for block in mode_blocks(dist, mode):
+            blocks.append(block.shape)
+            if len(blocks) == 2:
+                now[0] = 2.0
+            yield block
+
+    def counted_flatnonzero(a):
+        read_offs.append(a.shape)
+        return flatnonzero(a)
+
+    dm = all_pairs_distances(flower_snark(5))
+    monkeypatch.setattr(search, "_mode_blocks", counted_blocks)
+    # the sort path would fail
+    monkeypatch.setattr(search, "_unique_columns", None)
+    monkeypatch.setattr(search.np, "flatnonzero", counted_flatnonzero)
+    monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
+    with pytest.raises(search._OutOfBudget):
+        search._mode_masks(dm, Mode.resolving(3), deadline=1.0)
+    assert len(blocks) == 2 and not read_offs
+    # the same call without a deadline takes every block and reads off once
+    blocks.clear()
+    search._mode_masks(dm, Mode.resolving(3))
+    assert len(blocks) == 4 and read_offs == [(1 << 20,)]
 
 
 def test_budget_runs_out_inside_a_cardinality(monkeypatch):
