@@ -238,22 +238,21 @@ def is_l_resolving(dm, anchors, order):
         keys = keys[perm]
         where = where[perm]
         tied = keys[1:] == keys[:-1]
-        if tied.any() and (witness := _first_collision(rows, sets, tied, where, lo)):
+        if tied.any() and (witness := _first_collision(rows, sets, tied, where)):
             return CheckVerdict(False, witness)
     return CheckVerdict(True)
 
 
-def _first_collision(rows, sets, tied, where, block_start):
-    """The first collision whose later set is at row ``block_start`` of
-    ``sets`` or after, or None.  ``where`` holds the rows of the sets in
-    key order, and ``tied[i]`` says whether entries i and i + 1 share a
-    key."""
-    # runs of equal keys that hold two or more sets, one of them new
-    run = np.concatenate([[0], np.cumsum(~tied)])
-    size = np.bincount(run)
-    fresh = np.zeros(len(size), dtype=bool)
-    fresh[run[where >= block_start]] = True
-    picked = fresh[run] & (size[run] > 1)
+def _first_collision(rows, sets, tied, where):
+    """The first collision among the sets at rows ``where`` of ``sets``,
+    or None.  ``where`` is in key order, and ``tied[i]`` says whether
+    entries i and i + 1 share a key.  A run of equal keys that holds no
+    set of the last block holds distinct arrays, or an earlier block
+    would have returned, so it adds no collision."""
+    # the sets that share their key with another
+    picked = np.zeros(len(where), dtype=bool)
+    picked[:-1] = tied
+    picked[1:] |= tied
     positions = np.sort(where[picked])
     arrays = set_arrays(rows, sets[positions])
     # equal arrays end up adjacent, each run in ascending position, so the

@@ -28,11 +28,12 @@ l-solid mask a bit-serial less-than, top bit first.  The masks are then
 deduplicated: where one word holds a mask and a table of 2^n flags takes
 no more bytes than the masks built, each block sets its masks' flags and
 the set flags are read off ascending, with no sort and no merge; otherwise
-each block is sorted and the parts are merged.  One pass reads the forced
-vertices, which every passing set contains, off the single-vertex masks
-(resolving and solid modes), drops the masks they hit, sorts the rest by
-size and reduces them to their minimal antichain: a set hits every mask iff
-it hits every mask that holds no other.
+each block is sorted and the parts are merged.  The forced vertices, which
+every passing set contains, are those of the single-vertex masks (resolving
+and solid modes), known beforehand from ``checks.forced_vertices``.  One
+pass drops the masks they are in, sorts the rest by size and reduces them
+to their minimal antichain: a set hits every mask iff it hits every mask
+that holds no other.
 
 Cardinalities are tried in ascending order.  For each, one recursion over
 the non-forced vertices, branching on the members of an unhit mask, decides
@@ -52,16 +53,16 @@ and the set it finds is the one an ascending search in vertex order finds.
 
 The masks are defined from distances alone, so every automorphism of the
 graph maps the forced vertices onto themselves and the kept masks onto
-the kept masks.  At the first cardinality with two or more positions to
-place, the group is read off the distance matrix: an automorphism is
-fixed by the images of a resolving base, so the candidate images of a
-greedy base are extended level by level and every map they give is
-checked against the edges (or, past a fixed number of candidates, the
-search goes on without it).  The same recursion then decides each
-cardinality by orbital branching: it is handed the automorphisms that fix
-the positions taken so far, and when the branch on a position fails, so
-do the branches on every position they map it to, which are dropped.
-Where none is left it branches as without the group.  The answer is
+the kept masks.  Once the masks are kept, before the first cardinality,
+the group is read off the distance matrix: an automorphism is fixed by
+the images of a resolving base, so the candidate images of a greedy base
+are extended level by level and every map they give is checked against
+the edges (or, past a fixed number of candidates, the search goes on
+without it).  The same recursion then decides each cardinality by
+orbital branching: it is handed the automorphisms that fix the positions
+taken so far, and when the branch on a position fails, so do the
+branches on every position they map it to, which are dropped.  Where
+none is left it branches as without the group.  The answer is
 unchanged; only the nodes it takes are fewer.
 """
 
@@ -121,8 +122,8 @@ class SearchStats:
     # calls of the decision recursion on the degree-ordered family: the
     # decisions of all cardinalities tried, plus the read-off at the value
     nodes: int = 0
-    # milliseconds per phase: masks, reduce (forced split, minimal masks,
-    # family), search, verify, and group (within search) for automorphisms
+    # milliseconds per phase: masks, reduce (masks no forced vertex is in,
+    # minimal masks, family), group (automorphisms), search, verify
     phase_ms: dict = dataclasses.field(default_factory=dict)
 
 
@@ -340,22 +341,20 @@ def _mode_masks(dm, mode, deadline=None):
     return parts[0].T if parts else np.zeros((0, (n + 63) // 64), dtype=_word_type(n))
 
 
-def _kept_masks(masks, split, deadline=None):
+def _kept_masks(masks, forced, deadline=None):
     """One pass from distinct masks (rows of words) to the family searched:
-    with ``split``, the vertices of the single-vertex masks are forced and
-    the masks they are in dropped.  Returns the forced vertices, ascending,
-    the number of masks left, and those that contain no other one, fewest
-    bits first, in input order within a size.  Checks the deadline per chunk."""
+    the masks that a vertex of ``forced`` is in are dropped.  Returns the
+    number of masks left, and those that contain no other one, fewest bits
+    first, in input order within a size.  Checks the deadline per chunk."""
     cols = masks.T
+    # np.take, since cols[:, order] returns the words column-major (strided)
+    if forced:
+        bits = np.zeros(8 * cols.dtype.itemsize * len(cols), dtype=bool)
+        bits[list(forced)] = True
+        row = np.packbits(bits, bitorder="little").view(cols.dtype)[:, None]
+        cols = np.take(cols, np.flatnonzero(((cols & row) == 0).all(axis=0)), axis=1)
     # in the smallest unsigned type that holds 64 * W: a radix argsort
     sizes = np.bitwise_count(cols).sum(axis=0, dtype=np.min_scalar_type(64 * len(cols)))
-    single = np.compress(sizes == 1, cols, axis=1) if split else cols[:, :0]
-    row = np.bitwise_or.reduce(single, axis=1, keepdims=True)
-    forced = np.flatnonzero(np.unpackbits(row.view(np.uint8), bitorder="little"))
-    # np.take, since cols[:, order] returns the words column-major (strided)
-    if forced.size:
-        at = np.flatnonzero(((cols & row) == 0).all(axis=0))
-        cols, sizes = np.take(cols, at, axis=1), sizes[at]
     order = np.argsort(sizes, kind="stable")
     cols, sizes = np.take(cols, order, axis=1), sizes[order]
     kept = [cols[:, :0]]
@@ -376,7 +375,7 @@ def _kept_masks(masks, split, deadline=None):
             cols, sizes = np.take(cols, at, axis=1), sizes[at]
             lo += step
             _check_deadline(deadline)
-    return tuple(forced.tolist()), len(order), np.concatenate(kept, axis=1).T
+    return len(order), np.concatenate(kept, axis=1).T
 
 
 def _row_ints(bits):
@@ -517,7 +516,7 @@ class _Orbits(dict):
 # exhaustive decision over one cardinality
 
 
-def _colex_first_cover(cover, members, place, r, tick, orbits=None):
+def _colex_first_cover(cover, members, place, r, tick, orbits):
     """First r-subset of the vertices range(len(place)) in colex order
     whose covers together hold every mask (an ascending list, or None),
     and the number of decision calls.  Vertex v sits at position
@@ -533,13 +532,15 @@ def _colex_first_cover(cover, members, place, r, tick, orbits=None):
     lone position must hit every unhit mask, so it lies in both; the leaf
     loop shrinks and the calls stay the same.  Above r == 1, h is the
     bitset of the rows of ``orbits`` (an ``_Orbits`` of permutations of
-    the positions that map the family onto itself, or None) that fix
-    every position taken so far, 0 for none.  The subproblem is invariant
-    under h, so when the branch on p fails, every branch on p's h-orbit
-    fails too, and the whole orbit leaves ``allowed``; the branch on p
-    hands on the rows of h that fix p (orbital branching, Ostrowski et
-    al. 2011).  ``tick(nodes)`` runs every PROGRESS_NODES calls.  The
-    answer depends neither on the positions nor on h, but the work does.
+    the positions that map the family onto itself, with no rows when the
+    group is not enumerated) that fix every position taken so far: all of
+    them at the root of the decision, none in the read-off below.  The
+    subproblem is invariant under h, so when the branch on p fails, every
+    branch on p's h-orbit fails too, and the whole orbit leaves
+    ``allowed``; the branch on p hands on the rows of h that fix p
+    (orbital branching, Ostrowski et al. 2011).  ``tick(nodes)`` runs
+    every PROGRESS_NODES calls.  The answer depends neither on the
+    positions nor on h, but the work does.
 
     When r positions hit every mask, the same family gives the colex-first
     set, largest vertex first: the smallest t such that r - 1 vertices
@@ -586,7 +587,7 @@ def _colex_first_cover(cover, members, place, r, tick, orbits=None):
 
     n = len(place)
     unhit = (1 << len(members)) - 1
-    if not hits(unhit, (1 << n) - 1, r, 0 if orbits is None else orbits.group):
+    if not hits(unhit, (1 << n) - 1, r, orbits.group):
         return None, nodes
     # below[t]: the positions of the vertices before t; reach[t]: the masks
     # that some vertex up to t is in
@@ -640,8 +641,10 @@ def metric_dimension(g, config):
         raise ValueError("budget must be a number of seconds, not NaN")
     dm = all_pairs_distances(g)
     n = g.n
-    # the bound before the masks give the forced vertices
-    lb_source, lb = max(dimension_lower_bounds(g, mode, forced=()), key=lambda b: b[1])
+    forced = () if mode.kind == "doubly" else forced_vertices(g, mode.order, mode.kind)
+    free = [v for v in range(n) if v not in forced]
+    lb_source, lb = max(dimension_lower_bounds(g, mode, forced=forced),
+                        key=lambda b: (b[1], b[0] == PROVENANCE_FORCED))
     stats = SearchStats()
     deadline = None if config.budget_s is None else t0 + config.budget_s
     k_hi = min(n, config.k_max if config.k_max is not None else n)
@@ -661,24 +664,19 @@ def metric_dimension(g, config):
         with _phase(stats, "masks"):
             masks = _mode_masks(dm, mode, deadline=deadline)
         with _phase(stats, "reduce"):
-            forced, stats.mask_count, masks = _kept_masks(masks, mode.kind != "doubly", deadline)
-            free = [v for v in range(n) if v not in forced]
+            stats.mask_count, masks = _kept_masks(masks, forced, deadline)
             member = _member_matrix(masks, free)
             # the positions by descending mask degree, ties in vertex order
             by_degree = np.argsort(-member.sum(axis=0, dtype=np.int64), kind="stable")
             cover, members = _family(member[:, by_degree])
             place = np.argsort(by_degree).tolist()
         stats.masks_kept = len(masks)
-        lb_source, lb = max(dimension_lower_bounds(g, mode, forced=forced),
-                            key=lambda b: (b[1], b[0] == PROVENANCE_FORCED))
-        orbits = None
+        with _phase(stats, "group"):
+            orbits = _Orbits(_automorphisms(dm.dist), free, place)
         with _phase(stats, "search"):
             for k in range(lb, k_hi + 1):
                 step = 0
                 tick(0)
-                if orbits is None and k - len(forced) >= 2:
-                    with _phase(stats, "group"):
-                        orbits = _Orbits(_automorphisms(dm.dist), free, place)
                 hit, nodes = _colex_first_cover(cover, members, place, k - len(forced), tick, orbits)
                 stats.nodes += nodes
                 if hit is not None:

@@ -38,6 +38,7 @@ from resolving import (
 )
 from resolving import search
 from resolving.search import (
+    _Orbits,
     _OutOfBudget,
     _automorphisms,
     _colex_first_cover,
@@ -365,7 +366,7 @@ def test_mode_masks_narrow_words(g, mode, monkeypatch):
 @given(st.integers(1, 130), st.data())
 def test_minimal_masks_antichain(n, data):
     masks = data.draw(st.sets(st.integers(1, 2**n - 1), max_size=60))
-    kept = _as_ints(_kept_masks(_as_words(sorted(masks), (n + 63) // 64), False)[2])
+    kept = _as_ints(_kept_masks(_as_words(sorted(masks), (n + 63) // 64), ())[1])
     assert set(kept) <= masks
     # no kept mask contains another one
     for a, b in itertools.permutations(kept, 2):
@@ -379,7 +380,7 @@ def test_minimal_masks_antichain(n, data):
 @given(st.integers(1, 130), st.data())
 def test_minimal_masks_fewest_bits_first(n, data):
     masks = data.draw(st.lists(st.integers(1, 2**n - 1), unique=True, max_size=60))
-    kept = _as_ints(_kept_masks(_as_words(masks, (n + 63) // 64), False)[2])
+    kept = _as_ints(_kept_masks(_as_words(masks, (n + 63) // 64), ())[1])
     # the masks that contain no other one, by popcount, in input order
     # within a popcount
     minimal = [m for m in masks if not any(k != m and k & m == k for k in masks)]
@@ -389,7 +390,7 @@ def test_minimal_masks_fewest_bits_first(n, data):
 def test_minimal_masks_checks_the_deadline():
     words = _as_words([0b001, 0b110, 0b111], 1)
     with pytest.raises(_OutOfBudget):
-        _kept_masks(words, False, deadline=time.monotonic() - 1.0)
+        _kept_masks(words, (), deadline=time.monotonic() - 1.0)
 
 
 @common
@@ -417,7 +418,8 @@ def test_colex_first_cover_matches_brute_force(n, data):
     words = _as_words([sum(1 << free[p] for p in ps) for ps in positions], 1)
     cover, _, members = reference_family(words, [free[p] for p in order])
     place = np.argsort(order).tolist()
-    got, nodes = _colex_first_cover(cover, members, place, r, lambda nodes: None)
+    got, nodes = _colex_first_cover(cover, members, place, r, lambda nodes: None,
+                                     _Orbits(None, place, place))
     want = next((list(c) for c in size_colex_subsets(n, r, r)
                  if all(ps & set(c) for ps in positions)), None)
     assert got == want
@@ -463,7 +465,8 @@ def test_colex_first_cover_matches_reference_kernel(case):
     if split:
         assert not members[0] & members[-1]
     for r in range(n + 1):
-        got = _colex_first_cover(cover, members, list(range(n)), r, lambda nodes: None)
+        got = _colex_first_cover(cover, members, list(range(n)), r, lambda nodes: None,
+                                 _Orbits(None, range(n), range(n)))
         assert got == reference_colex_first_cover(cover, lowest, members, r)
 
 
@@ -481,7 +484,8 @@ def test_decision_ignores_position_order(case, data):
     shuffled, _, shuffled_members = reference_family(words, perm)
     place = np.argsort(perm).tolist()
     for r in range(n + 1):
-        got, nodes = _colex_first_cover(shuffled, shuffled_members, place, r, lambda nodes: None)
+        got, nodes = _colex_first_cover(shuffled, shuffled_members, place, r,
+                                        lambda nodes: None, _Orbits(None, place, place))
         assert got == reference_colex_first_cover(cover, lowest, members, r)[0]
         assert nodes >= 1
 

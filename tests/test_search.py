@@ -17,10 +17,12 @@ from resolving import (
     demo_graph,
     dimension_lower_bounds,
     flower_snark,
+    forced_vertices,
     metric_dimension,
     path_graph,
     rook_graph,
     search,
+    snark,
     star_graph,
     tree_from_parents,
     verify_basis_certificate,
@@ -34,6 +36,7 @@ from conftest import (
     random_connected_graph,
     reference_kept_masks,
     reference_metric_dimension,
+    reference_split_forced,
 )
 
 
@@ -293,7 +296,8 @@ def _search_family(g, mode):
     """The degree-ordered family that ``metric_dimension`` searches for
     ``mode`` (cover, members, place), and the graph's group on it."""
     dm = all_pairs_distances(g)
-    forced, _, masks = search._kept_masks(search._mode_masks(dm, mode), mode.kind != "doubly")
+    forced = () if mode.kind == "doubly" else forced_vertices(g, mode.order, mode.kind)
+    _, masks = search._kept_masks(search._mode_masks(dm, mode), forced)
     free = [v for v in range(g.n) if v not in forced]
     member = search._member_matrix(masks, free)
     by_degree = np.argsort(-member.sum(axis=0, dtype=np.int64), kind="stable")
@@ -315,7 +319,8 @@ def test_orbital_kernel_matches_kernel_without_group(name, seed):
         cover, members, place, orbits = _search_family(g, mode)
         family = cover, members, place
         for r in range(len(place) + 1):
-            want, plain = search._colex_first_cover(*family, r, lambda nodes: None)
+            want, plain = search._colex_first_cover(*family, r, lambda nodes: None,
+                                                    search._Orbits(None, place, place))
             got, nodes = search._colex_first_cover(*family, r, lambda nodes: None, orbits)
             assert got == want, (mode, r)
             if got is None:
@@ -326,7 +331,8 @@ def test_orbital_kernel_matches_kernel_without_group(name, seed):
 
 def test_budget_runs_out_inside_an_orbital_exhaustion(monkeypatch):
     # every node ticks, and the hook sleeps out the budget at its first
-    # tick from a node that branches on orbits (nonzero h): the search
+    # tick from a node that branches on orbits (nonzero h, r >= 2; a root
+    # at r = 1 holds the group but never branches on it): the search
     # stops there, with that cardinality as the bound
     monkeypatch.setattr(search, "PROGRESS_NODES", 1)
     budget = 0.3
@@ -335,7 +341,8 @@ def test_budget_runs_out_inside_an_orbital_exhaustion(monkeypatch):
     def progress(k, step, nodes):
         # frames: this hook, the search's tick, and the caller of tick
         caller = sys._getframe(2)
-        if not interrupted and caller.f_code.co_name == "hits" and caller.f_locals.get("h"):
+        if (not interrupted and caller.f_code.co_name == "hits" and caller.f_locals.get("h")
+                and caller.f_locals["r"] >= 2):
             interrupted.append(k)
             time.sleep(budget)
 
@@ -354,6 +361,55 @@ def test_flower_snark_11_solid_2():
     assert res.value == 16
     assert res.basis == (0, 5, 6, 12, 13, 14, 15, 17, 18, 19, 20, 21, 22, 27, 33, 38)
     assert res.stats.exhausted_through == 15
+
+
+# the benchmark's search cases at native labels: (graph, mode, k_max) ->
+# value, basis, lower bound and source, subsets_checked, exhausted_through,
+# mask_count, masks_kept, nodes.  The last row is the search inside the
+# minimality proof of the J9 solid1 recipe, which stops below its 6 anchors
+_PINNED_SEARCHES = [
+    ("J9", Mode.solid(1), None, 6, (0, 5, 13, 18, 22, 27), 6, 769368, 5, 505, 226, 604),
+    ("J11", Mode.solid(1), None, 6, (0, 6, 16, 22, 27, 33), 6, 2432138, 5, 617, 276, 978),
+    ("J5", Mode.solid(2), None, 10, (0, 2, 3, 6, 8, 9, 10, 12, 15, 17), 10, 456925, 9, 1021,
+     30, 614),
+    ("J5", Mode.resolving(2), None, 7, (0, 3, 6, 7, 10, 12, 15), 7, 68129, 6, 12079, 746, 317),
+    ("J7", Mode.resolving(2), None, 8, (0, 4, 6, 9, 10, 14, 17, 21), 8, 1909563, 7, 41325,
+     1877, 3481),
+    ("J5", Mode.resolving(3), None, 15, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 17), 15,
+     1027065, 14, 186397, 75, 1864),
+    ("rook5x4", Mode.resolving(2), None, 10, (1, 3, 4, 7, 9, 10, 12, 14, 16, 17), 10, 466972,
+     9, 15845, 569, 4057),
+    ("J7", Mode.doubly(), None, 4, (3, 7, 9, 14), 4, 4764, 3, 1157, 225, 34),
+    ("J9", Mode.solid(1), 5, None, None, 6, 443667, 5, 505, 226, 502),
+]
+
+
+_PINNED_GRAPHS = {"J5": flower_snark(5), "J7": flower_snark(7), "J9": flower_snark(9),
+                  "J11": flower_snark(11), "rook5x4": rook_graph(5, 4)}
+
+
+def test_search_workload_answers_and_counters_are_pinned():
+    for name, mode, k_max, value, basis, lb, subsets, exhausted, count, kept, nodes \
+            in _PINNED_SEARCHES:
+        res = dim(_PINNED_GRAPHS[name], mode, k_max=k_max)
+        s = res.stats
+        got = (res.value, res.basis, res.lower_bound, res.lower_bound_source,
+               s.subsets_checked, s.exhausted_through, s.mask_count, s.masks_kept, s.nodes)
+        assert got == (value, basis, lb, "exhausted-cardinality", subsets, exhausted, count,
+                       kept, nodes), (name, mode)
+    report = verify_basis_certificate(_PINNED_GRAPHS["J9"], Mode.solid(1),
+                                      snark.recipe_set("solid1", 9))
+    assert report.status == "confirmed-minimum"
+
+
+def test_search_workload_forced_vertices_are_the_singleton_masks():
+    # the vertices the search holds forced are those of its single-vertex
+    # separator masks
+    for name, mode, *_ in _PINNED_SEARCHES:
+        if mode.kind != "doubly":
+            g = _PINNED_GRAPHS[name]
+            masks = search._mode_masks(all_pairs_distances(g), mode)
+            assert reference_split_forced(masks)[0] == forced_vertices(g, mode.order, mode.kind)
 
 
 def test_basis_is_minimal_in_enumeration(rng):
@@ -446,24 +502,29 @@ _KEPT_CASES = _BOUNDARY_CASES + _J5_CASES + _FORCED_CASES + [
 @pytest.mark.parametrize("g, mode", [case[1:] for case in _KEPT_CASES],
                          ids=[case[0] for case in _KEPT_CASES])
 def test_kept_masks_match_reference_passes(g, mode, block_words, monkeypatch):
-    # the one pass returns what the forced split and the minimal-mask
-    # reduction returned: the same forced vertices, count and kept masks,
-    # byte for byte in the same order; with small blocks the reduction
-    # runs a chunk of a few masks at a time
+    # the search takes its forced vertices from the local rule of
+    # forced_vertices: they are the vertices of the single-vertex masks.
+    # Dropping the masks they are in and reducing the rest in one pass
+    # returns what the forced split and the minimal-mask reduction
+    # returned: the same count and kept masks, byte for byte in the same
+    # order; with small blocks the reduction runs a chunk of a few masks
+    # at a time
     if block_words is not None:
         monkeypatch.setattr(search, "_BLOCK_WORDS", block_words)
     masks = search._mode_masks(all_pairs_distances(g), mode)
-    forced, count, kept = search._kept_masks(masks, mode.kind != "doubly")
-    ref_forced, ref_count, ref_kept = reference_kept_masks(masks, mode.kind != "doubly")
-    assert (forced, count) == (ref_forced, ref_count)
+    split = mode.kind != "doubly"
+    ref_forced, ref_count, ref_kept = reference_kept_masks(masks, split)
+    if split:
+        assert ref_forced == forced_vertices(g, mode.order, mode.kind)
+    count, kept = search._kept_masks(masks, ref_forced)
+    assert count == ref_count
     assert (kept.shape, kept.dtype) == (ref_kept.shape, ref_kept.dtype)
     assert kept.tobytes() == ref_kept.tobytes()
 
 
 def test_kept_masks_cases_have_forced_vertices():
     for _, g, mode in _FORCED_CASES:
-        masks = search._mode_masks(all_pairs_distances(g), mode)
-        assert search._kept_masks(masks, True)[0], mode
+        assert forced_vertices(g, mode.order, mode.kind), mode
 
 
 # ---------------------------------------------------------------------------
@@ -640,17 +701,42 @@ def test_k_max_cuts_off_search():
     assert res.lower_bound_source == "forced-count"
 
 
-def test_forced_count_needs_the_masks():
-    # every cell of a rook's graph is forced for 2-solid, but the forced
-    # vertices are read off the separator masks, so a budget that runs out
-    # before they are built leaves only the l + 1 rule
+def test_forced_count_holds_on_a_zero_budget():
+    # every cell of a rook's graph is forced for 2-solid; the forced
+    # vertices are found before the separator masks, so a budget that runs
+    # out before any mask is built still certifies their count
     g = rook_graph(4, 4)
     res = dim(g, Mode.solid(2), budget_s=0.0)
-    assert res.value is None
-    assert (res.lower_bound, res.lower_bound_source) == (3, "l-plus-1-rule")
+    assert (res.value, res.lower_bound, res.lower_bound_source) == (None, 16, "forced-count")
     res = dim(g, Mode.solid(2))
     assert res.value == 16 and res.basis == tuple(range(16))
     assert (res.lower_bound, res.lower_bound_source) == (16, "forced-count")
+
+
+def test_forced_count_holds_when_the_budget_ends_in_the_mask_build(monkeypatch):
+    # the cli workload's tree has 5 forced vertices for {2}-resolving; the
+    # clock passes the deadline as the first of several mask blocks is
+    # handed out, and the bound is still their count
+    g = tree_from_parents((0, 0, 1, 1, 2, 2, 3, 3))
+    monkeypatch.setattr(search, "_BLOCK_WORDS", 64)
+    dist = all_pairs_distances(g).dist
+    assert len(list(search._mode_blocks(dist, Mode.resolving(2)))) > 1
+    now = [0.0]
+    blocks = []
+    mode_blocks = search._mode_blocks
+
+    def counted_blocks(dist, mode):
+        for block in mode_blocks(dist, mode):
+            blocks.append(block.shape)
+            now[0] = 2.0
+            yield block
+
+    monkeypatch.setattr(search, "_mode_blocks", counted_blocks)
+    monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
+    res = dim(g, Mode.resolving(2), budget_s=1.0)
+    assert len(blocks) == 1
+    assert (res.value, res.basis) == (None, None)
+    assert (res.lower_bound, res.lower_bound_source) == (5, "forced-count")
 
 
 def test_lower_bound_provenances():
