@@ -500,6 +500,9 @@ def verify_witness(dm, anchors, witness):
         ay = distance_array(dm, anchors, y)
         return all(a >= b for a, b in zip(ax, ay))
     if isinstance(witness, UnresolvedPair):
-        diffs = {dm[witness.u, s] - dm[witness.v, s] for s in anchors}
+        (u,), (v,) = (_as_vertex_set((w,), dm.n, what="witness pair") for w in (witness.u, witness.v))
+        if u == v:
+            return False
+        diffs = {dm[u, s] - dm[v, s] for s in anchors}
         return diffs == {witness.difference}
     raise TypeError(f"not a witness: {witness!r}")

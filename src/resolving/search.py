@@ -18,22 +18,22 @@ candidate set passes iff it intersects every "separator" mask.
   d(., v) + top + c differ.
 
 The masks are bitsets kept word-major, one numpy row per word, from build
-through reduction.  Their words are of the smallest unsigned type that
-holds n bits when one word holds a mask (n <= 64), since narrower words
-sort and compare faster, and uint64 otherwise.  They are built in that
-type, in blocks from bit slices of the distance rows (for each bit of the
-distances, the bitset of vertices where that bit is 1): the {l}-resolving
-and doubly masks are the union over slices of where two rows differ, the
-l-solid mask a bit-serial less-than, top bit first.  The masks are then
-deduplicated: where one word holds a mask and a table of 2^n flags takes
+through reduction, in the smallest unsigned type that holds n bits when
+one word holds a mask (n <= 64), else uint64.  ``_mode_blocks`` is the one
+place that knows each family: its rows (bit slices of the distances, one
+bitset per bit), how they are paired, and how many masks that builds.
+The {l}-resolving and doubly masks are where two rows differ, each row
+group compared with the half of the groups after it, cyclically; the
+l-solid masks are a bit-serial less-than.  That count picks the
+deduplication: where one word holds a mask and a table of 2^n flags takes
 no more bytes than the masks built, each block sets its masks' flags and
-the set flags are read off ascending, with no sort and no merge; otherwise
-each block is sorted and the parts are merged.  The forced vertices, which
-every passing set contains, are those of the single-vertex masks (resolving
-and solid modes), known beforehand from ``checks.forced_vertices``.  One
-pass drops the masks they are in, sorts the rest by size and reduces them
-to their minimal antichain: a set hits every mask iff it hits every mask
-that holds no other.
+the set flags are read off ascending; otherwise each block is sorted and
+the parts are merged.  The forced vertices, which every passing set
+contains, are those of the single-vertex masks (resolving and solid
+modes), known beforehand from ``checks.forced_vertices``.  One pass drops
+the masks they are in, sorts the rest by size and reduces them to their
+minimal antichain: a set hits every mask iff it hits every mask that
+holds no other.
 
 Cardinalities are tried in ascending order.  For each, one recursion over
 the non-forced vertices, branching on the members of an unhit mask, decides
@@ -54,15 +54,16 @@ and the set it finds is the one an ascending search in vertex order finds.
 The masks are defined from distances alone, so every automorphism of the
 graph maps the forced vertices onto themselves and the kept masks onto
 the kept masks.  Once the masks are kept, before the first cardinality,
-the group is read off the distance matrix: an automorphism is fixed by
-the images of a resolving base, so the candidate images of a greedy base
-are extended level by level and every map they give is checked against
-the edges (or, past a fixed number of candidates, the search goes on
-without it).  The same recursion then decides each cardinality by
-orbital branching: it is handed the automorphisms that fix the positions
-taken so far, and when the branch on a position fails, so do the
-branches on every position they map it to, which are dropped.  Where
-none is left it branches as without the group.  The answer is
+and only if some cardinality places two positions (the group cannot
+prune fewer), the group is read off the distance matrix: an automorphism
+is fixed by the images of a resolving base, so the candidate images of a
+greedy base are extended level by level and every map they give is
+checked against the edges (or, past a fixed number of candidates, the
+search goes on without it).  The same recursion then decides each
+cardinality by orbital branching: it is handed the automorphisms that fix
+the positions taken so far, and when the branch on a position fails, so
+do the branches on every position they map it to, which are dropped.
+Where none is left it branches as without the group.  The answer is
 unchanged; only the nodes it takes are fewer.
 """
 
@@ -219,24 +220,27 @@ def _differ(x, y):
     return words.reshape(shape[0], -1).T
 
 
-def _resolving_blocks(dist, order):
-    # {v : d(v, X) != d(v, Y)} is the union over bit slices of where X and Y
-    # differ.  Row i is paired with row i + d (mod s) for d = 1 .. s // 2,
-    # which meets every pair of rows once (those at d = s / 2 twice)
-    slices = _slices(set_arrays(dist, size_colex_array(len(dist), order)))
-    _, width, s = slices.shape
+def _pairs(rows, count, first, stride):
+    """Masks where row ``first`` of group i differs from each row of the
+    ``count // 2`` groups after it, cyclically, the rows (bit slices, of
+    shape (depth, width, count * stride)) taken ``stride`` to a group.
+    This meets every pair of groups once (those count / 2 apart twice).
+    Returns the number of masks and their blocks, cut by group."""
+    _, width, _ = rows.shape
+    after = count // 2 * stride
+    # entry [.., i, :] of shifted is the rows of groups i + 1 .. i + count // 2
     shifted = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([slices, slices], axis=2), s, axis=2)
-    for lo, hi in _row_blocks(s // 2, s * width):
-        yield _differ(slices[:, :, None, :], shifted[:, :, lo + 1:hi + 1])
+        np.concatenate([rows, rows], axis=2), after, axis=2)[:, :, stride::stride]
+    blocks = (_differ(rows[:, :, lo * stride + first:hi * stride:stride, None], shifted[:, :, lo:hi])
+              for lo, hi in _row_blocks(count, after * width))
+    return count * after, blocks
 
 
-def _solid_blocks(dist, order):
+def _solid_blocks(targets, n):
     # {v : d(v, x) < d(v, Y)} by a bit-serial compare, top bit first; the
-    # row of x in dist is d(., x), and pairs with x in Y give empty masks
-    targets = _slices(set_arrays(dist, size_colex_array(len(dist), order)))
+    # first n sets are the singletons, so the row of x is d(., x), and
+    # pairs with x in Y give empty masks
     _, width, t = targets.shape
-    n = len(dist)
     for lo, hi in _row_blocks(n, t * width):
         less = np.zeros((width, hi - lo, t), dtype=targets.dtype)
         same = ~less
@@ -250,33 +254,32 @@ def _solid_blocks(dist, order):
         yield less.reshape(width, -1).T
 
 
-def _doubly_blocks(dist):
-    # row (v, j) is d(., v) + j, v-major, for 0 <= j < span; the mask of
-    # (u, v, c) is where row (u, top) differs from row (v, top + c).
-    # Swapping u and v negates c, so row (u, top) is paired with the rows
-    # of v = u + d (mod n) for d = 1 .. n // 2, which meets every unordered
-    # pair {u, v} once (those at d = n / 2 twice)
-    n = len(dist)
-    top = int(dist.max())
-    span = 2 * top + 1
-    rows = _slices((dist[:, None, :] + np.arange(span, dtype=dist.dtype)[:, None]).reshape(-1, n))
-    width = rows.shape[1]
-    after = n // 2 * span
-    shifted = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([rows, rows], axis=2), after, axis=2)[:, :, span::span]
-    for lo, hi in _row_blocks(n, after * width):
-        words = _differ(rows[:, :, lo * span + top:hi * span:span, None], shifted[:, :, lo:hi])
-        # levels the difference never takes give all-vertex masks
-        yield np.compress(np.bitwise_count(words).sum(axis=1) < n, words.T, axis=1).T
-
-
 def _mode_blocks(dist, mode):
+    """The separator masks of ``mode``: how many are built before any
+    drop, and their blocks (rows of words).
+
+    * {l}-resolving: the rows are D(X) for the s sets X of size <= l, each
+      paired with the s // 2 after it (``_pairs``, stride 1).
+    * l-solid: each vertex x against the same s rows (``_solid_blocks``).
+    * doubly: the rows are d(., v) + j, 0 <= j < span = 2 top + 1, a group
+      of span rows per vertex, and the mask of (u, v, c) is where rows
+      (u, top) and (v, top + c) differ.  Swapping u and v negates c, so row
+      (u, top) is paired with the rows of the n // 2 vertices after u
+      (``_pairs``, stride span); each block drops its all-vertex masks
+      (levels the difference never takes)."""
+    n = len(dist)
+    if mode.kind == "doubly":
+        top = int(dist.max())
+        span = 2 * top + 1
+        rows = _slices((dist[:, None, :] + np.arange(span, dtype=dist.dtype)[:, None]).reshape(-1, n))
+        raw, blocks = _pairs(rows, n, top, span)
+        return raw, (np.compress(np.bitwise_count(words).sum(axis=1) < n, words.T, axis=1).T
+                     for words in blocks)
+    sets = _slices(set_arrays(dist, size_colex_array(n, mode.order)))
+    s = sets.shape[2]
     if mode.kind == "resolving":
-        yield from _resolving_blocks(dist, mode.order)
-    elif mode.kind == "solid":
-        yield from _solid_blocks(dist, mode.order)
-    else:
-        yield from _doubly_blocks(dist)
+        return _pairs(sets, s, 0, 1)
+    return n * s, _solid_blocks(sets, n)
 
 
 def _unique_columns(cols):
@@ -300,14 +303,6 @@ def _word_type(n):
     return np.dtype(np.min_scalar_type((1 << n) - 1) if n <= 64 else np.uint64).newbyteorder("<")
 
 
-def _raw_count(n, mode, top):
-    """Masks ``_mode_blocks`` builds for diameter ``top``, before any drop."""
-    if mode.kind == "doubly":
-        return n * (n // 2) * (2 * top + 1)
-    s = sum(comb(n, i) for i in range(1, mode.order + 1))
-    return s // 2 * s if mode.kind == "resolving" else n * s
-
-
 def _table_fits(n, raw):
     """Whether ``raw`` masks over n vertices go through a table of 2^n
     flags: one word holds a mask, and the table is no larger than they are."""
@@ -322,16 +317,17 @@ def _mode_masks(dm, mode, deadline=None):
     no read-off or merge starts once it has passed."""
     n = dm.n
     dist = dm.dist.astype(np.int16 if n < 1 << 15 else np.int32)
-    if _table_fits(n, _raw_count(n, mode, int(dist.max()))):
+    raw, blocks = _mode_blocks(dist, mode)
+    if _table_fits(n, raw):
         seen = np.zeros(1 << n, dtype=bool)
-        for block in _mode_blocks(dist, mode):
+        for block in blocks:
             # indexing with an intp copy is faster than with the mask words
             seen[block[:, 0].astype(np.intp)] = True
             _check_deadline(deadline)
         seen[0] = False
         return np.flatnonzero(seen).astype(_word_type(n))[:, None]
     parts = []
-    for block in _mode_blocks(dist, mode):
+    for block in blocks:
         parts.append(_unique_columns(block.T))
         _check_deadline(deadline)
         if len(parts) >= 32:
@@ -672,7 +668,9 @@ def metric_dimension(g, config):
             place = np.argsort(by_degree).tolist()
         stats.masks_kept = len(masks)
         with _phase(stats, "group"):
-            orbits = _Orbits(_automorphisms(dm.dist), free, place)
+            # the group prunes only where some cardinality places two positions
+            prunes = lb <= k_hi and min(k_hi - len(forced), len(free)) >= 2
+            orbits = _Orbits(_automorphisms(dm.dist) if prunes else None, free, place)
         with _phase(stats, "search"):
             for k in range(lb, k_hi + 1):
                 step = 0

@@ -47,6 +47,15 @@ def _validate_n(n):
     return n
 
 
+def _snark_vertices(vertices, n):
+    """``vertices`` as ints, each checked to be a vertex of J_n."""
+    out = tuple(int(v) for v in vertices)
+    for v in out:
+        if not 0 <= v < 4 * n:
+            raise GraphError(f"vertex {v} is not in J_{n}, whose vertices are 0..{4 * n - 1}")
+    return out
+
+
 def snark_vertex(role, i, n):
     """Flat index of role in {a,b,c,d} at star i (1-based, wraps mod n)."""
     _validate_n(n)
@@ -314,7 +323,7 @@ def _max_cyclic_gap(present, length):
 def gap_statistics(s, n):
     _validate_n(n)
     k = (n - 1) // 2
-    members = set(s)
+    members = set(_snark_vertices(s, n))
     a_hits = [v for v in members if 0 <= v < n]
     cycle_hits = [v - 2 * n for v in members if 2 * n <= v < 4 * n]
     return GapReport(
@@ -448,7 +457,7 @@ def reduction_distance_check(n, s):
     m, k, l = alpha.m, alpha.k, alpha.l
     band = admissible_stars(n)
     allowed = set(band)
-    members = tuple(sorted(set(int(v) for v in s)))
+    members = tuple(sorted(set(_snark_vertices(s, n))))
     for v in members:
         if star_of(v, n) not in allowed:
             raise GraphError(
@@ -509,6 +518,7 @@ def star_distance(u, v, n):
     different stars.
     """
     g, dm = snark_context(n)
+    u, v = _snark_vertices((u, v), n)
     total = dm[u, v]
     on_dag = [w for w in range(4 * n) if dm[u, w] + dm[w, v] == total]
     on_dag.sort(key=lambda w: dm[u, w])

@@ -430,6 +430,18 @@ def test_verify_witness_rejects_fabrications(demo):
         verify_witness(dm, S1, "bogus")
 
 
+def test_verify_witness_rejects_bogus_unresolved_pairs():
+    # a vertex and itself differ by 0 at every anchor, but are no pair
+    dm = all_pairs_distances(path_graph(4))
+    assert not verify_witness(dm, (0,), UnresolvedPair(1, 1, 0))
+    assert not verify_witness(dm, (0, 3), UnresolvedPair(2, 2, 0))
+    assert verify_witness(dm, (0,), UnresolvedPair(1, 2, -1))
+    # -1 would index vertex 3, and 7 lies past the matrix
+    for u, v in ((-1, 2), (2, -1), (7, 2), (2, 4)):
+        with pytest.raises(ModeError, match="out of range"):
+            verify_witness(dm, (0,), UnresolvedPair(u, v, 1))
+
+
 def test_checkers_match_oracles_randomized(rng):
     hits = 0
     for _ in range(80):

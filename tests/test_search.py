@@ -292,6 +292,35 @@ def test_orbital_branching_matches_search_without_group(name, seed, monkeypatch)
     assert [_outcome(dim(g, mode)) for mode in modes] == with_group
 
 
+@pytest.mark.parametrize("g, mode, k_max", [
+    (star_graph(3), Mode.solid(2), None),
+    (star_graph(3), Mode.solid(2), 2),
+    (rook_graph(4, 4), Mode.solid(2), None),
+], ids=["K1,3-solid2", "K1,3-solid2-kmax2", "rook4x4-solid2"])
+def test_group_is_not_read_where_no_cardinality_places_two_positions(g, mode, k_max, monkeypatch):
+    # K1,3 {2}-solid leaves one free position, every cell of rook 4x4 is
+    # forced, and k_max = 2 is below the forced count of K1,3: no
+    # cardinality branches on two positions, so the group cannot prune
+    want = _outcome(dim(g, mode, k_max=k_max))
+
+    def automorphisms(dist):
+        raise AssertionError("the group was read")
+
+    monkeypatch.setattr(search, "_automorphisms", automorphisms)
+    res = dim(g, mode, k_max=k_max)
+    assert _outcome(res) == want
+    assert "group" in res.stats.phase_ms
+
+
+def test_group_is_read_where_a_cardinality_places_two_positions(monkeypatch):
+    calls = []
+    automorphisms = search._automorphisms
+    monkeypatch.setattr(search, "_automorphisms",
+                        lambda dist: calls.append(len(dist)) or automorphisms(dist))
+    assert dim(flower_snark(5), Mode.resolving(2)).value == 7
+    assert calls == [20]
+
+
 def _search_family(g, mode):
     """The degree-ordered family that ``metric_dimension`` searches for
     ``mode`` (cover, members, place), and the graph's group on it."""
@@ -543,8 +572,8 @@ _DEDUP_CASES = [(f"{name}{n}-{_mode_id(mode)}", make(n), mode)
 
 
 def _takes_table(g, mode):
-    top = int(all_pairs_distances(g).dist.max())
-    return search._table_fits(g.n, search._raw_count(g.n, mode, top))
+    raw, _ = search._mode_blocks(all_pairs_distances(g).dist, mode)
+    return search._table_fits(g.n, raw)
 
 
 @pytest.mark.parametrize("g, mode", [case[1:] for case in _DEDUP_CASES],
@@ -567,6 +596,23 @@ def test_dedup_cases_take_both_paths():
     assert not _takes_table(flower_snark(5), Mode.resolving(2))
     assert not _takes_table(flower_snark(7), Mode.resolving(3))
     assert not _takes_table(flower_snark(9), Mode.resolving(3))
+
+
+@pytest.mark.parametrize("g, mode", [case[1:] for case in _DEDUP_CASES],
+                         ids=[case[0] for case in _DEDUP_CASES])
+def test_stated_mask_count_matches_the_blocks(g, mode):
+    # the count that picks the table or the sort is that of the masks the
+    # blocks build; doubly blocks drop, per pair of vertices, the levels c
+    # in -top .. top that d(., u) - d(., v) never takes
+    dist = all_pairs_distances(g).dist
+    raw, blocks = search._mode_blocks(dist, mode)
+    built = sum(len(block) for block in blocks)
+    if mode.kind == "doubly":
+        n, top = g.n, int(dist.max())
+        for u in range(n):
+            for v in ((u + d) % n for d in range(1, n // 2 + 1)):
+                built += 2 * top + 1 - len(set((dist[:, u] - dist[:, v]).tolist()))
+    assert raw == built
 
 
 @pytest.mark.parametrize("g", [flower_snark(5), rook_graph(4, 4)], ids=["J5", "rook4x4"])
@@ -647,11 +693,15 @@ def test_no_table_read_off_after_the_deadline(monkeypatch):
     mode_blocks, flatnonzero = search._mode_blocks, np.flatnonzero
 
     def counted_blocks(dist, mode):
-        for block in mode_blocks(dist, mode):
-            blocks.append(block.shape)
-            if len(blocks) == 2:
-                now[0] = 2.0
-            yield block
+        raw, built = mode_blocks(dist, mode)
+
+        def counted():
+            for block in built:
+                blocks.append(block.shape)
+                if len(blocks) == 2:
+                    now[0] = 2.0
+                yield block
+        return raw, counted()
 
     def counted_flatnonzero(a):
         read_offs.append(a.shape)
@@ -720,16 +770,20 @@ def test_forced_count_holds_when_the_budget_ends_in_the_mask_build(monkeypatch):
     g = tree_from_parents((0, 0, 1, 1, 2, 2, 3, 3))
     monkeypatch.setattr(search, "_BLOCK_WORDS", 64)
     dist = all_pairs_distances(g).dist
-    assert len(list(search._mode_blocks(dist, Mode.resolving(2)))) > 1
+    assert len(list(search._mode_blocks(dist, Mode.resolving(2))[1])) > 1
     now = [0.0]
     blocks = []
     mode_blocks = search._mode_blocks
 
     def counted_blocks(dist, mode):
-        for block in mode_blocks(dist, mode):
-            blocks.append(block.shape)
-            now[0] = 2.0
-            yield block
+        raw, built = mode_blocks(dist, mode)
+
+        def counted():
+            for block in built:
+                blocks.append(block.shape)
+                now[0] = 2.0
+                yield block
+        return raw, counted()
 
     monkeypatch.setattr(search, "_mode_blocks", counted_blocks)
     monkeypatch.setattr(search.time, "monotonic", lambda: now[0])

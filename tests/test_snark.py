@@ -282,6 +282,20 @@ def test_reduction_rejects_forbidden_sources():
         reduction_distance_check(9, (snark_vertex("a", 1, 9),))
 
 
+def test_snark_helpers_reject_vertices_outside_the_graph():
+    # J9 has vertices 0..35, J5 0..19; -3 would index from the end
+    for bad in (-3, 36, 42):
+        with pytest.raises(GraphError, match=f"vertex {bad} "):
+            reduction_distance_check(9, (bad,))
+    for u, v, bad in ((-1, 3, -1), (0, 99, 99), (20, 0, 20)):
+        with pytest.raises(GraphError, match=f"vertex {bad} "):
+            star_distance(u, v, 5)
+    for members in ((-1, 100, 3), (3, 20)):
+        with pytest.raises(GraphError, match="is not in J_5"):
+            gap_statistics(members, 5)
+    assert gap_statistics((0, 19), 5).a_gap == 4
+
+
 def test_reduction_sampled_large():
     verts = admissible_vertices(21)
     sample = verts[::7]
