@@ -82,6 +82,8 @@ class Mode:
             raise ModeError(
                 f"solid order {self.order} needs at least {self.order + 1} vertices"
             )
+        if self.kind == "doubly" and n < 2:
+            raise ModeError("doubly-resolving needs at least two vertices")
 
     def describe(self):
         if self.kind == "doubly":

@@ -4,7 +4,8 @@ Subcommands: gen, check, dim, forced, rook-lb, design, snark-suite,
 product.  Reports print as text by default and as JSON with --json; JSON
 output is byte-identical across identical invocations, so wall-clock
 timings stay zero unless --timing is given.  Under --timing, dim also
-reports the search's node count, kept masks and phase times.
+reports the search's node count, kept masks, the cardinalities it
+decided and phase times.
 
 Graphs are named by small tokens: J7 / snark:7 (flower snark), P9 / path:9,
 C6 / cycle:6, K5 / complete:5, K1,3 / star:3, rook:7,7, tree:0,0,1 (parent
@@ -22,6 +23,7 @@ import json
 import re
 import sys
 import time
+from math import isinf
 
 from . import __version__, checks, graphs, io as gio, rook, snark
 from .checks import Mode
@@ -148,7 +150,7 @@ def _finish(args, clock, command, result, lines, witness=None, digest=None):
         "witness": witness,
         "millis": clock.millis(),
     }
-    print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+    print(json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False))
 
 
 def _write_graph(args, clock, command, g, result):
@@ -177,6 +179,14 @@ def _positive(kind):
             raise argparse.ArgumentTypeError(f"{kind} must be at least 1")
         return value
     return convert
+
+
+def _budget(args):
+    """The --budget seconds, refused when infinite: JSON has no infinity,
+    and the dim report echoes the budget.  The search refuses NaN."""
+    if isinf(args.budget):
+        raise ValueError(f"budget must be a finite number of seconds, not {args.budget}")
+    return args.budget
 
 
 def _cmd_gen(args):
@@ -232,7 +242,7 @@ def _cmd_dim(args):
     clock = _Clock(args.timing)
     g = parse_graph_token(args.graph)
     mode = _mode_from_args(args)
-    config = SearchConfig(mode=mode, budget_s=args.budget, k_max=args.k_max)
+    config = SearchConfig(mode=mode, budget_s=_budget(args), k_max=args.k_max)
     result = metric_dimension(g, config)
     labels = _labels(g, result.basis)
     payload = {
@@ -254,9 +264,10 @@ def _cmd_dim(args):
     if args.timing:
         stats = result.stats
         phase_ms = {name: round(ms, 3) for name, ms in stats.phase_ms.items()}
-        payload.update(nodes=stats.nodes, masks_kept=stats.masks_kept, phase_ms=phase_ms)
+        payload.update(nodes=stats.nodes, masks_kept=stats.masks_kept,
+                       decided=list(stats.decided), phase_ms=phase_ms)
         lines.append(f"search: {stats.nodes} nodes, {stats.masks_kept} of "
-                     f"{stats.mask_count} masks kept, phase ms "
+                     f"{stats.mask_count} masks kept, decided {list(stats.decided)}, phase ms "
                      + ", ".join(f"{name} {ms}" for name, ms in phase_ms.items()))
     _finish(args, clock, "dim", payload, lines, digest=_graph_digest(g))
     return 0 if result.exact else 1
@@ -344,7 +355,7 @@ def _parse_n_range(spec):
 def _cmd_snark_suite(args):
     ns = _parse_n_range(args.n)
     records = snark.snark_suite(ns, long=args.long, seed=args.seed,
-                                budget_s=args.budget)
+                                budget_s=_budget(args))
     failures = 0
     for rec in records:
         if not args.timing:
@@ -354,7 +365,7 @@ def _cmd_snark_suite(args):
         if not rec["holds"]:
             failures += 1
         if args.json:
-            print(json.dumps(_jsonable(rec), sort_keys=True))
+            print(json.dumps(_jsonable(rec), sort_keys=True, allow_nan=False))
         else:
             status = "ok" if rec["holds"] else "FAIL"
             extra = f"  [{rec['witness']}]" if rec["witness"] else ""

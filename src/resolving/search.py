@@ -35,36 +35,44 @@ the masks they are in, sorts the rest by size and reduces them to their
 minimal antichain: a set hits every mask iff it hits every mask that
 holds no other.
 
-Cardinalities are tried in ascending order.  For each, one recursion over
-the non-forced vertices, branching on the members of an unhit mask, decides
-whether that many hit every mask; with one position left, only members of
-both the last and the first unhit mask are tried, since a lone position
-must hit every unhit mask.  The recursion runs on one family, whose
-positions are the vertices sorted by descending mask degree (how many kept
-masks contain the vertex; ties in vertex order), so the vertices that hit
-the most masks are tried first and the labels only break ties.  Its answer
-does not depend on the order of the positions.  A failed decision
-exhausts the cardinality and certifies the dimension exceeds it.  At the
-first cardinality that passes, the same recursion on the same family,
-allowed only the positions of the vertices before each candidate, reads
-off the first passing set in colexicographic order of the vertices, which
-is re-verified with the public checker; the labels order that read-off,
-and the set it finds is the one an ascending search in vertex order finds.
+A greedy cover of the kept masks (repeatedly the vertex in the most
+unhit masks, then dropping the picks the others cover) plus the forced
+vertices caps the value: every cardinality from that cap up passes, since
+hitting every mask is kept by adding vertices.  Below the cap, a few
+cardinalities are decided by galloping (Bentley and Yao 1976): from the
+starting bound b, the next decided is min(cap - 1, k_max, 2 lb - b) for
+the current bound lb.  A failed decision exhausts every cardinality up to
+it and raises the bound past it; a passing one lowers the cap to it; a
+bound past k_max ends the search without a value.  Each decision is one
+recursion over the non-forced vertices, branching on the members of an
+unhit mask; with one position left, only members of both the last and
+the first unhit mask are tried, since a lone position must hit every
+unhit mask.  The recursion runs on one family, whose positions
+are the vertices sorted by descending mask degree (how many kept masks
+contain the vertex; ties in vertex order), so the vertices that hit the
+most masks are tried first and the labels only break ties.  Its answer
+does not depend on the order of the positions.  Once the bound meets the
+cap, the value, the same recursion on the same family, allowed only the
+positions of the vertices before each candidate, reads off the first
+passing set of that size in colexicographic order of the vertices
+without deciding it again, and the set is re-verified with the public
+checker; the labels order that read-off, and the set it finds is the one
+an ascending search in vertex order finds.
 
 The masks are defined from distances alone, so every automorphism of the
 graph maps the forced vertices onto themselves and the kept masks onto
-the kept masks.  Once the masks are kept, before the first cardinality,
-and only if some cardinality places two positions (the group cannot
-prune fewer), the group is read off the distance matrix: an automorphism
-is fixed by the images of a resolving base, so the candidate images of a
-greedy base are extended level by level and every map they give is
-checked against the edges (or, past a fixed number of candidates, the
-search goes on without it).  The same recursion then decides each
-cardinality by orbital branching: it is handed the automorphisms that fix
-the positions taken so far, and when the branch on a position fails, so
-do the branches on every position they map it to, which are dropped.
-Where none is left it branches as without the group.  The answer is
-unchanged; only the nodes it takes are fewer.
+the kept masks.  Once the masks are kept, before the first decision,
+and only if some decision places two positions (the group cannot prune
+fewer, nor the read-off), the group is read off the distance matrix: an
+automorphism is fixed by the images of a resolving base, so the
+candidate images of a greedy base are extended level by level and every
+map they give is checked against the edges (or, past a fixed number of
+candidates, the search goes on without it).  The same recursion then
+makes each decision by orbital branching: it is handed the
+automorphisms that fix the positions taken so far, and when the branch
+on a position fails, so do the branches on every position they map it
+to, which are dropped.  Where none is left it branches as without the
+group.  The answer is unchanged; only the nodes it takes are fewer.
 """
 
 from __future__ import annotations
@@ -103,28 +111,37 @@ class SearchConfig:
     # accepted for compatibility and ignored: the search is single-process
     workers: int = 1
     k_max: int | None = None
-    # progress(k, step, nodes): called at the start of each cardinality k
-    # (step 0) and every PROGRESS_NODES search nodes; k and the running
-    # node count never decrease
+    # progress(k, step, nodes): called at the start of each decision and
+    # of the read-off (step 0), and every PROGRESS_NODES search nodes; k is
+    # the cardinality being decided or read off, and may fall after a
+    # passing decision; the running node count never decreases
     progress: object | None = None
 
 
 @dataclasses.dataclass
 class SearchStats:
-    # sets a size-then-colex scan tests: all of each exhausted cardinality,
-    # then those up to and including the returned basis
+    # sets a size-then-colex scan tests: all of each exhausted cardinality
+    # (every one below the bound, decided or not), then those up to and
+    # including the returned basis
     subsets_checked: int = 0
     wall_ms: float = 0.0
+    # the largest exhausted cardinality, 0 if none: one below the bound
+    # once a decision has failed
     exhausted_through: int = 0
     # distinct separator masks that no forced vertex hits, and how many of
     # them are minimal (the ones searched), both read off in "reduce"
     mask_count: int = 0
     masks_kept: int = 0
     # calls of the decision recursion on the degree-ordered family: the
-    # decisions of all cardinalities tried, plus the read-off at the value
+    # decisions completed, plus the read-off at the value
     nodes: int = 0
+    # the cardinalities whose decision completed, in order (the read-off
+    # at the value is not a decision): galloping up from the lower bound,
+    # each below the smallest cardinality known to pass
+    decided: tuple = ()
     # milliseconds per phase: masks, reduce (masks no forced vertex is in,
-    # minimal masks, family), group (automorphisms), search, verify
+    # minimal masks, family, greedy cap), group (automorphisms), search
+    # (decisions and read-off), verify
     phase_ms: dict = dataclasses.field(default_factory=dict)
 
 
@@ -509,14 +526,33 @@ class _Orbits(dict):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive decision over one cardinality
+# the greedy cap, and the exhaustive decision and read-off over one family
 
 
-def _colex_first_cover(cover, members, place, r, tick, orbits):
-    """First r-subset of the vertices range(len(place)) in colex order
-    whose covers together hold every mask (an ascending list, or None),
-    and the number of decision calls.  Vertex v sits at position
-    ``place[v]`` of the family.
+def _greedy_cover(cover, count):
+    """Positions whose covers together hold all ``count`` masks: each step
+    takes the position in the most unhit masks, ties to the lowest; then,
+    last pick first, a pick that the other picks already cover is dropped."""
+    full = unhit = (1 << count) - 1
+    picks = []
+    while unhit:
+        counts = [(c & unhit).bit_count() for c in cover]
+        p = counts.index(max(counts))
+        picks.append(p)
+        unhit &= ~cover[p]
+    for p in picks[::-1]:
+        if reduce(or_, (cover[q] for q in picks if q != p), 0) == full:
+            picks.remove(p)
+    return picks
+
+
+def _cover_search(cover, members, place, tick, orbits):
+    """The decision and the read-off over one family of masks, where
+    vertex v of range(len(place)) sits at position ``place[v]``.  Returns
+    ``decide(r)``, whether some r positions hit every mask, and
+    ``read_off(r)``, the first r-subset of the vertices in colex order that
+    does (an ascending list), which must exist.  Each returns its answer
+    and the running number of decision calls of both.
 
     ``hits(unhit, allowed, r, h)`` decides whether at most r positions of
     the bitset ``allowed`` hit every unhit mask: exactly r where it is
@@ -530,20 +566,26 @@ def _colex_first_cover(cover, members, place, r, tick, orbits):
     bitset of the rows of ``orbits`` (an ``_Orbits`` of permutations of
     the positions that map the family onto itself, with no rows when the
     group is not enumerated) that fix every position taken so far: all of
-    them at the root of the decision, none in the read-off below.  The
-    subproblem is invariant under h, so when the branch on p fails, every
-    branch on p's h-orbit fails too, and the whole orbit leaves
-    ``allowed``; the branch on p hands on the rows of h that fix p
-    (orbital branching, Ostrowski et al. 2011).  ``tick(nodes)`` runs
-    every PROGRESS_NODES calls.  The answer depends neither on the
+    them at the root of a decision, none in the read-off.  The subproblem
+    is invariant under h, so when the branch on p fails, every branch on
+    p's h-orbit fails too, and the whole orbit leaves ``allowed``; the
+    branch on p hands on the rows of h that fix p (orbital branching,
+    Ostrowski et al. 2011).  ``tick(nodes)`` runs every PROGRESS_NODES
+    calls, with the running count.  The answer depends neither on the
     positions nor on h, but the work does.
 
-    When r positions hit every mask, the same family gives the colex-first
-    set, largest vertex first: the smallest t such that r - 1 vertices
-    before t hit the masks t leaves unhit.  The scan for t starts where
-    the vertices up to t first reach every unhit mask.
+    The read-off takes the colex-first set largest vertex first: the
+    smallest t such that r - 1 vertices before t hit the masks t leaves
+    unhit.  The scan for t starts where the vertices up to t first reach
+    every unhit mask.
     """
-    complement = [((1 << len(members)) - 1) ^ c for c in cover]
+    n = len(place)
+    full = (1 << len(members)) - 1
+    complement = [full ^ c for c in cover]
+    # below[t]: the positions of the vertices before t; reach[t]: the masks
+    # that some vertex up to t is in
+    below = list(accumulate((1 << p for p in place), or_, initial=0))
+    reach = list(accumulate((cover[p] for p in place), or_))
     nodes = 0
 
     def hits(unhit, allowed, r, h=0):
@@ -581,26 +623,24 @@ def _colex_first_cover(cover, members, place, r, tick, orbits):
                 branches &= ~orbit
         return False
 
-    n = len(place)
-    unhit = (1 << len(members)) - 1
-    if not hits(unhit, (1 << n) - 1, r, orbits.group):
-        return None, nodes
-    # below[t]: the positions of the vertices before t; reach[t]: the masks
-    # that some vertex up to t is in
-    below = list(accumulate((1 << p for p in place), or_, initial=0))
-    reach = list(accumulate((cover[p] for p in place), or_))
-    found = []
-    while r:
-        start = next((t for t in range(r - 1, n) if not unhit & ~reach[t]), n)
-        for t in range(start, n):
-            rest = unhit & complement[place[t]]
-            if hits(rest, below[t], r - 1):
-                break
-        else:
-            raise RuntimeError(f"no element completes a cover the search found ({r} left)")
-        found.append(t)
-        unhit, n, r = rest, t, r - 1
-    return found[::-1], nodes
+    def decide(r):
+        return hits(full, (1 << n) - 1, r, orbits.group), nodes
+
+    def read_off(r):
+        unhit, top, found = full, n, []
+        while r:
+            start = next((t for t in range(r - 1, top) if not unhit & ~reach[t]), top)
+            for t in range(start, top):
+                rest = unhit & complement[place[t]]
+                if hits(rest, below[t], r - 1):
+                    break
+            else:
+                raise RuntimeError(f"no element completes a cover the search found ({r} left)")
+            found.append(t)
+            unhit, top, r = rest, t, r - 1
+        return found[::-1], nodes
+
+    return decide, read_off
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +692,7 @@ def metric_dimension(g, config):
     def tick(nodes):
         nonlocal step
         if config.progress is not None:
-            config.progress(k, step, stats.nodes + nodes)
+            config.progress(k, step, nodes)
         step += 1
         _check_deadline(deadline)
 
@@ -666,25 +706,40 @@ def metric_dimension(g, config):
             by_degree = np.argsort(-member.sum(axis=0, dtype=np.int64), kind="stable")
             cover, members = _family(member[:, by_degree])
             place = np.argsort(by_degree).tolist()
+            # every cardinality from hi up passes: the forced vertices and a
+            # greedy cover, padded
+            hi = max(lb, len(forced) + len(_greedy_cover(cover, len(members))))
         stats.masks_kept = len(masks)
         with _phase(stats, "group"):
-            # the group prunes only where some cardinality places two positions
-            prunes = lb <= k_hi and min(k_hi - len(forced), len(free)) >= 2
+            # the group prunes only decisions, and only where one places two
+            # positions; the largest cardinality decided is below hi
+            top = min(hi - 1, k_hi)
+            prunes = lb <= top and top - len(forced) >= 2
             orbits = _Orbits(_automorphisms(dm.dist) if prunes else None, free, place)
         with _phase(stats, "search"):
-            for k in range(lb, k_hi + 1):
-                step = 0
-                tick(0)
-                hit, nodes = _colex_first_cover(cover, members, place, k - len(forced), tick, orbits)
-                stats.nodes += nodes
-                if hit is not None:
-                    stats.subsets_checked += colex_rank(hit) + 1
-                    break
-                stats.subsets_checked += comb(len(free), k - len(forced))
+            decide, read_off = _cover_search(cover, members, place, tick, orbits)
+            # galloping: the gap above the starting bound doubles with each
+            # failed decision, and a passing one lowers hi
+            start = lb
+            while lb < hi and lb <= k_hi:
+                k, step = min(hi - 1, k_hi, 2 * lb - start), 0
+                tick(stats.nodes)
+                passes, stats.nodes = decide(k - len(forced))
+                stats.decided += (k,)
+                if passes:
+                    hi = k
+                    continue
+                # a failed decision exhausts every cardinality up to k
+                stats.subsets_checked += sum(comb(len(free), j - len(forced))
+                                             for j in range(lb, k + 1))
                 stats.exhausted_through = k
                 lb, lb_source = k + 1, PROVENANCE_EXHAUSTED
-            else:
+            if lb > k_hi:
                 return _result(None, None)
+            k, step = hi, 0
+            tick(stats.nodes)
+            hit, stats.nodes = read_off(k - len(forced))
+            stats.subsets_checked += colex_rank(hit) + 1
     except _OutOfBudget:
         return _result(None, None)
     with _phase(stats, "verify"):
@@ -701,8 +756,14 @@ def metric_dimension(g, config):
 def verify_basis_certificate(g, mode, anchors, *, budget_s=60.0):
     """Certify that ``anchors`` passes its mode check and no smaller set does.
 
+    The search runs with ``k_max`` one below the anchors, so every
+    cardinality it decides is smaller: a passing decision lowers its cap,
+    and the colex-first set there is returned as ``smaller-set-exists``;
+    otherwise each failed decision exhausts the cardinalities up to it,
+    and the anchors are confirmed once every one below them is exhausted.
     Never returns a false positive: on budget exhaustion the status is
-    ``inconclusive`` and ``certified`` stays False.
+    ``inconclusive``, ``certified`` stays False, and the bound is one
+    above the largest cardinality exhausted.
     """
     dm = all_pairs_distances(g)
     anchors = tuple(anchors)

@@ -346,9 +346,9 @@ def reference_family(masks, free):
 
 def reference_colex_first_cover(cover, lowest, members, r):
     """The search's decision kernel without the leaf prune: at r == 1 it
-    tries every allowed member of the last unhit mask.  Same arguments as
-    ``search._colex_first_cover`` less the progress callback; returns the
-    colex-first r-subset (or None) and the number of ``hits`` calls."""
+    tries every allowed member of the last unhit mask.  Takes the family
+    in vertex order and r; returns the colex-first r-subset (or None) and
+    the number of ``hits`` calls."""
     complement = [((1 << len(lowest)) - 1) ^ c for c in cover]
     nodes = 0
 
@@ -385,12 +385,26 @@ def reference_colex_first_cover(cover, lowest, members, r):
     return found[::-1], nodes
 
 
-def reference_metric_dimension(g, mode):
-    """The search before degree-ordered decisions: over the same masks as
-    ``search.metric_dimension``, in the vertex-ordered family of
-    ``reference_family``, each cardinality from the lower bound up is
-    decided and read off by ``reference_colex_first_cover``.  Returns (value, basis, lower_bound,
-    lower_bound_source, subsets_checked, exhausted_through)."""
+def colex_first_cover(cover, members, place, r, orbits=None):
+    """The search's two entries over one family, as one call: the
+    colex-first r-set of the vertices (an ascending list, or None), and
+    the nodes of the decision plus, where it passes, the read-off.
+    ``orbits`` defaults to no group."""
+    if orbits is None:
+        orbits = search._Orbits(None, place, place)
+    decide, read_off = search._cover_search(cover, members, place, lambda nodes: None, orbits)
+    passes, nodes = decide(r)
+    return read_off(r) if passes else (None, nodes)
+
+
+def reference_metric_dimension(g, mode, k_max=None):
+    """The ascending search before degree-ordered decisions and galloping:
+    over the same masks as ``search.metric_dimension``, in the
+    vertex-ordered family of ``reference_family``, each cardinality from
+    the lower bound up to ``k_max`` (default n) is decided and read off by
+    ``reference_colex_first_cover``.  Returns (value, basis, lower_bound,
+    lower_bound_source, subsets_checked, exhausted_through); value and
+    basis are None when no cardinality up to ``k_max`` passes."""
     masks = search._mode_masks(all_pairs_distances(g), mode)
     forced, masks = ((), masks) if mode.kind == "doubly" else reference_split_forced(masks)
     source, bound = max(search.dimension_lower_bounds(g, mode, forced=forced),
@@ -398,14 +412,16 @@ def reference_metric_dimension(g, mode):
     free = [v for v in range(g.n) if v not in forced]
     cover, lowest, members = reference_family(reference_minimal_masks(masks), free)
     checked = exhausted = 0
-    for k in range(bound, g.n + 1):
+    for k in range(bound, (g.n if k_max is None else min(g.n, k_max)) + 1):
         hit, _ = reference_colex_first_cover(cover, lowest, members, k - len(forced))
         if hit is not None:
             basis = tuple(sorted(forced + tuple(free[j] for j in hit)))
             return k, basis, bound, source, checked + colex_rank(hit) + 1, exhausted
         checked += comb(len(free), k - len(forced))
         exhausted, bound, source = k, k + 1, search.PROVENANCE_EXHAUSTED
-    raise AssertionError("no cardinality up to n hits every mask")
+    if k_max is None:
+        raise AssertionError("no cardinality up to n hits every mask")
+    return None, None, bound, source, checked, exhausted
 
 
 def oracle_automorphisms(g):

@@ -428,6 +428,35 @@ def test_dim_nan_budget_exits_2(capsys):
     assert err.startswith("error:") and "NaN" in err
 
 
+@pytest.mark.parametrize("budget", ["inf", "--budget=-inf", "1e999"])
+@pytest.mark.parametrize("command", [("dim", "P3"), ("snark-suite", "--n", "5")],
+                         ids=["dim", "snark-suite"])
+def test_infinite_budget_exits_2(capsys, command, budget):
+    # JSON has no infinity: the report that echoes the budget could not be
+    # parsed by a strict reader
+    argv = [*command, budget] if budget.startswith("--") else [*command, "--budget", budget]
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_reports_refuse_non_finite_numbers():
+    args = cli.build_parser().parse_args(["dim", "P3", "--json"])
+    with pytest.raises(ValueError):
+        cli._finish(args, cli._Clock(False), "dim", {"value": float("nan")}, [])
+
+
+def test_dim_doubly_on_one_vertex_exits_2(capsys):
+    # no set of one vertex is doubly resolving, and nothing is left to
+    # search: the mode is refused, as check refuses it
+    for argv in (("dim", "P1"), ("check", "P1", "--set", "0")):
+        code, out, err = run(capsys, *argv, "--mode", "doubly", "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: doubly-resolving needs at least two")
+
+
 def test_snark_suite_long_and_budget_are_read(capsys):
     code, out, _ = run(capsys, "snark-suite", "--n", "5", "--long", "--json")
     assert code == 0
@@ -506,6 +535,8 @@ def test_dim_timing_reports_search_counters(capsys):
     assert 0 < result["masks_kept"] <= result["mask_count"]
     assert set(result["phase_ms"]) == {"masks", "reduce", "group", "search", "verify"}
     assert all(ms >= 0.0 for ms in result["phase_ms"].values())
+    # 1 and 3 fail, 7 passes, 6 fails; the basis is read off at 7
+    assert result["decided"] == [1, 3, 7, 6]
     # the text report gains one line, and only under --timing
     code, out, _ = run(capsys, *argv, "--timing")
     timed = out.splitlines()
@@ -513,10 +544,11 @@ def test_dim_timing_reports_search_counters(capsys):
     plain = out.splitlines()
     assert timed[:-1] == plain
     assert timed[-1].startswith(f"search: {result['nodes']} nodes, "
-                                f"{result['masks_kept']} of {result['mask_count']} masks kept")
+                                f"{result['masks_kept']} of {result['mask_count']} masks kept, "
+                                "decided [1, 3, 7, 6], phase ms masks ")
 
 
 def test_dim_without_timing_has_no_search_counters(capsys):
     code, out, _ = run(capsys, "dim", "J5", "--mode", "resolving", "--ell", "2", "--json")
     assert code == 0
-    assert not {"nodes", "masks_kept", "phase_ms"} & set(json.loads(out)["result"])
+    assert not {"nodes", "masks_kept", "decided", "phase_ms"} & set(json.loads(out)["result"])

@@ -41,7 +41,7 @@ from resolving.search import (
     _Orbits,
     _OutOfBudget,
     _automorphisms,
-    _colex_first_cover,
+    _cover_search,
     _kept_masks,
     _mode_masks,
     _row_ints,
@@ -50,6 +50,7 @@ from resolving.subsets import colex_rank, size_colex_array
 
 from conftest import (
     bfs_distances,
+    colex_first_cover,
     oracle_automorphisms,
     oracle_first_basis,
     oracle_is_solid,
@@ -418,8 +419,7 @@ def test_colex_first_cover_matches_brute_force(n, data):
     words = _as_words([sum(1 << free[p] for p in ps) for ps in positions], 1)
     cover, _, members = reference_family(words, [free[p] for p in order])
     place = np.argsort(order).tolist()
-    got, nodes = _colex_first_cover(cover, members, place, r, lambda nodes: None,
-                                     _Orbits(None, place, place))
+    got, nodes = colex_first_cover(cover, members, place, r)
     want = next((list(c) for c in size_colex_subsets(n, r, r)
                  if all(ps & set(c) for ps in positions)), None)
     assert got == want
@@ -464,10 +464,15 @@ def test_colex_first_cover_matches_reference_kernel(case):
     cover, lowest, members = reference_family(_as_words(masks, 1), list(range(n)))
     if split:
         assert not members[0] & members[-1]
+    place = list(range(n))
     for r in range(n + 1):
-        got = _colex_first_cover(cover, members, list(range(n)), r, lambda nodes: None,
-                                 _Orbits(None, range(n), range(n)))
+        got = colex_first_cover(cover, members, place, r)
         assert got == reference_colex_first_cover(cover, lowest, members, r)
+        if got[0] is not None:
+            # the read-off needs no decision before it
+            _, read_off = _cover_search(cover, members, place, lambda nodes: None,
+                                        _Orbits(None, place, place))
+            assert read_off(r)[0] == got[0]
 
 
 @settings(max_examples=400, deadline=None)
@@ -484,8 +489,7 @@ def test_decision_ignores_position_order(case, data):
     shuffled, _, shuffled_members = reference_family(words, perm)
     place = np.argsort(perm).tolist()
     for r in range(n + 1):
-        got, nodes = _colex_first_cover(shuffled, shuffled_members, place, r,
-                                        lambda nodes: None, _Orbits(None, place, place))
+        got, nodes = colex_first_cover(shuffled, shuffled_members, place, r)
         assert got == reference_colex_first_cover(cover, lowest, members, r)[0]
         assert nodes >= 1
 

@@ -1,6 +1,8 @@
 import random
 import sys
 import time
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from resolving import (
 
 from conftest import (
     bfs_distances,
+    colex_first_cover,
     oracle_automorphisms,
     oracle_first_basis,
     oracle_minimum_size,
@@ -127,6 +130,10 @@ def test_same_basis_as_colex_oracle_randomized(rng):
             assert (got.value, got.basis) == (len(want), want), (list(g.edges()), mode)
 
 
+def _mode_id(mode):
+    return f"{mode.kind}{mode.order or ''}"
+
+
 def _relabelled(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
@@ -202,6 +209,79 @@ def test_certificate_smaller_set_matches_reference():
     report = verify_basis_certificate(g, Mode.resolving(2), sorted(basis + (extra,)))
     assert (report.certified, report.status) == (False, "smaller-set-exists")
     assert (report.smaller_set, report.lower_bound) == (basis, value)
+
+
+# ---------------------------------------------------------------------------
+# galloping below a greedy cover
+
+
+def test_gallop_matches_ascending_reference_randomized(rng):
+    # deciding a few cardinalities below a greedy cover, and reading the
+    # basis off where the last decision leaves it, reports what the ascent
+    # that decides every cardinality from the bound up reports: value,
+    # basis, bound and source, and both counters.  Capped at value - 1 and
+    # at the value, it reports what the ascent capped there reports
+    shapes = set()
+    for _ in range(150):
+        g = random_connected_graph(rng, n_min=1, n_max=9)
+        for mode in _modes_for(g.n):
+            want = reference_metric_dimension(g, mode)
+            res = dim(g, mode)
+            assert _outcome(res) == want, (list(g.edges()), mode)
+            # the read-off follows a passing decision, or the greedy cover
+            shapes.add(res.value in res.stats.decided)
+            for k_max in (want[0] - 1, want[0]):
+                got = _outcome(dim(g, mode, k_max=k_max))
+                assert got == reference_metric_dimension(g, mode, k_max), (
+                    list(g.edges()), mode, k_max)
+    assert shapes == {True, False}
+
+
+def test_greedy_cover_drops_the_picks_the_others_cover():
+    # masks {0, 1}, {0, 2}, {1} and {2}: all three positions are in two, so
+    # 0 is taken first, then 1 and 2, which cover both masks 0 is in
+    assert search._greedy_cover([0b0011, 0b0101, 0b1010], 4) == [1, 2]
+    assert search._greedy_cover([0b1, 0b1], 1) == [0]
+    assert search._greedy_cover([0, 0], 0) == []
+
+
+_GREEDY_CASES = [(f"{name}-{_mode_id(mode)}", g, mode)
+                 for name, g in [*_SMALL_GRAPHS.items(),
+                                 *((f"random{i}", random_connected_graph(random.Random(i), 2, 9))
+                                   for i in range(20))]
+                 for mode in _modes_for(g.n)]
+
+
+@pytest.mark.parametrize("g, mode", [case[1:] for case in _GREEDY_CASES],
+                         ids=[case[0] for case in _GREEDY_CASES])
+def test_greedy_cover_hits_every_kept_mask(g, mode):
+    # the picks and the forced vertices pass, so they number at least the
+    # value; no pick is covered by the others
+    cover, members, place, _ = _search_family(g, mode)
+    picks = search._greedy_cover(cover, len(members))
+    full = (1 << len(members)) - 1
+    union = [cover[p] for p in picks]
+    assert reduce(or_, union, 0) == full
+    assert len(set(picks)) == len(picks)
+    for i in range(len(picks)):
+        assert reduce(or_, union[:i] + union[i + 1:], 0) != full
+    forced = () if mode.kind == "doubly" else forced_vertices(g, mode.order, mode.kind)
+    free = [v for v in range(g.n) if v not in forced]
+    by_position = sorted(range(len(place)), key=place.__getitem__)
+    anchors = tuple(sorted(forced + tuple(free[by_position[p]] for p in picks)))
+    assert check_mode(all_pairs_distances(g), anchors, mode).holds
+    assert len(anchors) >= dim(g, mode).value
+
+
+@pytest.mark.parametrize("g, mode, nodes", [
+    (rook_graph(6, 5), Mode.resolving(2), 350_000),
+    (flower_snark(7), Mode.resolving(3), 20_000),
+], ids=["rook6x5-resolving2", "J7-resolving3"])
+def test_gallop_node_guards(g, mode, nodes):
+    # the decisions are deterministic, so the nodes are too; the ascent
+    # took 596,233 and 42,124 here
+    res = dim(g, mode)
+    assert res.stats.nodes <= nodes, res.stats.decided
 
 
 def _nodes_below_value(g, mode):
@@ -296,11 +376,14 @@ def test_orbital_branching_matches_search_without_group(name, seed, monkeypatch)
     (star_graph(3), Mode.solid(2), None),
     (star_graph(3), Mode.solid(2), 2),
     (rook_graph(4, 4), Mode.solid(2), None),
-], ids=["K1,3-solid2", "K1,3-solid2-kmax2", "rook4x4-solid2"])
+    (path_graph(9), Mode.resolving(1), None),
+], ids=["K1,3-solid2", "K1,3-solid2-kmax2", "rook4x4-solid2", "P9-resolving1"])
 def test_group_is_not_read_where_no_cardinality_places_two_positions(g, mode, k_max, monkeypatch):
     # K1,3 {2}-solid leaves one free position, every cell of rook 4x4 is
-    # forced, and k_max = 2 is below the forced count of K1,3: no
-    # cardinality branches on two positions, so the group cannot prune
+    # forced, k_max = 2 is below the forced count of K1,3, and on P9 the
+    # greedy cover (one end) meets the bound 1, so the basis is read off
+    # with no decision: no decision branches on two positions, so the
+    # group cannot prune
     want = _outcome(dim(g, mode, k_max=k_max))
 
     def automorphisms(dist):
@@ -348,9 +431,8 @@ def test_orbital_kernel_matches_kernel_without_group(name, seed):
         cover, members, place, orbits = _search_family(g, mode)
         family = cover, members, place
         for r in range(len(place) + 1):
-            want, plain = search._colex_first_cover(*family, r, lambda nodes: None,
-                                                    search._Orbits(None, place, place))
-            got, nodes = search._colex_first_cover(*family, r, lambda nodes: None, orbits)
+            want, plain = colex_first_cover(*family, r)
+            got, nodes = colex_first_cover(*family, r, orbits)
             assert got == want, (mode, r)
             if got is None:
                 assert nodes <= plain, (mode, r)
@@ -361,8 +443,9 @@ def test_orbital_kernel_matches_kernel_without_group(name, seed):
 def test_budget_runs_out_inside_an_orbital_exhaustion(monkeypatch):
     # every node ticks, and the hook sleeps out the budget at its first
     # tick from a node that branches on orbits (nonzero h, r >= 2; a root
-    # at r = 1 holds the group but never branches on it): the search
-    # stops there, with that cardinality as the bound
+    # at r = 1 holds the group but never branches on it).  J7
+    # {2}-resolving decides 1, 3 and 7: the first such node is in the
+    # decision at 3, after 1 is exhausted, so the bound is 2, not 3
     monkeypatch.setattr(search, "PROGRESS_NODES", 1)
     budget = 0.3
     interrupted = []
@@ -378,10 +461,11 @@ def test_budget_runs_out_inside_an_orbital_exhaustion(monkeypatch):
     started = time.monotonic()
     res = dim(flower_snark(7), Mode.resolving(2), budget_s=budget, progress=progress)
     assert time.monotonic() - started < budget + 0.2
-    [k] = interrupted
+    assert interrupted == [3]
     assert res.value is None and res.basis is None
-    assert (res.lower_bound, res.lower_bound_source) == (k, "exhausted-cardinality")
-    assert res.stats.exhausted_through == k - 1
+    assert (res.lower_bound, res.lower_bound_source) == (2, "exhausted-cardinality")
+    assert (res.stats.exhausted_through, res.stats.decided) == (1, (1,))
+    assert res.stats.subsets_checked == 28
 
 
 def test_flower_snark_11_solid_2():
@@ -394,22 +478,26 @@ def test_flower_snark_11_solid_2():
 
 # the benchmark's search cases at native labels: (graph, mode, k_max) ->
 # value, basis, lower bound and source, subsets_checked, exhausted_through,
-# mask_count, masks_kept, nodes.  The last row is the search inside the
-# minimality proof of the J9 solid1 recipe, which stops below its 6 anchors
+# mask_count, masks_kept, nodes, decided.  The last row is the search
+# inside the minimality proof of the J9 solid1 recipe, which stops below
+# its 6 anchors
 _PINNED_SEARCHES = [
-    ("J9", Mode.solid(1), None, 6, (0, 5, 13, 18, 22, 27), 6, 769368, 5, 505, 226, 604),
-    ("J11", Mode.solid(1), None, 6, (0, 6, 16, 22, 27, 33), 6, 2432138, 5, 617, 276, 978),
+    ("J9", Mode.solid(1), None, 6, (0, 5, 13, 18, 22, 27), 6, 769368, 5, 505, 226, 586,
+     (2, 4, 5)),
+    ("J11", Mode.solid(1), None, 6, (0, 6, 16, 22, 27, 33), 6, 2432138, 5, 617, 276, 958,
+     (2, 4, 5)),
     ("J5", Mode.solid(2), None, 10, (0, 2, 3, 6, 8, 9, 10, 12, 15, 17), 10, 456925, 9, 1021,
-     30, 614),
-    ("J5", Mode.resolving(2), None, 7, (0, 3, 6, 7, 10, 12, 15), 7, 68129, 6, 12079, 746, 317),
+     30, 484, (3, 5, 9, 10)),
+    ("J5", Mode.resolving(2), None, 7, (0, 3, 6, 7, 10, 12, 15), 7, 68129, 6, 12079, 746, 243,
+     (1, 3, 7, 6)),
     ("J7", Mode.resolving(2), None, 8, (0, 4, 6, 9, 10, 14, 17, 21), 8, 1909563, 7, 41325,
-     1877, 3481),
+     1877, 2769, (1, 3, 7)),
     ("J5", Mode.resolving(3), None, 15, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 17), 15,
-     1027065, 14, 186397, 75, 1864),
+     1027065, 14, 186397, 75, 742, (1, 3, 7, 14)),
     ("rook5x4", Mode.resolving(2), None, 10, (1, 3, 4, 7, 9, 10, 12, 14, 16, 17), 10, 466972,
-     9, 15845, 569, 4057),
-    ("J7", Mode.doubly(), None, 4, (3, 7, 9, 14), 4, 4764, 3, 1157, 225, 34),
-    ("J9", Mode.solid(1), 5, None, None, 6, 443667, 5, 505, 226, 502),
+     9, 15845, 569, 2548, (1, 3, 7, 9)),
+    ("J7", Mode.doubly(), None, 4, (3, 7, 9, 14), 4, 4764, 3, 1157, 225, 30, (2, 3)),
+    ("J9", Mode.solid(1), 5, None, None, 6, 443667, 5, 505, 226, 490, (2, 4, 5)),
 ]
 
 
@@ -418,14 +506,15 @@ _PINNED_GRAPHS = {"J5": flower_snark(5), "J7": flower_snark(7), "J9": flower_sna
 
 
 def test_search_workload_answers_and_counters_are_pinned():
-    for name, mode, k_max, value, basis, lb, subsets, exhausted, count, kept, nodes \
+    for name, mode, k_max, value, basis, lb, subsets, exhausted, count, kept, nodes, decided \
             in _PINNED_SEARCHES:
         res = dim(_PINNED_GRAPHS[name], mode, k_max=k_max)
         s = res.stats
         got = (res.value, res.basis, res.lower_bound, res.lower_bound_source,
-               s.subsets_checked, s.exhausted_through, s.mask_count, s.masks_kept, s.nodes)
+               s.subsets_checked, s.exhausted_through, s.mask_count, s.masks_kept, s.nodes,
+               s.decided)
         assert got == (value, basis, lb, "exhausted-cardinality", subsets, exhausted, count,
-                       kept, nodes), (name, mode)
+                       kept, nodes, decided), (name, mode)
     report = verify_basis_certificate(_PINNED_GRAPHS["J9"], Mode.solid(1),
                                       snark.recipe_set("solid1", 9))
     assert report.status == "confirmed-minimum"
@@ -472,16 +561,29 @@ def test_progress_hook_fires():
 
 
 def test_progress_hook_steps_within_a_cardinality(monkeypatch):
-    # a small step size makes J7 {2}-resolving tick inside its cardinalities
+    # a small step size makes J7 {2}-resolving tick inside its
+    # cardinalities.  Step 0 starts each decision (1, 3, then 7, all
+    # failing) and the read-off at 8, which the greedy cover bounds
     monkeypatch.setattr(search, "PROGRESS_NODES", 64)
     seen = []
     res = dim(flower_snark(7), Mode.resolving(2),
               progress=lambda k, step, nodes: seen.append((k, step, nodes)))
-    assert res.value == 8
-    assert [k for k, step, _ in seen if step == 0] == list(range(1, 9))
+    assert res.value == 8 and res.stats.decided == (1, 3, 7)
+    assert [k for k, step, _ in seen if step == 0] == [1, 3, 7, 8]
     assert max(step for _, step, _ in seen) > 0
     assert [c for _, _, c in seen] == sorted(c for _, _, c in seen)
     assert seen[-1][2] <= res.stats.nodes
+
+
+def test_progress_cardinality_falls_after_a_passing_decision():
+    # J5 {2}-resolving: 1 and 3 fail, 7 passes, 6 fails, and the basis is
+    # read off at 7; the node count never falls
+    seen = []
+    res = dim(flower_snark(5), Mode.resolving(2),
+              progress=lambda k, step, nodes: seen.append((k, step, nodes)))
+    assert res.value == 7 and res.stats.decided == (1, 3, 7, 6)
+    assert [k for k, step, _ in seen if step == 0] == [1, 3, 7, 6, 7]
+    assert [c for _, _, c in seen] == sorted(c for _, _, c in seen)
 
 
 def test_stats_phases_and_counters():
@@ -495,10 +597,6 @@ def test_stats_phases_and_counters():
 
 # ---------------------------------------------------------------------------
 # one pass from the separator masks to the searched family
-
-
-def _mode_id(mode):
-    return f"{mode.kind}{mode.order or ''}"
 
 
 # word boundaries: P8-P65 and C8-C33 take one to eight bytes per mask word,
@@ -724,7 +822,9 @@ def test_no_table_read_off_after_the_deadline(monkeypatch):
 
 def test_budget_runs_out_inside_a_cardinality(monkeypatch):
     # the hook sleeps past the budget at its first step inside a
-    # cardinality; that cardinality is not exhausted, so it is the bound
+    # cardinality.  J7 {2}-resolving decides 1 and 3 in fewer than 64
+    # nodes, so that step is in the decision at 7, which is not
+    # exhausted: the bound is one above the last exhausted cardinality, 3
     monkeypatch.setattr(search, "PROGRESS_NODES", 64)
     budget = 1.0
     interrupted = []
@@ -736,11 +836,11 @@ def test_budget_runs_out_inside_a_cardinality(monkeypatch):
 
     res = dim(flower_snark(7), Mode.resolving(2), budget_s=budget, progress=progress)
     assert res.value is None and res.basis is None
-    [k] = interrupted
-    assert 1 < k < 8
-    assert res.lower_bound == k
-    assert res.lower_bound_source == "exhausted-cardinality"
-    assert res.stats.exhausted_through == k - 1
+    assert interrupted == [7]
+    assert (res.lower_bound, res.lower_bound_source) == (4, "exhausted-cardinality")
+    assert (res.stats.exhausted_through, res.stats.decided) == (3, (1, 3))
+    # every set of 1, 2 and 3 of the 28 vertices
+    assert res.stats.subsets_checked == 28 + 378 + 3276
 
 
 def test_k_max_cuts_off_search():
@@ -815,6 +915,17 @@ def test_exhausted_provenance_certifies():
 def test_mode_validation_passthrough():
     with pytest.raises(ModeError):
         dim(path_graph(3), Mode.solid(3))
+
+
+def test_doubly_mode_needs_two_vertices():
+    # one vertex has no doubly resolving set, and no budget is involved:
+    # the search and the bounds refuse the mode, as the checker does
+    for call in (lambda: dim(path_graph(1), Mode.doubly()),
+                 lambda: dimension_lower_bounds(path_graph(1), Mode.doubly()),
+                 lambda: Mode.doubly().validate_for(1)):
+        with pytest.raises(ModeError, match="two vertices"):
+            call()
+    assert dim(path_graph(2), Mode.doubly()).value == 2
 
 
 # ---------------------------------------------------------------------------
