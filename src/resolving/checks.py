@@ -31,12 +31,11 @@ start small and double, so a scan that fails early stops early.
 from __future__ import annotations
 
 import dataclasses
-import operator
 
 import numpy as np
 
 from .errors import ModeError, OracleCapError
-from .graphs import all_pairs_distances
+from .graphs import _plain_int, all_pairs_distances
 from .subsets import size_colex_array
 
 DEFAULT_ORACLE_CAP = 12
@@ -59,8 +58,9 @@ class Mode:
         if self.kind == "doubly":
             if self.order is not None:
                 raise ModeError("doubly-resolving mode takes no order")
-        elif isinstance(self.order, bool) or not isinstance(self.order, int) or self.order < 1:
+        elif _plain_int(self.order) is None or self.order < 1:
             raise ModeError(f"order must be a positive integer, got {self.order!r}")
+        object.__setattr__(self, "order", _plain_int(self.order))
 
     @classmethod
     def resolving(cls, order):
@@ -131,18 +131,13 @@ class CheckVerdict:
         return self.holds
 
 
-def _as_vertex(v, what):
-    """``v`` as a vertex index: any integer type (numpy ones too) except bool."""
-    if isinstance(v, (bool, np.bool_)):
-        raise ModeError(f"{what} has a non-integer vertex: {v!r}")
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise ModeError(f"{what} has a non-integer vertex: {v!r}") from None
-
-
 def _as_vertex_set(s, n, what="anchor set"):
-    items = [_as_vertex(v, what) for v in s]
+    items = []
+    for v in s:
+        item = _plain_int(v)
+        if item is None:
+            raise ModeError(f"{what} has a non-integer vertex: {v!r}")
+        items.append(item)
     t = tuple(sorted(set(items)))
     if len(t) != len(items):
         raise ModeError(f"{what} has repeated vertices: {items}")

@@ -155,13 +155,11 @@ def _finish(args, clock, command, result, lines, witness=None, digest=None):
 
 def _write_graph(args, clock, command, g, result):
     """Write the edge list of ``g`` to --out, or print it, and report."""
-    text = gio.write_edge_list(g)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        gio.write_graph_file(g, args.out)
         lines = [f"wrote {g.n} vertices, {g.edge_count} edges to {args.out}"]
     else:
-        lines = text.splitlines()
+        lines = gio.write_edge_list(g).splitlines()
     result = {**result, "n": g.n, "edges": g.edge_count, "out": args.out}
     _finish(args, clock, command, result, lines, digest=_graph_digest(g))
 
@@ -354,8 +352,7 @@ def _parse_n_range(spec):
 
 def _cmd_snark_suite(args):
     ns = _parse_n_range(args.n)
-    records = snark.snark_suite(ns, long=args.long, seed=args.seed,
-                                budget_s=_budget(args))
+    records = snark.snark_suite(ns, long=args.long, budget_s=_budget(args))
     failures = 0
     for rec in records:
         if not args.timing:
@@ -453,8 +450,6 @@ def build_parser():
                    help="range like 5..13 or a comma list (odd n only)")
     p.add_argument("--budget", type=float, default=60.0,
                    help="time budget in seconds for each --long search")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized sampling")
     p.add_argument("--long", action="store_true",
                    help="include long-running exact searches")
     p.set_defaults(func=_cmd_snark_suite)

@@ -78,7 +78,8 @@ def _bfs_reach(adjacency, source):
 
 def _plain_int(x):
     """``x`` as a plain int if it is of an integer type (numpy ones too)
-    other than bool, else None."""
+    other than bool, else None: the one integer check for every vertex,
+    count and order given from outside."""
     if isinstance(x, (bool, np.bool_)) or not hasattr(type(x), "__index__"):
         return None
     return operator.index(x)
@@ -216,7 +217,7 @@ def tree_from_parents(parents):
     edges = []
     for i, p in enumerate(parents):
         child = i + 1
-        if not (isinstance(p, int) and 0 <= p <= i):
+        if _plain_int(p) is None or not 0 <= p <= i:
             raise GraphError(
                 f"parent of vertex {child} must be an earlier vertex, got {p!r}"
             )

@@ -23,7 +23,7 @@ from math import comb
 
 from .checks import CheckVerdict
 from .errors import DesignParseError, GraphError
-from .graphs import rook_flat
+from .graphs import _plain_int, rook_cell, rook_flat
 
 __all__ = [
     "RookSet", "Design", "quadruple_coverage", "classify_conditions",
@@ -45,18 +45,22 @@ class RookSet:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise GraphError("grid dimensions must be positive")
-        for cell in self.cells:
-            r, c = cell
-            if not (0 <= r < self.n and 0 <= c < self.m):
-                raise GraphError(f"cell {cell} outside the {self.n}x{self.m} grid")
+        cells = {cell: tuple(map(_plain_int, cell)) for cell in self.cells}
+        for cell, (r, c) in cells.items():
+            if None in (r, c) or not (0 <= r < self.n and 0 <= c < self.m):
+                raise GraphError(f"cell {cell} is not an integer cell of the {self.n}x{self.m} grid")
+        object.__setattr__(self, "cells", frozenset(cells.values()))
 
     @classmethod
     def from_cells(cls, m, n, cells):
-        return cls(m, n, frozenset((int(r), int(c)) for r, c in cells))
+        return cls(m, n, frozenset((r, c) for r, c in cells))
 
     @classmethod
     def from_vertices(cls, m, n, vertices):
-        return cls(m, n, frozenset((v % n, v // n) for v in vertices))
+        vertices = tuple(vertices)
+        if None in map(_plain_int, vertices):
+            raise GraphError(f"grid vertices must be integers, got {vertices}")
+        return cls(m, n, frozenset(rook_cell(v, n) for v in vertices))
 
     def vertices(self):
         """Ascending flat vertex indices in rook_graph(m, n)."""
@@ -237,12 +241,14 @@ class Design:
     def __post_init__(self):
         if self.n_points < 1:
             raise GraphError("designs need at least one point")
-        for j, block in enumerate(self.blocks):
-            if list(block) != sorted(set(block)):
-                raise GraphError(f"block {j} has repeated or unsorted points: {block}")
-            for p in block:
+        blocks = tuple(tuple(map(_plain_int, block)) for block in self.blocks)
+        for j, (block, points) in enumerate(zip(self.blocks, blocks)):
+            if None in points or list(points) != sorted(set(points)):
+                raise GraphError(f"block {j} has non-integer, repeated or unsorted points: {block}")
+            for p in points:
                 if not (0 <= p < self.n_points):
                     raise GraphError(f"block {j} point {p} out of range")
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def from_blocks(cls, n_points, blocks):

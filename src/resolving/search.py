@@ -133,7 +133,7 @@ class SearchStats:
     mask_count: int = 0
     masks_kept: int = 0
     # calls of the decision recursion on the degree-ordered family: the
-    # decisions completed, plus the read-off at the value
+    # decisions and the read-off, up to the budget check that cuts one
     nodes: int = 0
     # the cardinalities whose decision completed, in order (the read-off
     # at the value is not a decision): galloping up from the lower bound,
@@ -691,6 +691,7 @@ def metric_dimension(g, config):
 
     def tick(nodes):
         nonlocal step
+        stats.nodes = nodes
         if config.progress is not None:
             config.progress(k, step, nodes)
         step += 1

@@ -81,6 +81,14 @@ def test_mode_validation():
     assert Mode.doubly().describe() == "doubly-resolving"
 
 
+def test_mode_stores_numpy_orders_as_ints():
+    # a numpy order would reach a JSON report as a string
+    for order in (np.int64(2), np.uint8(2), np.intp(2)):
+        mode = Mode.resolving(order)
+        assert mode == Mode.resolving(2) and type(mode.order) is int
+    assert type(Mode("solid", np.int32(1)).order) is int
+
+
 def test_anchor_set_validation(demo):
     _, dm = demo
     with pytest.raises(ModeError):

@@ -405,6 +405,7 @@ def test_unknown_graph_exits_2(capsys):
     ("check", "H", "--set", "v1,v2", "--budget", "1"),
     ("gen", "path", "--n", "3", "--seed", "1"),
     ("dim", "P5", "--long"),
+    ("snark-suite", "--n", "5", "--seed", "1"),
 ])
 def test_unread_option_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv, "--json")
@@ -480,12 +481,11 @@ def test_snark_suite_passes_its_options_on(capsys, monkeypatch):
         return []
 
     monkeypatch.setattr(cli.snark, "snark_suite", suite)
-    code, _, _ = run(capsys, "snark-suite", "--n", "5", "--seed", "3",
-                     "--long", "--budget", "2.5")
+    code, _, _ = run(capsys, "snark-suite", "--n", "5", "--long", "--budget", "2.5")
     assert code == 0
-    assert seen == {"ns": [5], "long": True, "seed": 3, "budget_s": 2.5}
+    assert seen == {"ns": [5], "long": True, "budget_s": 2.5}
     run(capsys, "snark-suite", "--n", "7")
-    assert seen == {"ns": [7], "long": False, "seed": 0, "budget_s": 60.0}
+    assert seen == {"ns": [7], "long": False, "budget_s": 60.0}
 
 
 # the report's "arguments" echo: each subcommand's own options plus keys

@@ -125,6 +125,14 @@ def test_family_validation():
         tree_from_parents((1, 0))
 
 
+def test_tree_from_parents_integer_types():
+    # numpy integers are parents like ints; bools, floats and strings are not
+    assert tree_from_parents(np.array([0, 0, 1])) == tree_from_parents((0, 0, 1))
+    for bad in (True, np.bool_(False), 0.0, "0"):
+        with pytest.raises(GraphError, match="must be an earlier vertex"):
+            tree_from_parents((0, bad))
+
+
 def test_generate_family_dispatch():
     assert generate_family("path", n=4).n == 4
     assert generate_family("star", leaves=3).n == 4

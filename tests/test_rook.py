@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from resolving import (
@@ -46,6 +47,28 @@ def test_rookset_validation_and_counts():
         RookSet.from_cells(3, 4, [(4, 0)])
     with pytest.raises(GraphError):
         RookSet.from_cells(0, 4, [])
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.0, True, np.bool_(True), "1"])
+def test_rookset_and_design_reject_non_integers(bad):
+    # 1.9 must not become row 1, nor True row 1
+    for cell in ((bad, 0), (0, bad)):
+        with pytest.raises(GraphError, match="not an integer cell"):
+            RookSet.from_cells(6, 6, [cell])
+    with pytest.raises(GraphError, match="must be integers"):
+        RookSet.from_vertices(6, 6, [3, bad])
+    with pytest.raises(GraphError, match="non-integer"):
+        Design(5, ((bad, 3),))
+
+
+def test_rookset_and_design_store_numpy_integers_as_ints():
+    rs = RookSet.from_cells(3, 4, [(np.int64(1), np.int32(2))])
+    assert rs == RookSet.from_cells(3, 4, [(1, 2)])
+    assert all(type(x) is int for cell in rs.cells for x in cell)
+    assert RookSet.from_vertices(3, 4, [np.int64(9)]) == rs
+    design = Design(5, ((np.int64(0), np.uint8(3)),))
+    assert design == Design(5, ((0, 3),))
+    assert all(type(p) is int for p in design.blocks[0])
 
 
 def test_rookset_vertex_round_trip():

@@ -824,12 +824,15 @@ def test_budget_runs_out_inside_a_cardinality(monkeypatch):
     # the hook sleeps past the budget at its first step inside a
     # cardinality.  J7 {2}-resolving decides 1 and 3 in fewer than 64
     # nodes, so that step is in the decision at 7, which is not
-    # exhausted: the bound is one above the last exhausted cardinality, 3
+    # exhausted: the bound is one above the last exhausted cardinality, 3.
+    # The nodes of the cut decision count too
     monkeypatch.setattr(search, "PROGRESS_NODES", 64)
     budget = 1.0
     interrupted = []
+    counts = []
 
     def progress(k, step, nodes):
+        counts.append(nodes)
         if step > 0 and not interrupted:
             interrupted.append(k)
             time.sleep(budget)
@@ -837,6 +840,7 @@ def test_budget_runs_out_inside_a_cardinality(monkeypatch):
     res = dim(flower_snark(7), Mode.resolving(2), budget_s=budget, progress=progress)
     assert res.value is None and res.basis is None
     assert interrupted == [7]
+    assert res.stats.nodes >= counts[-1] >= 64
     assert (res.lower_bound, res.lower_bound_source) == (4, "exhausted-cardinality")
     assert (res.stats.exhausted_through, res.stats.decided) == (3, (1, 3))
     # every set of 1, 2 and 3 of the 28 vertices

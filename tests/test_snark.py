@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from resolving import (
@@ -296,6 +297,24 @@ def test_snark_helpers_reject_vertices_outside_the_graph():
     assert gap_statistics((0, 19), 5).a_gap == 4
 
 
+@pytest.mark.parametrize("bad", [1.9, 2.0, True, np.bool_(False), "3"])
+def test_snark_helpers_reject_non_integer_vertices(bad):
+    # 1.9 must not become vertex 1, nor True vertex 1, nor "3" vertex 3
+    with pytest.raises(GraphError, match="is not in J_"):
+        gap_statistics([1, bad], 5)
+    with pytest.raises(GraphError, match="is not in J_"):
+        star_distance(bad, 2, 5)
+    with pytest.raises(GraphError, match="is not in J_"):
+        reduction_distance_check(9, (admissible_vertices(9)[0], bad))
+
+
+def test_snark_helpers_take_numpy_integers():
+    v = admissible_vertices(9)[0]
+    assert star_distance(np.int64(0), np.int32(7), 5) == star_distance(0, 7, 5)
+    assert gap_statistics(np.array([0, 19]), 5) == gap_statistics((0, 19), 5)
+    assert reduction_distance_check(9, (np.intp(v),)) == reduction_distance_check(9, (v,))
+
+
 def test_reduction_sampled_large():
     verts = admissible_vertices(21)
     sample = verts[::7]
@@ -377,9 +396,16 @@ def test_suite_long_adds_dimension_checks():
     assert all(r["holds"] for r in records)
 
 
-def test_suite_seed_stability():
-    a = snark_suite([9], seed=3)
-    b = snark_suite([9], seed=3)
-    strip = lambda rs: [(r["n"], r["check_name"], r["holds"], r["witness"])
-                        for r in rs]
-    assert strip(a) == strip(b)
+@pytest.mark.parametrize("n", [9, 11])
+def test_suite_checks_the_reduction_from_every_admissible_vertex(n, monkeypatch):
+    seen = []
+
+    def check(n, s):
+        seen.append((n, s))
+        return reduction_distance_check(n, s)
+
+    monkeypatch.setattr(snark, "reduction_distance_check", check)
+    records = snark_suite([n])
+    assert seen == [(n, admissible_vertices(n))]
+    (record,) = [r for r in records if r["check_name"] == "reduction-distances"]
+    assert record["holds"] and record["witness"] is None

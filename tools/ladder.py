@@ -1,21 +1,23 @@
-"""Run the metric_dimension workload ladder and write BENCH_21.json.
+"""Run the metric_dimension workload ladder and write its JSON record.
 
-Usage, from anywhere:  python3 tools/ladder.py
+Usage:  python3 tools/ladder.py RECORD   (e.g. BENCH_22.json at the
+repository root; a relative path is taken from the working directory)
 
 Each rung is one ``metric_dimension`` call, run in a fresh process of its
 own (one at a time), so that its peak RSS is that rung's.  The record
-goes to BENCH_21.json at the repository root: the provenance (core
-count, Python and numpy versions, commit, whether tracked files had
-uncommitted changes) and, per rung, the answer (value, basis, lower bound
-and source), the counters that explain the time (mask_count, masks_kept,
-nodes, decided, subsets_checked, exhausted_through), ``phase_ms``, wall
-seconds and peak RSS.  The frontier rungs run under a fixed budget and
-report the bound they reach.  Node counts are deterministic; times drift
-with the host.
+goes to RECORD, so each change writes a file of its own and the earlier
+records stay: the provenance (core count, Python and numpy versions,
+commit, whether tracked files had uncommitted changes) and, per rung,
+the answer (value, basis, lower bound and source), the counters that
+explain the time (mask_count, masks_kept, nodes, decided,
+subsets_checked, exhausted_through), ``phase_ms``, wall seconds and peak
+RSS.  The frontier rungs run under a fixed budget and report the bound
+they reach.  Node counts are deterministic; times drift with the host.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import multiprocessing
 import os
@@ -27,7 +29,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-RECORD = ROOT / "BENCH_21.json"
 
 # (name, graph, mode, order, budget seconds); None budget means the default
 RUNGS = [
@@ -118,7 +119,10 @@ def _provenance():
     }
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="run the metric_dimension ladder")
+    parser.add_argument("record", type=Path, help="JSON file to write, e.g. BENCH_22.json")
+    record_path = parser.parse_args(argv).record
     spawn = multiprocessing.get_context("spawn")
     rungs = []
     for spec in RUNGS:
@@ -142,8 +146,8 @@ def main():
         print(f"{name}: value {record['value']}, bound {record['lower_bound']}, "
               f"{record['nodes']} nodes, decided {record['decided']}, "
               f"{record['wall_s']} s, {record['peak_rss_mb']} MB", flush=True)
-    RECORD.write_text(json.dumps({"provenance": _provenance(), "rungs": rungs}, indent=1) + "\n")
-    print(f"wrote {RECORD}")
+    record_path.write_text(json.dumps({"provenance": _provenance(), "rungs": rungs}, indent=1) + "\n")
+    print(f"wrote {record_path}")
 
 
 if __name__ == "__main__":
