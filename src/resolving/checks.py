@@ -362,12 +362,13 @@ def necessary_resolving_condition(dm, anchors, order):
     """Necessary condition for an {order}-resolving set (order >= 2): the
     strict-domination scan at order-1.  Holding does not certify the set;
     failing certifies it is not {order}-resolving."""
-    if not isinstance(order, int) or order < 2:
-        raise ModeError(f"the necessary condition needs order >= 2, got {order!r}")
+    value = _plain_int(order)
+    if value is None or value < 2:
+        raise ModeError(f"the necessary condition needs an integer order >= 2, got {order!r}")
     n = dm.n
     anchors = _as_vertex_set(anchors, n)
-    Mode.resolving(order).validate_for(n)
-    return _solid_condition_scan(dm, anchors, order - 1)
+    Mode.resolving(value).validate_for(n)
+    return _solid_condition_scan(dm, anchors, value - 1)
 
 
 # ---------------------------------------------------------------------------

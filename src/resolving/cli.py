@@ -7,6 +7,10 @@ timings stay zero unless --timing is given.  Under --timing, dim also
 reports the search's node count, kept masks, the cardinalities it
 decided and phase times.
 
+Exit codes: 0 when the check holds or the value is exact, 1 when it fails
+or the value is not exact, 2 for a usage or input error.  A reader that
+closes stdout early is not an error: the command keeps its own code.
+
 Graphs are named by small tokens: J7 / snark:7 (flower snark), P9 / path:9,
 C6 / cycle:6, K5 / complete:5, K1,3 / star:3, rook:7,7, tree:0,0,1 (parent
 list), H (the nine-vertex demo graph), or a path to an edge-list file.
@@ -17,9 +21,11 @@ them (v3 on the demo graph, a1/b2/c3/d4 on snarks).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -27,7 +33,7 @@ from math import isinf
 
 from . import __version__, checks, graphs, io as gio, rook, snark
 from .checks import Mode
-from .errors import DesignParseError, GraphError, ModeError
+from .errors import GraphError
 from .search import SearchConfig, metric_dimension
 
 _GEN_FAMILIES = ("path", "cycle", "complete", "star", "tree", "rook", "flower-snark")
@@ -50,10 +56,6 @@ _TOKEN_FAMILIES = {
 # shorthand tokens, each rewritten to the family token it stands for
 _SHORTHANDS = ((r"J(\d+)", "snark"), (r"P(\d+)", "path"), (r"C(\d+)", "cycle"),
                (r"K(\d+)", "complete"), (r"K0*1,(\d+)", "star"))
-
-
-def _graph_digest(g):
-    return hashlib.sha256(gio.write_edge_list(g).encode()).hexdigest()
 
 
 def parse_graph_token(token):
@@ -123,45 +125,32 @@ def _jsonable(obj):
     return str(obj)
 
 
-class _Clock:
-    def __init__(self, enabled):
-        self.enabled = enabled
-        self.start = time.perf_counter()
-
-    def millis(self):
-        if not self.enabled:
-            return 0.0
-        return round((time.perf_counter() - self.start) * 1000.0, 3)
-
-
-def _finish(args, clock, command, result, lines, witness=None, digest=None):
-    """Print the JSON report under --json, else the text lines."""
-    if not args.json:
-        for line in lines:
-            print(line)
-        return
+def _report(args, result, witness, g, millis):
+    """The --json report of one command; ``g`` is the graph it read or
+    wrote (its edge-list digest is echoed), or None.  Refuses NaN and
+    infinity, which a strict JSON reader cannot parse."""
+    digest = None if g is None else hashlib.sha256(gio.write_edge_list(g).encode()).hexdigest()
     report = {
-        "command": command,
+        "command": args.subcommand,
         "arguments": {k: v for k, v in vars(args).items()
                       if k not in ("func", "json", "timing")},
         "version": __version__,
         "input_digest": digest,
         "result": result,
         "witness": witness,
-        "millis": clock.millis(),
+        "millis": millis,
     }
-    print(json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False))
+    return json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False)
 
 
-def _write_graph(args, clock, command, g, result):
-    """Write the edge list of ``g`` to --out, or print it, and report."""
+def _write_graph(args, g, result):
+    """Write the edge list of ``g`` to --out, or make it the text lines."""
     if args.out:
         gio.write_graph_file(g, args.out)
         lines = [f"wrote {g.n} vertices, {g.edge_count} edges to {args.out}"]
     else:
         lines = gio.write_edge_list(g).splitlines()
-    result = {**result, "n": g.n, "edges": g.edge_count, "out": args.out}
-    _finish(args, clock, command, result, lines, digest=_graph_digest(g))
+    return 0, {**result, "n": g.n, "edges": g.edge_count, "out": args.out}, lines, None, g
 
 
 def _mode_from_args(args):
@@ -187,8 +176,12 @@ def _budget(args):
     return args.budget
 
 
+# Each _cmd_* handler returns (exit code, result, text lines, witness,
+# graph); main prints the text lines, or under --json the report built from
+# the rest.  A None result means the lines are the output in both forms.
+
+
 def _cmd_gen(args):
-    clock = _Clock(args.timing)
     family = args.family
     if family == "tree":
         if not args.parents:
@@ -205,19 +198,15 @@ def _cmd_gen(args):
     else:
         params = (args.n,)
     g = _TOKEN_FAMILIES[family][2](*(int(x) for x in params))
-    _write_graph(args, clock, "gen", g, {"family": family})
-    return 0
+    return _write_graph(args, g, {"family": family})
 
 
 def _cmd_product(args):
-    clock = _Clock(args.timing)
     p = graphs.cartesian_product(parse_graph_token(args.g), parse_graph_token(args.h))
-    _write_graph(args, clock, "product", p, {})
-    return 0
+    return _write_graph(args, p, {})
 
 
 def _cmd_check(args):
-    clock = _Clock(args.timing)
     g = parse_graph_token(args.graph)
     mode = _mode_from_args(args)
     anchors = parse_vertex_set(args.set, g)
@@ -231,13 +220,10 @@ def _cmd_check(args):
              f"{'holds' if verdict.holds else 'fails'}"]
     if verdict.witness is not None:
         lines.append(f"witness: {verdict.witness}")
-    _finish(args, clock, "check", result, lines, witness=verdict.witness,
-            digest=_graph_digest(g))
-    return 0 if verdict.holds else 1
+    return (0 if verdict.holds else 1), result, lines, verdict.witness, g
 
 
 def _cmd_dim(args):
-    clock = _Clock(args.timing)
     g = parse_graph_token(args.graph)
     mode = _mode_from_args(args)
     config = SearchConfig(mode=mode, budget_s=_budget(args), k_max=args.k_max)
@@ -267,40 +253,30 @@ def _cmd_dim(args):
         lines.append(f"search: {stats.nodes} nodes, {stats.masks_kept} of "
                      f"{stats.mask_count} masks kept, decided {list(stats.decided)}, phase ms "
                      + ", ".join(f"{name} {ms}" for name, ms in phase_ms.items()))
-    _finish(args, clock, "dim", payload, lines, digest=_graph_digest(g))
-    return 0 if result.exact else 1
+    return (0 if result.exact else 1), payload, lines, None, g
 
 
 def _cmd_forced(args):
-    clock = _Clock(args.timing)
     g = parse_graph_token(args.graph)
     mode = _mode_from_args(args)
-    if mode.kind not in ("resolving", "solid"):
-        raise ModeError("forced vertices are defined for resolving and solid modes")
     forced = checks.forced_vertices(g, mode.order, mode.kind)
     labels = _labels(g, forced)
     payload = {"mode": mode.kind, "ell": mode.order, "n": g.n,
                "forced": list(forced), "forced_labels": labels,
                "count": len(forced)}
     shown = labels if labels else list(forced)
-    _finish(args, clock, "forced", payload,
-            [f"forced vertices ({mode.describe()}) of {args.graph}: "
-             f"{shown if forced else 'none'}"], digest=_graph_digest(g))
-    return 0
+    return 0, payload, [f"forced vertices ({mode.describe()}) of {args.graph}: "
+                        f"{shown if forced else 'none'}"], None, g
 
 
 def _cmd_rook_lb(args):
-    clock = _Clock(args.timing)
     bound = rook.rook_lower_bound(args.m, args.n)
     payload = {"m": args.m, "n": args.n, "bound": bound}
-    _finish(args, clock, "rook-lb", payload,
-            [f"any order-2 distinguishing set on rook:{args.m},{args.n} "
-             f"has at least {bound} vertices"])
-    return 0
+    return 0, payload, [f"any order-2 distinguishing set on rook:{args.m},{args.n} "
+                        f"has at least {bound} vertices"], None, None
 
 
 def _cmd_design(args):
-    clock = _Clock(args.timing)
     with open(args.file) as fh:
         design = rook.parse_design(fh.read())
     if args.n is not None and design.n_points != args.n:
@@ -311,11 +287,9 @@ def _cmd_design(args):
     if args.action == "validate":
         payload = {"points": design.n_points, "blocks": design.m,
                    "valid": verdict.holds}
-        _finish(args, clock, "design", payload,
-                [f"design {args.file}: {'valid' if verdict.holds else 'invalid'}"
-                 + ("" if verdict.holds else f" ({verdict.witness})")],
-                witness=verdict.witness)
-        return 0 if verdict.holds else 1
+        lines = [f"design {args.file}: {'valid' if verdict.holds else 'invalid'}"
+                 + ("" if verdict.holds else f" ({verdict.witness})")]
+        return (0 if verdict.holds else 1), payload, lines, verdict.witness, None
     # to-set
     rs = rook.design_to_set(design)
     suff = rook.sufficiency_check(rs) if min(rs.m, rs.n) >= 6 else None
@@ -331,9 +305,8 @@ def _cmd_design(args):
     lines = [f"{len(rs)}-cell set on rook:{rs.m},{rs.n}"]
     if suff is not None:
         lines.append(f"order-2 sufficiency: {'holds' if suff.holds else 'fails'}")
-    _finish(args, clock, "design", payload, lines, witness=verdict.witness)
     ok = verdict.holds and (suff is None or suff.holds)
-    return 0 if ok else 1
+    return (0 if ok else 1), payload, lines, verdict.witness, None
 
 
 def _parse_n_range(spec):
@@ -353,23 +326,20 @@ def _parse_n_range(spec):
 def _cmd_snark_suite(args):
     ns = _parse_n_range(args.n)
     records = snark.snark_suite(ns, long=args.long, budget_s=_budget(args))
-    failures = 0
+    lines = []
     for rec in records:
-        if not args.timing:
-            rec["millis"] = 0.0
-        else:
-            rec["millis"] = round(rec["millis"], 3)
-        if not rec["holds"]:
-            failures += 1
+        rec["millis"] = round(rec["millis"], 3) if args.timing else 0.0
         if args.json:
-            print(json.dumps(_jsonable(rec), sort_keys=True, allow_nan=False))
+            lines.append(json.dumps(_jsonable(rec), sort_keys=True, allow_nan=False))
         else:
             status = "ok" if rec["holds"] else "FAIL"
             extra = f"  [{rec['witness']}]" if rec["witness"] else ""
-            print(f"n={rec['n']:<3} {rec['check_name']:<24} {status}{extra}")
+            lines.append(f"n={rec['n']:<3} {rec['check_name']:<24} {status}{extra}")
+    failures = sum(not rec["holds"] for rec in records)
     if not args.json:
-        print(f"{len(records) - failures}/{len(records)} checks passed")
-    return 0 if failures == 0 else 1
+        lines.append(f"{len(records) - failures}/{len(records)} checks passed")
+    # one JSON line per record under --json, with no report around them
+    return (0 if failures == 0 else 1), None, lines, None, None
 
 
 def build_parser():
@@ -388,6 +358,12 @@ def build_parser():
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def on_graph(p, kinds=("resolving", "solid", "doubly")):
+        """The graph, --mode and --ell of check, dim and forced."""
+        p.add_argument("graph")
+        p.add_argument("--mode", choices=kinds, default="resolving")
+        p.add_argument("--ell", type=_positive("--ell"), default=1)
+
     p = sub.add_parser("gen", parents=[common], help="write a generated graph")
     p.add_argument("family", choices=_GEN_FAMILIES)
     p.add_argument("--n", type=_positive("--n"))
@@ -405,19 +381,13 @@ def build_parser():
 
     p = sub.add_parser("check", parents=[common],
                        help="test one vertex set in one mode")
-    p.add_argument("graph")
     p.add_argument("--set", required=True)
-    p.add_argument("--mode", choices=("resolving", "solid", "doubly"),
-                   default="resolving")
-    p.add_argument("--ell", type=_positive("--ell"), default=1)
+    on_graph(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("dim", parents=[common],
                        help="exact minimum set size by exhaustive search")
-    p.add_argument("graph")
-    p.add_argument("--mode", choices=("resolving", "solid", "doubly"),
-                   default="resolving")
-    p.add_argument("--ell", type=_positive("--ell"), default=1)
+    on_graph(p)
     p.add_argument("--k-max", type=_positive("--k-max"), default=None)
     p.add_argument("--budget", type=float, default=60.0,
                    help="time budget in seconds for the search")
@@ -425,9 +395,7 @@ def build_parser():
 
     p = sub.add_parser("forced", parents=[common],
                        help="vertices every qualifying set must contain")
-    p.add_argument("graph")
-    p.add_argument("--mode", choices=("resolving", "solid"), default="resolving")
-    p.add_argument("--ell", type=_positive("--ell"), default=1)
+    on_graph(p, ("resolving", "solid"))
     p.set_defaults(func=_cmd_forced)
 
     p = sub.add_parser("rook-lb", parents=[common],
@@ -463,13 +431,26 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    start = time.perf_counter()
     try:
-        return args.func(args)
-    # OSError: a path that cannot be opened, read or written (missing, a
-    # directory, no permission); its message names the path
-    except (GraphError, ModeError, DesignParseError, OSError, ValueError) as exc:
+        code, result, lines, witness, g = args.func(args)
+        if args.json and result is not None:
+            millis = round((time.perf_counter() - start) * 1000.0, 3) if args.timing else 0.0
+            lines = [_report(args, result, witness, g, millis)]
+    # every package error is a ValueError; OSError: a path that cannot be
+    # opened, read or written (missing, a directory, no permission), named
+    # in its message
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        print("".join(f"{line}\n" for line in lines), end="", flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early, which is no error of the command;
+        # stdout goes to devnull so that the flush at exit stays quiet
+        with contextlib.suppress(OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -85,6 +85,24 @@ def _plain_int(x):
     return operator.index(x)
 
 
+def _count(x, least, rule):
+    """``x`` as a plain int if it is an integer of at least ``least``, else
+    a GraphError stating ``rule``: the check for every size given from
+    outside."""
+    v = _plain_int(x)
+    if v is None or v < least:
+        raise GraphError(f"{rule}, got {x!r}")
+    return v
+
+
+def _snark_order(n):
+    """``n`` as a plain int if J_n exists (n odd, n >= 5), else GraphError."""
+    v = _plain_int(n)
+    if v is None or v < 5 or v % 2 == 0:
+        raise GraphError(f"flower snark needs an odd integer n >= 5, got {n!r}")
+    return v
+
+
 def _endpoint(x, edge):
     v = _plain_int(x)
     if v is None:
@@ -101,10 +119,7 @@ def build_graph(n, edges, labels=None):
     disconnected graph is returned with ``connected=False``; analysis
     operations will refuse it.
     """
-    count = _plain_int(n)
-    if count is None or count < 1:
-        raise GraphError(f"vertex count must be a positive integer, got {n!r}")
-    n = count
+    n = _count(n, 1, "vertex count must be a positive integer")
     if labels is not None:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
@@ -186,27 +201,23 @@ def all_pairs_distances(g):
 
 
 def path_graph(n):
-    if n < 1:
-        raise GraphError("path needs at least one vertex")
+    n = _count(n, 1, "path needs a positive integer vertex count")
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n):
-    if n < 3:
-        raise GraphError("cycle needs at least three vertices")
+    n = _count(n, 3, "cycle needs an integer vertex count >= 3")
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n):
-    if n < 1:
-        raise GraphError("complete graph needs at least one vertex")
+    n = _count(n, 1, "complete graph needs a positive integer vertex count")
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def star_graph(leaves):
     """Star with the given number of leaves; the centre is vertex 0."""
-    if leaves < 1:
-        raise GraphError("star needs at least one leaf")
+    leaves = _count(leaves, 1, "star needs a positive integer leaf count")
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
@@ -287,8 +298,7 @@ def rook_graph(m, n):
     Two cells are adjacent iff they share a column or a row; all other pairs
     are at distance two.  Flat index of (row, col) is col*n + row.
     """
-    if m < 1 or n < 1:
-        raise GraphError("rook grid needs positive dimensions")
+    m, n = (_count(x, 1, "rook grid needs positive integer dimensions") for x in (m, n))
     return cartesian_product(complete_graph(m), complete_graph(n))
 
 
@@ -311,8 +321,7 @@ def flower_snark(n):
     c1..cn d1..dn c1). Star i is {a_i, b_i, c_i, d_i} with b_i adjacent
     to the other three. The graph is cubic with girth at least five.
     """
-    if n < 5 or n % 2 == 0:
-        raise GraphError("flower snark needs odd n >= 5")
+    n = _snark_order(n)
     a = lambda i: i
     b = lambda i: n + i
     c = lambda i: 2 * n + i

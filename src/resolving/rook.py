@@ -23,7 +23,7 @@ from math import comb
 
 from .checks import CheckVerdict
 from .errors import DesignParseError, GraphError
-from .graphs import _plain_int, rook_cell, rook_flat
+from .graphs import _count, _plain_int, rook_cell, rook_flat
 
 __all__ = [
     "RookSet", "Design", "quadruple_coverage", "classify_conditions",
@@ -43,8 +43,9 @@ class RookSet:
     cells: frozenset
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise GraphError("grid dimensions must be positive")
+        rule = "grid dimensions must be positive integers"
+        object.__setattr__(self, "m", _count(self.m, 1, rule))
+        object.__setattr__(self, "n", _count(self.n, 1, rule))
         cells = {cell: tuple(map(_plain_int, cell)) for cell in self.cells}
         for cell, (r, c) in cells.items():
             if None in (r, c) or not (0 <= r < self.n and 0 <= c < self.m):
@@ -214,10 +215,8 @@ def rook_lower_bound(m, n):
     side only shrinks as s grows, and the first s satisfying it is returned.
     The two orientations give isomorphic graphs, so m >= n is normalized.
     """
-    if m < n:
-        m, n = n, m
-    if n < 2:
-        raise GraphError("lower bound needs both grid sides >= 2")
+    n, m = sorted(_count(side, 2, "lower bound needs integer grid sides >= 2")
+                  for side in (m, n))
     target = comb(n, 2)
     for s in range(m * n + 1):
         q, r = divmod(s, m)
@@ -239,8 +238,8 @@ class Design:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n_points < 1:
-            raise GraphError("designs need at least one point")
+        object.__setattr__(self, "n_points", _count(self.n_points, 1,
+                                                    "designs need a positive integer point count"))
         blocks = tuple(tuple(map(_plain_int, block)) for block in self.blocks)
         for j, (block, points) in enumerate(zip(self.blocks, blocks)):
             if None in points or list(points) != sorted(set(points)):

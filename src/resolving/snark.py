@@ -23,7 +23,7 @@ import numpy as np
 from . import checks
 from .checks import CheckVerdict, Mode, distance_array
 from .errors import GraphError
-from .graphs import _plain_int, all_pairs_distances, flower_snark
+from .graphs import _plain_int, _snark_order, all_pairs_distances, flower_snark
 from .search import SearchConfig, metric_dimension
 
 __all__ = [
@@ -40,12 +40,6 @@ __all__ = [
 _ROLES = "abcd"
 
 
-def _validate_n(n):
-    if n < 5 or n % 2 == 0:
-        raise GraphError("flower snark needs odd n >= 5")
-    return n
-
-
 def _snark_vertices(vertices, n):
     """``vertices`` as ints, each checked to be a vertex of J_n."""
     out = []
@@ -57,11 +51,18 @@ def _snark_vertices(vertices, n):
     return tuple(out)
 
 
+def _star_index(i):
+    """``i`` as a plain int star index (any integer; stars wrap mod n)."""
+    star = _plain_int(i)
+    if star is None:
+        raise GraphError(f"star index must be an integer, got {i!r}")
+    return star
+
+
 def snark_vertex(role, i, n):
     """Flat index of role in {a,b,c,d} at star i (1-based, wraps mod n)."""
-    _validate_n(n)
-    offset = _ROLES.index(role)
-    return offset * n + (i - 1) % n
+    n = _snark_order(n)
+    return _ROLES.index(role) * n + (_star_index(i) - 1) % n
 
 
 def star_of(v, n):
@@ -111,7 +112,7 @@ def recipe_set(kind, n):
     Sizes: l3 -> 3n, solid2 -> n+5, l2 -> 8 (needs n >= 7), solid1 -> 6,
     dim1_corrected and dim1_erroneous -> 3.
     """
-    _validate_n(n)
+    n = _snark_order(n)
     if kind not in RECIPE_KINDS:
         raise GraphError(f"unknown recipe kind {kind!r}")
     if kind == "l2" and n < 7:
@@ -171,7 +172,7 @@ class ErroneousSetReport:
 
 
 def check_erroneous_set(n):
-    _validate_n(n)
+    n = _snark_order(n)
     k = (n - 1) // 2
     _, dm = snark_context(n)
     bad = recipe_set("dim1_erroneous", n)
@@ -235,7 +236,7 @@ def verify_flank_table(n, i):
     vertex outside the star sees all four sets at the same distance; the
     latter is why no anchor outside star i can tell X, Y and Z apart.
     """
-    _validate_n(n)
+    n, i = _snark_order(n), _star_index(i)
     cols = _flank_columns(n, i)
     star = {role: snark_vertex(role, i, n) for role in _ROLES}
     for role, expected_row in _FLANK_TABLE.items():
@@ -264,7 +265,7 @@ def verify_triple_distinguishers(n, i):
     """For the three-element sets X, Y, Z built on star i, the vertices
     whose distance to one set differs from the other are exactly the two
     involved leaves: XY -> {a_i, c_i}, XZ -> {a_i, d_i}, YZ -> {c_i, d_i}."""
-    _validate_n(n)
+    n, i = _snark_order(n), _star_index(i)
     cols = _flank_columns(n, i)
     expected = {
         "XY": (snark_vertex("a", i, n), snark_vertex("c", i, n)),
@@ -322,7 +323,7 @@ def _max_cyclic_gap(present, length):
 
 
 def gap_statistics(s, n):
-    _validate_n(n)
+    n = _snark_order(n)
     k = (n - 1) // 2
     members = set(_snark_vertices(s, n))
     a_hits = [v for v in members if 0 <= v < n]
@@ -360,7 +361,7 @@ class ReductionMap:
 
 
 def reduction_map(n):
-    _validate_n(n)
+    n = _snark_order(n)
     if n < 7:
         raise GraphError("reduction needs n >= 7")
     k = (n - 1) // 2
@@ -390,7 +391,7 @@ def _forbidden_stars(n):
 def admissible_stars(n):
     """Stars of J_n far enough from both fold points for the distance
     relations of the reduction to apply."""
-    _validate_n(n)
+    n = _snark_order(n)
     if n < 7:
         raise GraphError("reduction needs n >= 7")
     return tuple(i for i in range(1, n + 1) if i not in _forbidden_stars(n))
@@ -570,7 +571,7 @@ def snark_suite(ns, *, long=False, budget_s=600.0):
         })
 
     for n in ns:
-        _validate_n(n)
+        n = _snark_order(n)
         for kind in RECIPE_KINDS:
             if kind == "dim1_erroneous":
                 continue

@@ -302,6 +302,21 @@ def test_necessary_condition_not_sufficient(demo):
         necessary_resolving_condition(dm, S1, 1)
 
 
+@pytest.mark.parametrize("order", [np.int64(2), np.uint8(2)])
+def test_necessary_condition_takes_numpy_orders(demo, order):
+    _, dm = demo
+    for anchors in (S1, R1):
+        assert necessary_resolving_condition(dm, anchors, order) == \
+            necessary_resolving_condition(dm, anchors, 2)
+
+
+@pytest.mark.parametrize("order", [2.0, 2.5, True, "2"])
+def test_necessary_condition_refuses_non_integer_orders(demo, order):
+    _, dm = demo
+    with pytest.raises(ModeError, match="integer order >= 2"):
+        necessary_resolving_condition(dm, S1, order)
+
+
 def test_necessary_condition_failure_certifies(demo):
     _, dm = demo
     verdict = necessary_resolving_condition(dm, R1, 2)

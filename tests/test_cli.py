@@ -1,5 +1,9 @@
+import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -7,10 +11,8 @@ import pytest
 from resolving import GraphError, cli, parse_edge_list
 from resolving.cli import main, parse_graph_token, parse_vertex_set
 
-SCHEMA = json.loads(
-    (pathlib.Path(__file__).resolve().parents[1] / "docs" / "report.schema.json")
-    .read_text()
-)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
 
 
 def run(capsys, *argv):
@@ -445,7 +447,40 @@ def test_infinite_budget_exits_2(capsys, command, budget):
 def test_reports_refuse_non_finite_numbers():
     args = cli.build_parser().parse_args(["dim", "P3", "--json"])
     with pytest.raises(ValueError):
-        cli._finish(args, cli._Clock(False), "dim", {"value": float("nan")}, [])
+        cli._report(args, {"value": float("nan")}, None, None, 0.0)
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("check", "P5", "--set", "0"), 0),
+    (("check", "P5", "--set", "2", "--json"), 1),
+    (("snark-suite", "--n", "5", "--json"), 0),
+])
+def test_closed_stdout_keeps_the_exit_code(capsys, monkeypatch, argv, code):
+    # a reader that stops reading is no usage error: the command's own code,
+    # and nothing on stderr
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(list(argv)) == code
+    assert capsys.readouterr().err == ""
+
+
+def test_reader_closing_the_pipe_early_is_no_error():
+    # 537 KB of edge list, far more than a pipe holds: the writer is still
+    # writing when the reader goes
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "resolving.cli", "gen", "rook", "--m", "40", "--n", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"1600\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode != 2
+    assert err == b""
 
 
 def test_dim_doubly_on_one_vertex_exits_2(capsys):

@@ -25,6 +25,8 @@ from resolving import (
     tree_from_parents,
     write_edge_list,
 )
+from resolving.rook import Design, RookSet, rook_lower_bound
+from resolving.snark import recipe_set, snark_context, snark_vertex, verify_flank_table
 
 from conftest import bfs_distances
 
@@ -69,6 +71,41 @@ def test_build_graph_vertex_count_numpy_integer():
 def test_build_graph_vertex_count_refuses_non_integers(n):
     with pytest.raises(GraphError, match="vertex count must be a positive integer"):
         build_graph(n, [])
+
+
+# every size and star index given from outside: (call on the value, a good
+# value, the int read back from the call's result)
+_SIZES = {
+    "path": (path_graph, 3, lambda g: g.n),
+    "cycle": (cycle_graph, 3, lambda g: g.n),
+    "complete": (complete_graph, 3, lambda g: g.n),
+    "star": (star_graph, 2, lambda g: g.n),
+    "rook-m": (lambda x: rook_graph(x, 3), 2, lambda g: g.n),
+    "rook-n": (lambda x: rook_graph(3, x), 2, lambda g: g.n),
+    "flower-snark": (flower_snark, 5, lambda g: g.n),
+    "snark-context": (snark_context, 5, lambda ctx: ctx[0].n),
+    "recipe-n": (lambda x: recipe_set("l3", x), 7, max),
+    "snark-vertex-n": (lambda x: snark_vertex("c", 2, x), 7, lambda v: v),
+    "snark-vertex-star": (lambda x: snark_vertex("c", x, 7), 2, lambda v: v),
+    "flank-table-star": (lambda x: verify_flank_table(7, x), 2, lambda verdict: int(verdict.holds)),
+    "rook-lower-bound": (lambda x: rook_lower_bound(x, 7), 7, lambda bound: bound),
+    "design-points": (lambda x: Design(x, ((0, 1),)), 5, lambda d: d.n_points),
+    "rook-set-m": (lambda x: RookSet(x, 6, frozenset()), 6, lambda rs: rs.m),
+    "rook-set-n": (lambda x: RookSet(6, x, frozenset()), 6, lambda rs: rs.n),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "3"])
+@pytest.mark.parametrize("call", [c for c, _, _ in _SIZES.values()], ids=list(_SIZES))
+def test_sizes_refuse_non_integers(call, bad):
+    with pytest.raises(GraphError, match=f"got {bad!r}"):
+        call(bad)
+
+
+@pytest.mark.parametrize("call, good, read", _SIZES.values(), ids=list(_SIZES))
+def test_sizes_store_numpy_integers_as_ints(call, good, read):
+    value = read(call(np.int64(good)))
+    assert type(value) is int and value == read(call(good))
 
 
 def test_disconnected_is_flagged_and_refused():

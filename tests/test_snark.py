@@ -23,6 +23,8 @@ from resolving import snark
 from resolving.graphs import DistanceMatrix
 from resolving.snark import (
     RECIPE_KINDS,
+    ReductionReport,
+    ReductionViolation,
     admissible_stars,
     admissible_vertices,
     recipe_check_mode,
@@ -276,6 +278,38 @@ def test_reduction_no_admissible_band():
     report = reduction_distance_check(7, ())
     assert report.status == "no-admissible"
     assert report.holds  # vacuous, not a violation
+
+
+# One distance of J9 or J7 made one too large.  The source is a7 of J9, the
+# first admissible vertex, whose image a6 of J7 lies on the J side of the
+# fold; the targets are read in index order, two checks for each fold-star
+# target (stars 1 and 4 of J7) and one for any other.
+@pytest.mark.parametrize("matrix, target, witness, checked", [
+    # b2 of J7, whose one preimage is b3 of J9 (4 away): 4 fold-star
+    # targets and 4 others precede it
+    (7, ("b", 2), ReductionViolation(6, 8, 10, 4, 5), 12),
+    # fold-star a4 of J7, near check: its near counterpart is a5 of J9
+    (7, ("a", 4), ReductionViolation(6, 3, 4, 2, 3), 6),
+    # fold-star a4 of J7, far check: a4 of J9 must be one further than a5
+    (9, ("a", 4), ReductionViolation(6, 3, 3, 3, 4), 6),
+], ids=["other", "fold-near", "fold-far"])
+def test_reduction_reports_a_corrupted_distance(monkeypatch, matrix, target, witness, checked):
+    source, image = snark_vertex("a", 7, 9), snark_vertex("a", 6, 7)
+    corrupted = {7: (image, snark_vertex(*target, 7)), 9: (source, snark_vertex(*target, 9))}
+    context = snark.snark_context
+
+    def snark_context(n):
+        g, dm = context(n)
+        if n == matrix:
+            dist = dm.dist.copy()
+            dist[corrupted[n]] += 1
+            dm = DistanceMatrix(dist)
+        return g, dm
+
+    monkeypatch.setattr(snark, "snark_context", snark_context)
+    report = reduction_distance_check(9, (source,))
+    assert report == ReductionReport("violation", checked, witness)
+    assert not report.holds
 
 
 def test_reduction_rejects_forbidden_sources():
