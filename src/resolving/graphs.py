@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import operator
 from collections import deque
 
@@ -18,7 +19,9 @@ class Graph:
     Instances are immutable.  Adjacency lists are sorted tuples.  Optional
     ``labels`` give vertices display names (the index is used otherwise).
     ``connected`` is computed at build time; analysis entry points refuse
-    disconnected graphs, construction merely flags them.
+    disconnected graphs, construction merely flags them.  The distance
+    matrix is computed on first use and kept with the graph object (see
+    :func:`all_pairs_distances`).
     """
 
     n: int
@@ -62,6 +65,10 @@ class Graph:
             reached = _bfs_reach(self.adjacency, 0)
             missing = next(v for v in range(self.n) if v not in reached)
             raise DisconnectedGraphError(0, missing)
+
+    @functools.cached_property
+    def _distances(self):
+        return _bfs_distances(self)
 
 
 def _bfs_reach(adjacency, source):
@@ -151,9 +158,12 @@ def build_graph(n, edges, labels=None):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """All-pairs shortest-path distances of a connected graph."""
+    """All-pairs shortest-path distances of a connected graph, and the
+    invariants computed from them, each kept with the matrix once computed
+    (see :meth:`_invariant`)."""
 
     dist: np.ndarray
+    _invariants: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.dist.setflags(write=False)
@@ -170,8 +180,27 @@ class DistanceMatrix:
         """Distances from every vertex to ``v`` (a read-only numpy row)."""
         return self.dist[:, v]
 
+    def _invariant(self, compute):
+        """``compute(self)``, computed on the first call with that function
+        and kept with this matrix for its lifetime.  Only for what depends
+        on the graph alone (such as its automorphism group): per-call
+        inputs like masks, forced vertices or answers do not belong here."""
+        try:
+            return self._invariants[compute]
+        except KeyError:
+            value = self._invariants[compute] = compute(self)
+            return value
+
 
 def all_pairs_distances(g):
+    """The distance matrix of ``g``, computed by BFS on the first call for
+    that graph object and kept with it for its lifetime, so every later
+    call returns the same matrix (an equal graph built anew computes its
+    own).  Raises on a disconnected graph, on every call."""
+    return g._distances
+
+
+def _bfs_distances(g):
     """BFS from every vertex, level by level over Python lists; one int32
     matrix is built at the end.  Raises on a disconnected graph."""
     g.require_connected()

@@ -67,12 +67,17 @@ fewer, nor the read-off), the group is read off the distance matrix: an
 automorphism is fixed by the images of a resolving base, so the
 candidate images of a greedy base are extended level by level and every
 map they give is checked against the edges (or, past a fixed number of
-candidates, the search goes on without it).  The same recursion then
-makes each decision by orbital branching: it is handed the
-automorphisms that fix the positions taken so far, and when the branch
-on a position fails, so do the branches on every position they map it
-to, which are dropped.  Where none is left it branches as without the
-group.  The answer is unchanged; only the nodes it takes are fewer.
+candidates, the search goes on without it).  The group depends on the
+graph alone, so it is read at most once per distance matrix and kept with
+it (``DistanceMatrix._invariant``), as the matrix is kept with its graph
+object: later searches on that graph, in any mode, read neither again,
+while the masks, forced vertices and answers are computed per call.  The
+same recursion then makes each decision by orbital branching: it is
+handed the automorphisms that fix the positions taken so far, and when
+the branch on a position fails, so do the branches on every position
+they map it to, which are dropped.  Where none is left it branches as
+without the group.  The answer is unchanged; only the nodes it takes are
+fewer.
 """
 
 from __future__ import annotations
@@ -428,11 +433,12 @@ def _family(member):
 # automorphisms, read off a resolving base
 
 
-def _automorphisms(dist):
+def _automorphisms(dm):
     """Every automorphism of the connected graph with distance matrix
-    ``dist``, as the rows of an int array (entry [g, v] is the image of v),
+    ``dm``, as the rows of an int array (entry [g, v] is the image of v),
     or None when the images of the base below take more than _MAX_IMAGES
-    candidate tuples at some level.
+    candidate tuples at some level.  ``metric_dimension`` reads it through
+    ``dm._invariant``, so once per distance matrix.
 
     An automorphism is fixed by the images of a resolving set (Boutin
     2009).  The base is chosen greedily: each step adds the vertex whose
@@ -443,8 +449,8 @@ def _automorphisms(dist):
     maps each vertex to the one whose codes to the images match its codes
     to the base, and the map is kept only if it sends every edge to an
     edge."""
-    n = len(dist)
-    dist = dist.astype(np.intp)
+    n = dm.n
+    dist = dm.dist.astype(np.intp)
     span = int(dist.max()) + 1
     # code[v]: v's class of distance codes to the base so far.  A step
     # numbers the keys code * span + d that occur; as a table, entry [c, d]
@@ -716,7 +722,7 @@ def metric_dimension(g, config):
             # positions; the largest cardinality decided is below hi
             top = min(hi - 1, k_hi)
             prunes = lb <= top and top - len(forced) >= 2
-            orbits = _Orbits(_automorphisms(dm.dist) if prunes else None, free, place)
+            orbits = _Orbits(dm._invariant(_automorphisms) if prunes else None, free, place)
         with _phase(stats, "search"):
             decide, read_off = _cover_search(cover, members, place, tick, orbits)
             # galloping: the gap above the starting bound doubles with each

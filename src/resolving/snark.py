@@ -37,7 +37,7 @@ __all__ = [
     "DistinguisherMismatch",
 ]
 
-_ROLES = "abcd"
+_ROLES = ("a", "b", "c", "d")
 
 
 def _snark_vertices(vertices, n):
@@ -62,6 +62,8 @@ def _star_index(i):
 def snark_vertex(role, i, n):
     """Flat index of role in {a,b,c,d} at star i (1-based, wraps mod n)."""
     n = _snark_order(n)
+    if role not in _ROLES:
+        raise GraphError(f"role must be one of a, b, c, d, got {role!r}")
     return _ROLES.index(role) * n + (_star_index(i) - 1) % n
 
 
@@ -70,6 +72,8 @@ def star_of(v, n):
 
 
 def role_of(v, n):
+    """Role of vertex v of J_n, for 0 <= v < 4n only."""
+    (v,) = _snark_vertices((v,), _snark_order(n))
     return _ROLES[v // n]
 
 

@@ -113,8 +113,18 @@ def test_disconnected_is_flagged_and_refused():
     assert not g.connected
     with pytest.raises(DisconnectedGraphError):
         g.require_connected()
-    with pytest.raises(DisconnectedGraphError):
-        all_pairs_distances(g)
+    # refused on every call: nothing is kept from a failed one
+    for _ in range(2):
+        with pytest.raises(DisconnectedGraphError):
+            all_pairs_distances(g)
+
+
+def test_all_pairs_distances_keeps_the_matrix_with_the_graph_object():
+    g, same = path_graph(4), path_graph(4)
+    assert g == same
+    assert all_pairs_distances(g) is all_pairs_distances(g)
+    assert all_pairs_distances(same) is not all_pairs_distances(g)
+    np.testing.assert_array_equal(all_pairs_distances(same).dist, all_pairs_distances(g).dist)
 
 
 def test_labels_round_trip():

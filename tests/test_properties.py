@@ -431,7 +431,7 @@ def test_colex_first_cover_matches_brute_force(n, data):
 def test_automorphisms_equal_brute_force(g):
     # a base's images fix an automorphism; the edge check drops the maps
     # that match distance codes but are not automorphisms
-    autos = _automorphisms(all_pairs_distances(g).dist)
+    autos = _automorphisms(all_pairs_distances(g))
     want = oracle_automorphisms(g)
     if autos is None:
         # over 1024 candidate images of the base: on at most 7 vertices,

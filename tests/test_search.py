@@ -1,6 +1,8 @@
+import dataclasses
 import random
 import sys
 import time
+import weakref
 from functools import reduce
 from operator import or_
 
@@ -20,6 +22,7 @@ from resolving import (
     dimension_lower_bounds,
     flower_snark,
     forced_vertices,
+    graphs,
     metric_dimension,
     path_graph,
     rook_graph,
@@ -331,7 +334,7 @@ def _complete_bipartite(a, b):
     (rook_graph(4, 4), None),
 ])
 def test_automorphism_group_orders(g, order):
-    autos = search._automorphisms(all_pairs_distances(g).dist)
+    autos = search._automorphisms(all_pairs_distances(g))
     if order is None:
         # 1152 automorphisms, more than the cutoff of candidate images
         assert autos is None
@@ -346,7 +349,7 @@ def test_automorphisms_skip_distance_preserving_non_automorphisms():
     # the images of a base match every distance code here in four ways,
     # and two of those maps send some edge to a non-edge
     g = build_graph(5, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 4), (3, 4)])
-    autos = search._automorphisms(all_pairs_distances(g).dist)
+    autos = search._automorphisms(all_pairs_distances(g))
     assert sorted(map(tuple, autos.tolist())) == oracle_automorphisms(g)
     assert len(autos) == 2
 
@@ -365,11 +368,15 @@ def test_orbital_branching_matches_search_without_group(name, seed, monkeypatch)
     # counters are those of the same search with no group
     g = _GROUP_GRAPHS[name]
     g = _relabelled(g, seed) if seed else g
-    assert len(search._automorphisms(all_pairs_distances(g).dist)) > 1
+    assert len(search._automorphisms(all_pairs_distances(g))) > 1
     modes = _modes_for(g.n)
     with_group = [_outcome(dim(g, mode)) for mode in modes]
-    monkeypatch.setattr(search, "_automorphisms", lambda dist: None)
+    # the module-level graphs keep their group from earlier searches; the
+    # patched function must still decide it, and be asked
+    asked = []
+    monkeypatch.setattr(search, "_automorphisms", lambda dm: asked.append(dm) or None)
     assert [_outcome(dim(g, mode)) for mode in modes] == with_group
+    assert asked == [all_pairs_distances(g)]
 
 
 @pytest.mark.parametrize("g, mode, k_max", [
@@ -386,7 +393,7 @@ def test_group_is_not_read_where_no_cardinality_places_two_positions(g, mode, k_
     # group cannot prune
     want = _outcome(dim(g, mode, k_max=k_max))
 
-    def automorphisms(dist):
+    def automorphisms(dm):
         raise AssertionError("the group was read")
 
     monkeypatch.setattr(search, "_automorphisms", automorphisms)
@@ -399,9 +406,46 @@ def test_group_is_read_where_a_cardinality_places_two_positions(monkeypatch):
     calls = []
     automorphisms = search._automorphisms
     monkeypatch.setattr(search, "_automorphisms",
-                        lambda dist: calls.append(len(dist)) or automorphisms(dist))
+                        lambda dm: calls.append(dm.n) or automorphisms(dm))
     assert dim(flower_snark(5), Mode.resolving(2)).value == 7
     assert calls == [20]
+
+
+def _answers(res):
+    """Everything a search returns but its timings."""
+    stats = dataclasses.asdict(res.stats)
+    del stats["wall_ms"], stats["phase_ms"]
+    return res.value, res.basis, res.lower_bound, res.lower_bound_source, stats
+
+
+def test_distances_and_group_are_read_once_per_graph(monkeypatch):
+    # two modes and a minimality certificate on one graph object: one BFS
+    # and one group read, and the answers and counters of searches that
+    # each start from a freshly built equal graph
+    modes = Mode.resolving(2), Mode.solid(2)
+    fresh = [_answers(dim(flower_snark(5), mode)) for mode in modes]
+    bfs, group = [], []
+    real_bfs, real_group = graphs._bfs_distances, search._automorphisms
+    monkeypatch.setattr(graphs, "_bfs_distances", lambda g: bfs.append(g) or real_bfs(g))
+    monkeypatch.setattr(search, "_automorphisms", lambda dm: group.append(dm) or real_group(dm))
+    g = flower_snark(5)
+    assert [_answers(dim(g, mode)) for mode in modes] == fresh
+    assert verify_basis_certificate(g, modes[0], fresh[0][1]) == \
+        search.CertificateReport(True, "confirmed-minimum", lower_bound=7)
+    assert bfs == [g]
+    assert group == [all_pairs_distances(g)]
+
+
+def test_a_searched_graph_is_freed_with_its_matrix_and_group():
+    # nothing outside the graph holds on to what is kept with it, so a
+    # graph built per request leaves nothing behind
+    g = flower_snark(5)
+    dm = all_pairs_distances(g)
+    assert dim(g, Mode.resolving(2)).value == 7
+    assert dm._invariant(search._automorphisms) is not None
+    refs = weakref.ref(g), weakref.ref(dm)
+    del g, dm
+    assert [ref() for ref in refs] == [None, None]
 
 
 def _search_family(g, mode):
@@ -415,7 +459,7 @@ def _search_family(g, mode):
     by_degree = np.argsort(-member.sum(axis=0, dtype=np.int64), kind="stable")
     cover, members = search._family(member[:, by_degree])
     place = np.argsort(by_degree).tolist()
-    return cover, members, place, search._Orbits(search._automorphisms(dm.dist), free, place)
+    return cover, members, place, search._Orbits(search._automorphisms(dm), free, place)
 
 
 @pytest.mark.parametrize("name", sorted(_GROUP_GRAPHS))

@@ -52,6 +52,26 @@ def test_vertex_naming_round_trip():
     assert snark_vertex("a", 6, 5) == snark_vertex("a", 1, 5)
 
 
+@pytest.mark.parametrize("role", ["ab", "", "cd", "abcd", "e", "A", None, 0, ["a"]])
+def test_snark_vertex_takes_exactly_one_role(role):
+    # a substring of "abcd" is not a role
+    with pytest.raises(GraphError, match="role"):
+        snark_vertex(role, 2, 7)
+
+
+@pytest.mark.parametrize("v", [28, 40, -1, -28, 1.0, True, "3"])
+@pytest.mark.parametrize("name", ["role_of", "snark_label"])
+def test_role_and_label_take_only_vertices_of_the_snark(name, v):
+    # 28 was an IndexError, and -1 read as d7
+    with pytest.raises(GraphError):
+        getattr(snark, name)(v, 7)
+
+
+def test_role_and_label_take_numpy_vertices():
+    assert role_of(np.int64(27), 7) == "d"
+    assert snark_label(np.uint8(0), 7) == "a1"
+
+
 def test_snark_functions_reject_bad_n():
     for bad in (4, 6, 3, -5):
         with pytest.raises(GraphError):
