@@ -110,6 +110,21 @@ def _snark_order(n):
     return v
 
 
+_SNARK_ROLES = ("a", "b", "c", "d")
+
+
+def _snark_index(role, i, n):
+    """Vertex ``role`` of star i of J_n, stars 1-based and wrapping mod n:
+    the layout of J_n, one block of n vertices per role.  Unchecked."""
+    return _SNARK_ROLES.index(role) * n + (i - 1) % n
+
+
+def _snark_coords(v, n):
+    """(role, star) of vertex v of J_n, the inverse of :func:`_snark_index`; unchecked."""
+    block, i = divmod(v, n)
+    return _SNARK_ROLES[block], i + 1
+
+
 def _endpoint(x, edge):
     v = _plain_int(x)
     if v is None:
@@ -351,27 +366,15 @@ def flower_snark(n):
     to the other three. The graph is cubic with girth at least five.
     """
     n = _snark_order(n)
-    a = lambda i: i
-    b = lambda i: n + i
-    c = lambda i: 2 * n + i
-    d = lambda i: 3 * n + i
+    v = lambda role, i: _snark_index(role, i, n)
     edges = []
-    for i in range(n):
-        edges.append((b(i), a(i)))
-        edges.append((b(i), c(i)))
-        edges.append((b(i), d(i)))
-        edges.append((a(i), a((i + 1) % n)))
-    for i in range(n - 1):
-        edges.append((c(i), c(i + 1)))
-        edges.append((d(i), d(i + 1)))
-    edges.append((c(n - 1), d(0)))
-    edges.append((d(n - 1), c(0)))
-    labels = (
-        [f"a{i+1}" for i in range(n)]
-        + [f"b{i+1}" for i in range(n)]
-        + [f"c{i+1}" for i in range(n)]
-        + [f"d{i+1}" for i in range(n)]
-    )
+    for i in range(1, n + 1):
+        edges += [(v("b", i), v(leaf, i)) for leaf in "acd"]
+        edges.append((v("a", i), v("a", i + 1)))
+    for i in range(1, n):
+        edges += [(v("c", i), v("c", i + 1)), (v("d", i), v("d", i + 1))]
+    edges += [(v("c", n), v("d", 1)), (v("d", n), v("c", 1))]
+    labels = ["{}{}".format(*_snark_coords(u, n)) for u in range(4 * n)]
     return build_graph(4 * n, edges, labels=labels)
 
 

@@ -5,11 +5,13 @@ c_i, d_i}: b_i is the hub of star i, the a_i form an n-cycle, and the c/d
 leaves form a single 2n-cycle c_1..c_n d_1..d_n.  Everything here is
 1-based in the star index with wraparound, so b_0 means b_n.
 
-The module builds the explicit vertex sets whose minimality the search
-module certifies, verifies the two star lemmas those certificates lean on,
-rebuilds a 3-element set broken by one misprinted index alongside its
-correction, and checks
-the distance relations of the size-reduction map J_n -> J_{n-2}.
+The module holds vertex naming by role and star, the explicit vertex sets
+whose minimality the search module certifies, the two star lemmas those
+certificates lean on, a 3-element set broken by one misprinted index with
+its correction, the gap statistics that rule out 2-solid sets, the
+size-reduction map J_n -> J_{n-2} with its distance relations, the star
+distance, and the suite that runs every check.  Coordinates are checked
+where they enter; inside, the layout of J_n is plain arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 from . import checks
 from .checks import CheckVerdict, Mode, distance_array
 from .errors import GraphError
-from .graphs import _plain_int, _snark_order, all_pairs_distances, flower_snark
+from .graphs import (_SNARK_ROLES, _plain_int, _snark_coords, _snark_index, _snark_order,
+                     all_pairs_distances, flower_snark)
 from .search import SearchConfig, metric_dimension
 
 __all__ = [
@@ -37,18 +40,13 @@ __all__ = [
     "DistinguisherMismatch",
 ]
 
-_ROLES = ("a", "b", "c", "d")
 
-
-def _snark_vertices(vertices, n):
-    """``vertices`` as ints, each checked to be a vertex of J_n."""
-    out = []
-    for x in vertices:
-        v = _plain_int(x)
-        if v is None or not 0 <= v < 4 * n:
-            raise GraphError(f"vertex {x!r} is not in J_{n}, whose vertices are 0..{4 * n - 1}")
-        out.append(v)
-    return tuple(out)
+def _vertex_of(x, n):
+    """``x`` as an int, checked to be a vertex of J_n."""
+    v = _plain_int(x)
+    if v is None or not 0 <= v < 4 * n:
+        raise GraphError(f"vertex {x!r} is not in J_{n}, whose vertices are 0..{4 * n - 1}")
+    return v
 
 
 def _star_index(i):
@@ -62,23 +60,29 @@ def _star_index(i):
 def snark_vertex(role, i, n):
     """Flat index of role in {a,b,c,d} at star i (1-based, wraps mod n)."""
     n = _snark_order(n)
-    if role not in _ROLES:
+    if role not in _SNARK_ROLES:
         raise GraphError(f"role must be one of a, b, c, d, got {role!r}")
-    return _ROLES.index(role) * n + (_star_index(i) - 1) % n
+    return _snark_index(role, _star_index(i), n)
+
+
+def _checked_coords(v, n):
+    """(role, star) of vertex v of J_n, with n and v checked."""
+    n = _snark_order(n)
+    return _snark_coords(_vertex_of(v, n), n)
 
 
 def star_of(v, n):
-    return v % n + 1
+    """Star (1..n) of vertex v of J_n, for 0 <= v < 4n only."""
+    return _checked_coords(v, n)[1]
 
 
 def role_of(v, n):
     """Role of vertex v of J_n, for 0 <= v < 4n only."""
-    (v,) = _snark_vertices((v,), _snark_order(n))
-    return _ROLES[v // n]
+    return _checked_coords(v, n)[0]
 
 
 def snark_label(v, n):
-    return f"{role_of(v, n)}{star_of(v, n)}"
+    return "{}{}".format(*_checked_coords(v, n))
 
 
 @lru_cache(maxsize=32)
@@ -91,23 +95,40 @@ def snark_context(n):
 # ---------------------------------------------------------------------------
 # explicit set recipes
 
-RECIPE_KINDS = ("l3", "solid2", "l2", "solid1", "dim1_corrected", "dim1_erroneous")
-
-# what each recipe is built to pass
-_RECIPE_MODES = {
-    "l3": ("resolving", 3),
-    "solid2": ("solid", 2),
-    "l2": ("resolving", 2),
-    "solid1": ("solid", 1),
-    "dim1_corrected": ("resolving", 1),
-    "dim1_erroneous": ("resolving", 1),
+# each recipe: the mode it is built to pass, and its members in J_n as
+# (role, star) pairs, with k = (n - 1) // 2
+_RECIPES = {
+    "l3": (Mode.resolving(3), lambda n, k:
+           [(role, i) for role in "acd" for i in range(1, n + 1)]),
+    "solid2": (Mode.solid(2), lambda n, k:
+               [("a", 1), ("c", 1), ("d", 1),
+                ("a", k + 1), ("a", k + 2), ("c", k + 2), ("d", k + 2)]
+               + [("b", i) for i in range(1, n + 1) if i not in (1, k + 2)]),
+    "l2": (Mode.resolving(2), lambda n, k:
+           [("a", 1), ("c", 1), ("d", 1), ("a", 2),
+            ("a", k + 1), ("a", k + 2), ("c", k + 2), ("d", k + 2)]),
+    "solid1": (Mode.solid(1), lambda n, k:
+               [("a", 1), ("a", k + 2), ("c", 1), ("d", 1),
+                ("c", k + 1), ("d", k + 1)]),
+    "dim1_corrected": (Mode.resolving(1), lambda n, k:
+                       [("c", 1), ("d", 1), ("d", k + 1)]),
+    "dim1_erroneous": (Mode.resolving(1), lambda n, k:
+                       [("c", 1), ("d", 1), ("d", k)]),
 }
+
+RECIPE_KINDS = tuple(_RECIPES)
+
+
+def _recipe(kind):
+    """(mode, member builder) of a recipe kind, or GraphError."""
+    if kind not in RECIPE_KINDS:
+        raise GraphError(f"unknown recipe kind {kind!r}")
+    return _RECIPES[kind]
 
 
 def recipe_check_mode(kind):
     """Mode the recipe is meant to satisfy (the erroneous one fails it)."""
-    kind_name, order = _RECIPE_MODES[kind]
-    return Mode(kind_name, order)
+    return _recipe(kind)[0]
 
 
 def recipe_set(kind, n):
@@ -117,29 +138,10 @@ def recipe_set(kind, n):
     dim1_corrected and dim1_erroneous -> 3.
     """
     n = _snark_order(n)
-    if kind not in RECIPE_KINDS:
-        raise GraphError(f"unknown recipe kind {kind!r}")
+    members = _recipe(kind)[1]
     if kind == "l2" and n < 7:
         raise GraphError("the 8-element recipe needs n >= 7")
-    k = (n - 1) // 2
-    v = lambda role, i: snark_vertex(role, i, n)
-    if kind == "l3":
-        out = [v(r, i) for r in "acd" for i in range(1, n + 1)]
-    elif kind == "solid2":
-        out = [v("a", 1), v("c", 1), v("d", 1),
-               v("a", k + 1), v("a", k + 2), v("c", k + 2), v("d", k + 2)]
-        out += [v("b", i) for i in range(1, n + 1) if i not in (1, k + 2)]
-    elif kind == "l2":
-        out = [v("a", 1), v("c", 1), v("d", 1), v("a", 2),
-               v("a", k + 1), v("a", k + 2), v("c", k + 2), v("d", k + 2)]
-    elif kind == "solid1":
-        out = [v("a", 1), v("a", k + 2), v("c", 1), v("d", 1),
-               v("c", k + 1), v("d", k + 1)]
-    elif kind == "dim1_corrected":
-        out = [v("c", 1), v("d", 1), v("d", k + 1)]
-    else:  # dim1_erroneous
-        out = [v("c", 1), v("d", 1), v("d", k)]
-    return tuple(sorted(out))
+    return tuple(sorted(_snark_index(role, i, n) for role, i in members(n, (n - 1) // 2)))
 
 
 def verify_recipe(kind, n):
@@ -149,6 +151,14 @@ def verify_recipe(kind, n):
 
 # ---------------------------------------------------------------------------
 # the 3-element set with a misprinted index
+
+
+def _misprint_collisions(n):
+    """The two pairs of J_n that {c1, d1, d_k} cannot tell apart, each with
+    the distance array both share: (a1, b_n) and (a_k, b_{k+1})."""
+    k = (n - 1) // 2
+    return ((_snark_index("a", 1, n), _snark_index("b", n, n), (2, 2, k + 1)),
+            (_snark_index("a", k, n), _snark_index("b", k + 1, n), (k + 1, k + 1, 2)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,24 +175,15 @@ class ErroneousSetReport:
     def holds(self):
         """True when the broken set fails exactly as documented and the
         corrected set resolves."""
-        k = (self.n - 1) // 2
-        want = (
-            (snark_vertex("a", 1, self.n), snark_vertex("b", self.n, self.n),
-             (2, 2, k + 1)),
-            (snark_vertex("a", k, self.n), snark_vertex("b", k + 1, self.n),
-             (k + 1, k + 1, 2)),
-        )
-        return self.collisions == want and bool(self.corrected_verdict)
+        return self.collisions == _misprint_collisions(self.n) and bool(self.corrected_verdict)
 
 
 def check_erroneous_set(n):
     n = _snark_order(n)
-    k = (n - 1) // 2
     _, dm = snark_context(n)
     bad = recipe_set("dim1_erroneous", n)
     collisions = []
-    for u, w in ((snark_vertex("a", 1, n), snark_vertex("b", n, n)),
-                 (snark_vertex("a", k, n), snark_vertex("b", k + 1, n))):
+    for u, w, _ in _misprint_collisions(n):
         arr_u = distance_array(dm, bad, (u,))
         arr_w = distance_array(dm, bad, (w,))
         if arr_u == arr_w:
@@ -214,14 +215,12 @@ _FLANK_TABLE = {
 
 
 def _flank_sets(n, i):
-    b_prev = snark_vertex("b", i - 1, n)
-    b_next = snark_vertex("b", i + 1, n)
-    base = (b_prev, b_next)
+    base = (_snark_index("b", i - 1, n), _snark_index("b", i + 1, n))
     return {
         "B": base,
-        "X": base + (snark_vertex("a", i, n),),
-        "Y": base + (snark_vertex("c", i, n),),
-        "Z": base + (snark_vertex("d", i, n),),
+        "X": base + (_snark_index("a", i, n),),
+        "Y": base + (_snark_index("c", i, n),),
+        "Z": base + (_snark_index("d", i, n),),
     }
 
 
@@ -242,7 +241,7 @@ def verify_flank_table(n, i):
     """
     n, i = _snark_order(n), _star_index(i)
     cols = _flank_columns(n, i)
-    star = {role: snark_vertex(role, i, n) for role in _ROLES}
+    star = {role: _snark_index(role, i, n) for role in _SNARK_ROLES}
     for role, expected_row in _FLANK_TABLE.items():
         s = star[role]
         for (name, col), expected in zip(cols.items(), expected_row):
@@ -271,12 +270,9 @@ def verify_triple_distinguishers(n, i):
     involved leaves: XY -> {a_i, c_i}, XZ -> {a_i, d_i}, YZ -> {c_i, d_i}."""
     n, i = _snark_order(n), _star_index(i)
     cols = _flank_columns(n, i)
-    expected = {
-        "XY": (snark_vertex("a", i, n), snark_vertex("c", i, n)),
-        "XZ": (snark_vertex("a", i, n), snark_vertex("d", i, n)),
-        "YZ": (snark_vertex("c", i, n), snark_vertex("d", i, n)),
-    }
-    for pair, want in expected.items():
+    leaf = {role: _snark_index(role, i, n) for role in "acd"}
+    for pair, (x, y) in (("XY", "ac"), ("XZ", "ad"), ("YZ", "cd")):
+        want = (leaf[x], leaf[y])
         got = tuple(np.flatnonzero(cols[pair[0]] != cols[pair[1]]).tolist())
         if got != tuple(sorted(want)):
             return CheckVerdict(False, DistinguisherMismatch(pair, want, got))
@@ -315,7 +311,8 @@ class GapReport:
 
 
 def _max_cyclic_gap(present, length):
-    """Longest run of consecutive positions 0..length-1 absent from present."""
+    """Longest run of consecutive positions absent from ``present``, on a
+    cycle of ``length`` positions numbered from any start."""
     hits = sorted(present)
     if not hits:
         return length
@@ -329,11 +326,11 @@ def _max_cyclic_gap(present, length):
 def gap_statistics(s, n):
     n = _snark_order(n)
     k = (n - 1) // 2
-    members = set(_snark_vertices(s, n))
-    a_hits = [v for v in members if 0 <= v < n]
-    cycle_hits = [v - 2 * n for v in members if 2 * n <= v < 4 * n]
+    coords = [_snark_coords(_vertex_of(x, n), n) for x in s]
+    # c_i sits at position i of the 2n-cycle c1..cn d1..dn, d_i at n + i
+    cycle_hits = [i + n * (role == "d") for role, i in coords if role in "cd"]
     return GapReport(
-        a_gap=_max_cyclic_gap(a_hits, n),
+        a_gap=_max_cyclic_gap([i for role, i in coords if role == "a"], n),
         cycle_gap=_max_cyclic_gap(cycle_hits, 2 * n),
         a_bound=k - 1,
         cycle_bound=k,
@@ -364,46 +361,47 @@ class ReductionMap:
         return self.image[v]
 
 
-def reduction_map(n):
+def _fold_order(n):
+    """``n`` as a plain int if J_n folds onto J_{n-2} (odd n >= 7), else GraphError."""
     n = _snark_order(n)
     if n < 7:
         raise GraphError("reduction needs n >= 7")
+    return n
+
+
+def reduction_map(n):
+    n = _fold_order(n)
     k = (n - 1) // 2
     m, l = n - 2, k - 1
     image = []
     preimages = [[] for _ in range(4 * m)]
     for v in range(4 * n):
-        role, i = role_of(v, n), star_of(v, n)
+        role, i = _snark_coords(v, n)
         if i == n:
             j = 1
         elif i <= k:
             j = i
         else:
             j = i - 1
-        w = snark_vertex(role, j, m)
+        w = _snark_index(role, j, m)
         image.append(w)
         preimages[w].append(v)
     return ReductionMap(n, m, k, l, tuple(image),
                         tuple(tuple(sorted(p)) for p in preimages))
 
 
-def _forbidden_stars(n):
-    k = (n - 1) // 2
-    return {1, 2, k - 1, k, k + 1, k + 2, n - 1, n}
-
-
 def admissible_stars(n):
     """Stars of J_n far enough from both fold points for the distance
     relations of the reduction to apply."""
-    n = _snark_order(n)
-    if n < 7:
-        raise GraphError("reduction needs n >= 7")
-    return tuple(i for i in range(1, n + 1) if i not in _forbidden_stars(n))
+    n = _fold_order(n)
+    k = (n - 1) // 2
+    forbidden = {1, 2, k - 1, k, k + 1, k + 2, n - 1, n}
+    return tuple(i for i in range(1, n + 1) if i not in forbidden)
 
 
 def admissible_vertices(n):
     stars = set(admissible_stars(n))
-    return tuple(v for v in range(4 * n) if star_of(v, n) in stars)
+    return tuple(v for v in range(4 * n) if _snark_coords(v, n)[1] in stars)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -429,9 +427,9 @@ class ReductionReport:
         return self.holds
 
 
-def _fold_counterparts(v, n, m, k):
-    """The J_n vertices a fold-star target v stands for, as (low, high) by
-    source star.
+def _fold_counterparts(role, star, n, k):
+    """The J_n vertices a fold-star target ``role`` of ``star`` (1 or l+1)
+    of J_{n-2} stands for, as (low, high) by source star.
 
     For star l+1 and for a/b vertices of star 1 these are the two label
     preimages.  For c/d vertices of star 1 the high-star counterpart has
@@ -441,11 +439,10 @@ def _fold_counterparts(v, n, m, k):
     different branches of the cycle and the distance relations would not
     hold.
     """
-    role = role_of(v, m)
-    if star_of(v, m) == 1:
+    if star == 1:
         high_role = {"c": "d", "d": "c"}.get(role, role)
-        return snark_vertex(role, 1, n), snark_vertex(high_role, n, n)
-    return snark_vertex(role, k, n), snark_vertex(role, k + 1, n)
+        return _snark_index(role, 1, n), _snark_index(high_role, n, n)
+    return _snark_index(role, k, n), _snark_index(role, k + 1, n)
 
 
 def reduction_distance_check(n, s):
@@ -463,12 +460,11 @@ def reduction_distance_check(n, s):
     m, k, l = alpha.m, alpha.k, alpha.l
     band = admissible_stars(n)
     allowed = set(band)
-    members = tuple(sorted(set(_snark_vertices(s, n))))
+    members = tuple(sorted({_vertex_of(x, n) for x in s}))
     for v in members:
-        if star_of(v, n) not in allowed:
-            raise GraphError(
-                f"vertex {snark_label(v, n)} lies in forbidden star {star_of(v, n)}"
-            )
+        role, i = _snark_coords(v, n)
+        if i not in allowed:
+            raise GraphError(f"vertex {role}{i} lies in forbidden star {i}")
     if not members:
         status = "no-admissible" if not band else "ok"
         return ReductionReport(status, 0)
@@ -488,21 +484,21 @@ def reduction_distance_check(n, s):
 
     for src in members:
         r = alpha(src)
-        r_side = side(star_of(r, m))
-        for v in range(4 * m):
-            star_v = star_of(v, m)
-            got = dm_m[r, v]
+        r_side = side(_snark_coords(r, m)[1])
+        from_src = dm_n.dist[src].tolist()
+        for v, got in enumerate(dm_m.dist[r].tolist()):
+            role, star_v = _snark_coords(v, m)
             if star_v in (1, l + 1):
-                low, high = _fold_counterparts(v, n, m, k)
+                low, high = _fold_counterparts(role, star_v, n, k)
                 near, far = (low, high) if r_side == "I" else (high, low)
                 checked += 2
-                if got != dm_n[src, near]:
-                    return fail(src, v, near, dm_n[src, near], got)
-                if dm_n[src, far] != dm_n[src, near] + 1:
-                    return fail(src, v, far, dm_n[src, near] + 1, dm_n[src, far])
+                if got != from_src[near]:
+                    return fail(src, v, near, from_src[near], got)
+                if from_src[far] != from_src[near] + 1:
+                    return fail(src, v, far, from_src[near] + 1, from_src[far])
             else:
                 (pre_v,) = alpha.preimages[v]
-                want = dm_n[src, pre_v]
+                want = from_src[pre_v]
                 if side(star_v) != r_side:
                     want -= 1
                 checked += 1
@@ -524,7 +520,7 @@ def star_distance(u, v, n):
     different stars.
     """
     g, dm = snark_context(n)
-    u, v = _snark_vertices((u, v), n)
+    u, v = _vertex_of(u, n), _vertex_of(v, n)
     total = dm[u, v]
     on_dag = [w for w in range(4 * n) if dm[u, w] + dm[w, v] == total]
     on_dag.sort(key=lambda w: dm[u, w])
@@ -535,7 +531,7 @@ def star_distance(u, v, n):
         best = None
         for p in g.neighbors(w):
             if p in crossings and dm[u, p] + 1 == dm[u, w]:
-                cand = crossings[p] + (star_of(p, n) != star_of(w, n))
+                cand = crossings[p] + (_snark_coords(p, n)[1] != _snark_coords(w, n)[1])
                 if best is None or cand < best:
                     best = cand
         crossings[w] = best
@@ -556,14 +552,23 @@ def _witness_text(w):
     return None if w is None else repr(w)
 
 
+def _first_failure(verifier, n):
+    """(star, witness) of the first star of J_n that ``verifier`` rejects, or None."""
+    for i in range(1, n + 1):
+        verdict = verifier(n, i)
+        if not verdict.holds:
+            return i, verdict.witness
+    return None
+
+
 def snark_suite(ns, *, long=False, budget_s=600.0):
     """Run every verifier for each n and return one record per (n, check).
 
     Records are dicts {n, check_name, holds, witness, millis}.  The
     reduction's distance relations are checked from every admissible
     vertex (there are none at n = 7).  With ``long=True`` exact dimension
-    searches are added (1-solid and, for n >= 7, the order-2 set
-    searches), each under its own time budget; a budget overrun shows up
+    searches are added (1-solid and {2}-resolving), each under its own
+    time budget; a budget overrun shows up
     as holds=False with the reached lower bound in the witness field.
     """
     records = []
@@ -591,19 +596,12 @@ def snark_suite(ns, *, long=False, budget_s=600.0):
 
         for name, verifier in (("flank-table", verify_flank_table),
                                ("triple-distinguishers", verify_triple_distinguishers)):
-            t0 = time.perf_counter()
-            bad = None
-            for i in range(1, n + 1):
-                verdict = verifier(n, i)
-                if not verdict.holds:
-                    bad = (i, verdict.witness)
-                    break
-            add(n, name, bad is None, _witness_text(bad),
-                (time.perf_counter() - t0) * 1000.0)
+            bad, ms = _timed(lambda: _first_failure(verifier, n))
+            add(n, name, bad is None, _witness_text(bad), ms)
 
         report, ms = _timed(lambda: gap_statistics(recipe_set("solid2", n), n))
-        add(n, "gap-statistics", report.a_ok and report.cycle_ok,
-            None if (report.a_ok and report.cycle_ok) else _witness_text(report), ms)
+        bad = report.certifies_not_2_solid
+        add(n, "gap-statistics", not bad, _witness_text(report) if bad else None, ms)
 
         if n >= 7:
             report, ms = _timed(lambda: reduction_distance_check(n, admissible_vertices(n)))
@@ -612,15 +610,11 @@ def snark_suite(ns, *, long=False, budget_s=600.0):
 
         if long:
             g, _ = snark_context(n)
-            targets = [("dimension-solid-1", Mode.solid(1), 6)]
-            if n >= 7:
-                targets.append(("dimension-resolving-2", Mode.resolving(2), 8))
-            elif n == 5:
-                targets.append(("dimension-resolving-2", Mode.resolving(2), 7))
+            targets = (("dimension-solid-1", Mode.solid(1), 6),
+                       ("dimension-resolving-2", Mode.resolving(2), 8 if n >= 7 else 7))
             for name, mode, want in targets:
-                t0 = time.perf_counter()
-                result = metric_dimension(g, SearchConfig(mode=mode, budget_s=budget_s))
-                ms = (time.perf_counter() - t0) * 1000.0
+                result, ms = _timed(
+                    lambda: metric_dimension(g, SearchConfig(mode=mode, budget_s=budget_s)))
                 if result.exact:
                     add(n, name, result.value == want,
                         None if result.value == want else f"found {result.value}", ms)

@@ -60,15 +60,16 @@ def test_snark_vertex_takes_exactly_one_role(role):
 
 
 @pytest.mark.parametrize("v", [28, 40, -1, -28, 1.0, True, "3"])
-@pytest.mark.parametrize("name", ["role_of", "snark_label"])
+@pytest.mark.parametrize("name", ["role_of", "star_of", "snark_label"])
 def test_role_and_label_take_only_vertices_of_the_snark(name, v):
-    # 28 was an IndexError, and -1 read as d7
+    # 28 was an IndexError, and -1 read as d7; star_of(28, 7) was 1
     with pytest.raises(GraphError):
         getattr(snark, name)(v, 7)
 
 
 def test_role_and_label_take_numpy_vertices():
     assert role_of(np.int64(27), 7) == "d"
+    assert star_of(np.int64(27), 7) == 7
     assert snark_label(np.uint8(0), 7) == "a1"
 
 
@@ -121,6 +122,9 @@ def test_recipe_modes():
     assert recipe_check_mode("l2") == Mode.resolving(2)
     assert recipe_check_mode("solid1") == Mode.solid(1)
     assert recipe_check_mode("dim1_corrected") == Mode.resolving(1)
+    # the kind is checked as in recipe_set, not a bare KeyError
+    with pytest.raises(GraphError, match="unknown recipe kind 'bogus'"):
+        recipe_check_mode("bogus")
 
 
 # ---------------------------------------------------------------------------
