@@ -17,23 +17,30 @@ candidate set passes iff it intersects every "separator" mask.
   top the diameter, it is where the shifted rows d(., u) + top and
   d(., v) + top + c differ.
 
-The masks are bitsets kept word-major, one numpy row per word, from build
-through reduction, in the smallest unsigned type that holds n bits when
-one word holds a mask (n <= 64), else uint64.  ``_mode_blocks`` is the one
-place that knows each family: its rows (bit slices of the distances, one
+The masks are bitsets kept word-major, one numpy row per word, as they
+are built (and, on the sort path, reduced), in the smallest unsigned type
+that holds n bits when one word holds a mask (n <= 64), else uint64.
+``_mode_blocks`` is the one place that knows each family: its rows (bit slices of the distances, one
 bitset per bit), how they are paired, and how many masks that builds.
 The {l}-resolving and doubly masks are where two rows differ, each row
 group compared with the half of the groups after it, cyclically; the
-l-solid masks are a bit-serial less-than.  That count picks the
-deduplication: where one word holds a mask and a table of 2^n flags takes
-no more bytes than the masks built, each block sets its masks' flags and
-the set flags are read off ascending; otherwise each block is sorted and
-the parts are merged.  The forced vertices, which every passing set
-contains, are those of the single-vertex masks (resolving and solid
-modes), known beforehand from ``checks.forced_vertices``.  One pass drops
-the masks they are in, sorts the rest by size and reduces them to their
-minimal antichain: a set hits every mask iff it hits every mask that
-holds no other.
+l-solid masks are a bit-serial less-than.  That count picks the path.
+On the table path, where one word holds a mask and a table of 2^n flags
+takes no more bytes than the masks built, each block sets its masks'
+flags, and the mask build ends at the filled table.  On the sort path
+each block is sorted, and the parts are merged one range of first words
+at a time.  The forced vertices, which every passing set contains, are
+those of the single-vertex masks (resolving and solid modes), known
+beforehand from ``checks.forced_vertices``.  The reduction drops the
+masks they are in, counts the rest and reduces them to their minimal
+antichain: a set hits every mask iff it hits every mask that holds no
+other.  On the table path it never lists the distinct masks: the table,
+packed to 2^n bits, loses its entries that hold a forced vertex, and the
+minimal masks are those that no proper subset in the table reaches, found
+by a superset closure over the subset lattice (the zeta transform of
+Bjorklund, Husfeldt, Kaski and Koivisto 2007) in one bitwise pass per
+vertex.  On the sort path the rows are sorted by size and reduced a
+level at a time.
 
 A greedy cover of the kept masks (repeatedly the vertex in the most
 unhit masks, then dropping the picks the others cover) plus the forced
@@ -144,9 +151,12 @@ class SearchStats:
     # at the value is not a decision): galloping up from the lower bound,
     # each below the smallest cardinality known to pass
     decided: tuple = ()
-    # milliseconds per phase: masks, reduce (masks no forced vertex is in,
-    # minimal masks, family, greedy cap), group (automorphisms), search
-    # (decisions and read-off), verify
+    # milliseconds per phase: masks (the separator build and its dedup: up
+    # to the filled flag table on the table path, the sorted merged rows on
+    # the sort path), reduce (masks no forced vertex is in, minimal masks,
+    # the table's closures and read-off on the table path; then family,
+    # greedy cap), group (automorphisms), search (decisions and read-off),
+    # verify
     phase_ms: dict = dataclasses.field(default_factory=dict)
 
 
@@ -331,12 +341,41 @@ def _table_fits(n, raw):
     return n <= 64 and 1 << n <= raw * _word_type(n).itemsize
 
 
+def _merge(parts, deadline=None):
+    """The distinct columns of sorted word-major ``parts``, sorted as
+    ``_unique_columns`` sorts them.  The parts are cut at the same
+    first-word values into ranges of about _BLOCK_WORDS words; a range
+    holds every column whose first word falls in it, so each range is
+    deduplicated on its own, and the deadline is checked between ranges."""
+    # every `every`-th first word of each part; of those, sorted and
+    # distinct, every len(parts)-th cuts the ranges
+    every = max(1, _BLOCK_WORDS // len(parts[0]) // len(parts))
+    cuts = np.unique(np.concatenate([part[0, every::every] for part in parts]))[::len(parts)]
+    bounds = [[0, *np.searchsorted(part[0], cuts).tolist(), part.shape[1]] for part in parts]
+    # the ranges are written into one buffer with room for every column;
+    # its pages past the distinct ones are never written, so they take no
+    # memory (ranges kept apart and joined at the end took J11
+    # {3}-resolving from a 1.14 to a 1.24 GB peak)
+    merged = np.empty((len(parts[0]), sum(part.shape[1] for part in parts)), dtype=parts[0].dtype)
+    filled = 0
+    for j in range(len(cuts) + 1):
+        cols = _unique_columns(np.concatenate(
+            [part[:, at[j]:at[j + 1]] for part, at in zip(parts, bounds)], axis=1))
+        merged[:, filled:filled + cols.shape[1]] = cols
+        filled += cols.shape[1]
+        _check_deadline(deadline)
+    return merged[:, :filled]
+
+
 def _mode_masks(dm, mode, deadline=None):
-    """Distinct nonempty separator masks of ``mode``, as rows of words
-    sorted by their first word, then the next: read off a table of flags
-    where ``_table_fits``, else sorted per block and merged (a lone part
-    is not sorted again).  The deadline is checked after each block, so
-    no read-off or merge starts once it has passed."""
+    """The distinct nonempty separator masks of ``mode``.  Where
+    ``_table_fits``, each block sets its masks' flags in a table of 2^n
+    flags, and the table is returned: entry m says whether mask m (entry 0,
+    the empty mask, cleared) was built.  Otherwise each block is sorted
+    and the parts merged (a lone part is not sorted again), and the masks
+    are returned as rows of words sorted by their first word, then the
+    next.  The deadline is checked after each block and each merged
+    range, so no merge starts once it has passed."""
     n = dm.n
     dist = dm.dist.astype(np.int16 if n < 1 << 15 else np.int32)
     raw, blocks = _mode_blocks(dist, mode)
@@ -347,23 +386,84 @@ def _mode_masks(dm, mode, deadline=None):
             seen[block[:, 0].astype(np.intp)] = True
             _check_deadline(deadline)
         seen[0] = False
-        return np.flatnonzero(seen).astype(_word_type(n))[:, None]
+        return seen
     parts = []
     for block in blocks:
         parts.append(_unique_columns(block.T))
         _check_deadline(deadline)
         if len(parts) >= 32:
-            parts = [_unique_columns(np.concatenate(parts, axis=1))]
+            parts = [_merge(parts, deadline)]
     if len(parts) > 1:
-        parts = [_unique_columns(np.concatenate(parts, axis=1))]
+        parts = [_merge(parts, deadline)]
     return parts[0].T if parts else np.zeros((0, (n + 63) // 64), dtype=_word_type(n))
 
 
+# entry m of a bit table sits at bit m % 64 of word m // 64, so for v < 6
+# the entries of a word that leave vertex v out are the bits whose position
+# leaves bit v out
+_WITHOUT = tuple(np.uint64(sum(1 << b for b in range(64) if not b >> v & 1)) for v in range(6))
+
+
+def _spread(table, v, out):
+    """ORs entry m of the bit table ``table`` into entry m + 2^v of
+    ``out``, for every m without vertex v (``out`` may be ``table``)."""
+    if v < 6:
+        out |= (table & _WITHOUT[v]) << np.uint64(1 << v)
+    else:
+        half = 1 << (v - 6)
+        out.reshape(-1, 2, half)[:, 1] |= table.reshape(-1, 2, half)[:, 0]
+
+
+def _table_kept(seen, forced, deadline=None):
+    """``_kept_masks`` on a table of 2^n flags, as a table of 2^n bits F in
+    uint64 words (one word when n < 6).  The entries that hold a forced
+    vertex are cleared, and the rest counted.  The up-closure U (entry m
+    set iff some entry of F is a subset of m) and the strict closure S
+    (entry m set iff U holds m - v for some v in m, so iff some entry of F
+    is a proper subset of m) each take one ``_spread`` pass per free
+    vertex: a pass on a forced vertex only reaches entries that hold it,
+    which F has lost.  F & ~S is the minimal masks, read off ascending and
+    sorted stably by size.  The deadline is checked after each pass."""
+    n = len(seen).bit_length() - 1
+    flags = np.packbits(seen, bitorder="little")
+    table = np.pad(flags, (0, -len(flags) % 8)).view("<u8").astype(np.uint64, copy=False)
+    for v in forced:
+        if v < 6:
+            table &= _WITHOUT[v]
+        else:
+            table.reshape(-1, 2, 1 << (v - 6))[:, 1] = 0
+    count = int(np.bitwise_count(table).sum())
+    free = [v for v in range(n) if v not in forced]
+    up = table.copy()
+    for v in free:
+        _spread(up, v, up)
+        _check_deadline(deadline)
+    strict = np.zeros_like(table)
+    for v in free:
+        _spread(up, v, strict)
+        _check_deadline(deadline)
+    table &= ~strict
+    words = np.flatnonzero(table)
+    bits = np.unpackbits(table[words].astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
+                         bitorder="little")
+    at, bit = np.nonzero(bits)
+    kept = words[at] << 6 | bit
+    order = np.argsort(np.bitwise_count(kept), kind="stable")
+    return count, kept[order].astype(_word_type(n))[:, None]
+
+
 def _kept_masks(masks, forced, deadline=None):
-    """One pass from distinct masks (rows of words) to the family searched:
-    the masks that a vertex of ``forced`` is in are dropped.  Returns the
-    number of masks left, and those that contain no other one, fewest bits
-    first, in input order within a size.  Checks the deadline per chunk."""
+    """One pass from the distinct masks of ``_mode_masks`` to the family
+    searched: the masks that a vertex of ``forced`` is in are dropped.
+    Returns the number of masks left, and those that contain no other one
+    (as rows of words), fewest bits first, in input order (ascending, for
+    a table) within a size.  A table of flags goes through
+    ``_table_kept``.  Rows of words are sorted by size and reduced a level
+    at a time: the smallest masks left are kept, and every larger mask
+    that contains one of them dropped, a chunk at a time, the deadline
+    checked per chunk."""
+    if masks.ndim == 1:
+        return _table_kept(masks, forced, deadline)
     cols = masks.T
     # np.take, since cols[:, order] returns the words column-major (strided)
     if forced:

@@ -36,6 +36,7 @@ from resolving import (
 from conftest import (
     bfs_distances,
     colex_first_cover,
+    mask_rows,
     oracle_automorphisms,
     oracle_first_basis,
     oracle_minimum_size,
@@ -570,7 +571,7 @@ def test_search_workload_forced_vertices_are_the_singleton_masks():
     for name, mode, *_ in _PINNED_SEARCHES:
         if mode.kind != "doubly":
             g = _PINNED_GRAPHS[name]
-            masks = search._mode_masks(all_pairs_distances(g), mode)
+            masks = mask_rows(search._mode_masks(all_pairs_distances(g), mode))
             assert reference_split_forced(masks)[0] == forced_vertices(g, mode.order, mode.kind)
 
 
@@ -678,16 +679,16 @@ def test_kept_masks_match_reference_passes(g, mode, block_words, monkeypatch):
     # Dropping the masks they are in and reducing the rest in one pass
     # returns what the forced split and the minimal-mask reduction
     # returned: the same count and kept masks, byte for byte in the same
-    # order; with small blocks the reduction runs a chunk of a few masks
-    # at a time
+    # order; with small blocks the reduction of sorted rows runs a chunk
+    # of a few masks at a time
     if block_words is not None:
         monkeypatch.setattr(search, "_BLOCK_WORDS", block_words)
-    masks = search._mode_masks(all_pairs_distances(g), mode)
+    built = search._mode_masks(all_pairs_distances(g), mode)
     split = mode.kind != "doubly"
-    ref_forced, ref_count, ref_kept = reference_kept_masks(masks, split)
+    ref_forced, ref_count, ref_kept = reference_kept_masks(mask_rows(built), split)
     if split:
         assert ref_forced == forced_vertices(g, mode.order, mode.kind)
-    count, kept = search._kept_masks(masks, ref_forced)
+    count, kept = search._kept_masks(built, ref_forced)
     assert count == ref_count
     assert (kept.shape, kept.dtype) == (ref_kept.shape, ref_kept.dtype)
     assert kept.tobytes() == ref_kept.tobytes()
@@ -699,8 +700,9 @@ def test_kept_masks_cases_have_forced_vertices():
 
 
 # ---------------------------------------------------------------------------
-# the two ways of deduplicating one-word masks: a presence table, or a sort
-# per block and a merge
+# the two ways of deduplicating and reducing one-word masks: a presence
+# table reduced by its superset closures, or a sort per block, a merge and
+# a reduction of the sorted rows
 
 
 _DEDUP_CASES = [(f"{name}{n}-{_mode_id(mode)}", make(n), mode)
@@ -725,9 +727,47 @@ def test_table_and_sort_dedup_agree(g, mode, monkeypatch):
     out = {}
     for table in (True, False):
         monkeypatch.setattr(search, "_table_fits", lambda n, raw: table)
-        out[table] = search._mode_masks(dm, mode)
+        out[table] = mask_rows(search._mode_masks(dm, mode))
     assert (out[True].shape, out[True].dtype) == (out[False].shape, out[False].dtype)
     assert out[True].tobytes() == out[False].tobytes()
+
+
+@pytest.mark.parametrize("g, mode", [case[1:] for case in _DEDUP_CASES],
+                         ids=[case[0] for case in _DEDUP_CASES])
+def test_table_and_sort_kept_masks_agree(g, mode, monkeypatch):
+    # the table path drops the forced masks, counts the rest and keeps the
+    # minimal ones inside the flag table; the sort path does so on sorted
+    # rows.  Both return the count and kept masks of the reference passes,
+    # byte for byte in the same order, sub-word tables (n < 6) and forced
+    # vertices of either half of a word included
+    dm = all_pairs_distances(g)
+    split = mode.kind != "doubly"
+    out = {}
+    for table in (True, False):
+        monkeypatch.setattr(search, "_table_fits", lambda n, raw: table)
+        built = search._mode_masks(dm, mode)
+        assert (built.ndim == 1) == table
+        forced, count, kept = reference_kept_masks(mask_rows(built), split)
+        out["reference", table] = count, kept.dtype, kept.shape, kept.tobytes()
+        count, kept = search._kept_masks(built, forced)
+        out[table] = count, kept.dtype, kept.shape, kept.tobytes()
+    assert out[True] == out[False] == out["reference", True] == out["reference", False]
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_merge_by_ranges_gives_the_bytes_of_one_sort(width, monkeypatch):
+    # with ranges of a few dozen words, merging sorted parts (an empty one
+    # among them) gives the bytes of one deduplication of all their
+    # columns; with two words many columns share a first word, and a range
+    # holds all of them
+    monkeypatch.setattr(search, "_BLOCK_WORDS", 64)
+    rng = np.random.default_rng(0)
+    parts = [search._unique_columns(rng.integers(0, 40, size=(width, size), dtype=np.uint16))
+             for size in (500, 0, 1, 30, 200, 300)]
+    merged = search._merge(parts)
+    whole = search._unique_columns(np.concatenate(parts, axis=1))
+    assert (merged.shape, merged.dtype) == (whole.shape, whole.dtype)
+    assert merged.tobytes() == whole.tobytes()
 
 
 def test_dedup_cases_take_both_paths():
@@ -757,15 +797,24 @@ def test_stated_mask_count_matches_the_blocks(g, mode):
     assert raw == built
 
 
-@pytest.mark.parametrize("g", [flower_snark(5), rook_graph(4, 4)], ids=["J5", "rook4x4"])
-def test_table_and_sort_dedup_give_one_search(g, monkeypatch):
-    assert _takes_table(g, Mode.resolving(3))
+@pytest.mark.parametrize("g, mode", [
+    (flower_snark(5), Mode.resolving(3)),
+    (rook_graph(4, 4), Mode.resolving(3)),
+    # forced vertices: 3 of K1,3's 4; 6 of the tree's 9, some below
+    # vertex 6 (cleared inside a table word) and some above (whole words)
+    (star_graph(3), Mode.solid(2)),
+    (tree_from_parents((0, 0, 1, 1, 2, 2, 3, 3)), Mode.solid(2)),
+], ids=["J5", "rook4x4", "K1,3-solid2", "tree-solid2"])
+def test_table_and_sort_dedup_give_one_search(g, mode, monkeypatch):
+    assert _takes_table(g, mode)
     out = {}
     for table in (True, False):
         monkeypatch.setattr(search, "_table_fits", lambda n, raw: table)
-        res = dim(g, Mode.resolving(3), budget_s=None)
-        out[table] = (res.value, res.basis, res.stats.mask_count, res.stats.masks_kept,
-                      res.stats.nodes)
+        res = dim(g, mode, budget_s=None)
+        s = res.stats
+        out[table] = (res.value, res.basis, res.lower_bound, res.lower_bound_source,
+                      s.mask_count, s.masks_kept, s.nodes, s.decided, s.subsets_checked,
+                      s.exhausted_through)
     assert out[True] == out[False]
 
 
@@ -825,14 +874,36 @@ def test_no_mask_merge_starts_after_the_deadline(monkeypatch):
     assert len(calls) == 32
 
 
-def test_no_table_read_off_after_the_deadline(monkeypatch):
-    # J5 {3}-resolving fills a presence table from four blocks; the clock
-    # passes the deadline as the second is handed out, so neither the third
-    # block nor the read-off of the table follows
+def test_a_mask_merge_stops_between_ranges_after_the_deadline(monkeypatch):
+    # J9 {3}-resolving merges its first 32 parts once the 32nd block is
+    # deduplicated, a range of first words at a time; the clock passes the
+    # deadline as the first range is deduplicated, and the merge stops
+    # there, before its last range
     now = [0.0]
-    blocks = []
-    read_offs = []
-    mode_blocks, flatnonzero = search._mode_blocks, np.flatnonzero
+    sizes = []
+    dedup = search._unique_columns
+
+    def unique_columns(cols):
+        out = dedup(cols)
+        sizes.append((cols.shape[1], out.shape[1]))
+        if len(sizes) == 33:
+            now[0] = 2.0
+        return out
+
+    monkeypatch.setattr(search, "_unique_columns", unique_columns)
+    monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
+    with pytest.raises(search._OutOfBudget):
+        search._mode_masks(all_pairs_distances(flower_snark(9)), Mode.resolving(3), deadline=1.0)
+    assert len(sizes) == 33
+    # the range merged holds a small share of the parts' columns
+    assert 0 < 8 * sizes[32][0] < sum(out for _, out in sizes[:32])
+
+
+def _counted_blocks(monkeypatch, now, blocks, at):
+    """Has ``search._mode_blocks`` append the shape of each block it hands
+    out to ``blocks``, and move the clock ``now`` to 2.0 as block ``at``
+    (1-based) is handed out."""
+    mode_blocks = search._mode_blocks
 
     def counted_blocks(dist, mode):
         raw, built = mode_blocks(dist, mode)
@@ -840,28 +911,78 @@ def test_no_table_read_off_after_the_deadline(monkeypatch):
         def counted():
             for block in built:
                 blocks.append(block.shape)
-                if len(blocks) == 2:
+                if len(blocks) == at:
                     now[0] = 2.0
                 yield block
         return raw, counted()
+
+    monkeypatch.setattr(search, "_mode_blocks", counted_blocks)
+
+
+def _counted_passes(monkeypatch, now, passes, at):
+    """Has ``search._spread`` append the vertex of each closure pass to
+    ``passes``, and move the clock ``now`` to 2.0 in pass ``at``."""
+    spread = search._spread
+
+    def counted_spread(table, v, out):
+        passes.append(v)
+        spread(table, v, out)
+        if len(passes) == at:
+            now[0] = 2.0
+
+    monkeypatch.setattr(search, "_spread", counted_spread)
+
+
+def test_no_table_read_off_after_the_deadline(monkeypatch):
+    # J5 {3}-resolving fills a presence table from four blocks; the clock
+    # passes the deadline as the second is handed out, so neither the third
+    # block nor a pass of the closures that read the kept masks off the
+    # table follows
+    now = [0.0]
+    blocks, passes = [], []
+    _counted_blocks(monkeypatch, now, blocks, 2)
+    _counted_passes(monkeypatch, now, passes, None)
+    # the sort path would fail
+    monkeypatch.setattr(search, "_unique_columns", None)
+    monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
+    g = flower_snark(5)
+    res = dim(g, Mode.resolving(3), budget_s=1.0)
+    assert (res.value, res.basis, res.stats.mask_count) == (None, None, 0)
+    assert len(blocks) == 2 and not passes
+    # the same search without a deadline takes every block, and each
+    # closure one pass per vertex (none is forced)
+    blocks.clear()
+    res = dim(g, Mode.resolving(3), budget_s=None)
+    assert (res.value, res.stats.mask_count, res.stats.masks_kept) == (15, 186397, 75)
+    assert len(blocks) == 4 and passes == 2 * list(range(20))
+
+
+@pytest.mark.parametrize("at", [1, 20, 23, 40])
+def test_no_kept_masks_read_off_after_the_deadline_in_a_closure(at, monkeypatch):
+    # J5 {3}-resolving reduces its table in 20 passes of the up-closure,
+    # then 20 of the strict closure; the clock passes the deadline in pass
+    # `at`, and neither a later pass nor the read-off of the kept masks
+    # (the nonzero words of the table) follows
+    dm = all_pairs_distances(flower_snark(5))
+    seen = search._mode_masks(dm, Mode.resolving(3))
+    now = [0.0]
+    passes, read_offs = [], []
+    flatnonzero = np.flatnonzero
 
     def counted_flatnonzero(a):
         read_offs.append(a.shape)
         return flatnonzero(a)
 
-    dm = all_pairs_distances(flower_snark(5))
-    monkeypatch.setattr(search, "_mode_blocks", counted_blocks)
-    # the sort path would fail
-    monkeypatch.setattr(search, "_unique_columns", None)
+    _counted_passes(monkeypatch, now, passes, at)
     monkeypatch.setattr(search.np, "flatnonzero", counted_flatnonzero)
     monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
     with pytest.raises(search._OutOfBudget):
-        search._mode_masks(dm, Mode.resolving(3), deadline=1.0)
-    assert len(blocks) == 2 and not read_offs
-    # the same call without a deadline takes every block and reads off once
-    blocks.clear()
-    search._mode_masks(dm, Mode.resolving(3))
-    assert len(blocks) == 4 and read_offs == [(1 << 20,)]
+        search._kept_masks(seen, (), deadline=1.0)
+    assert len(passes) == at and not read_offs
+    passes.clear()
+    count, kept = search._kept_masks(seen, ())
+    assert (count, len(kept)) == (186397, 75)
+    assert len(passes) == 40 and read_offs == [(1 << 14,)]
 
 
 def test_budget_runs_out_inside_a_cardinality(monkeypatch):
@@ -921,19 +1042,7 @@ def test_forced_count_holds_when_the_budget_ends_in_the_mask_build(monkeypatch):
     assert len(list(search._mode_blocks(dist, Mode.resolving(2))[1])) > 1
     now = [0.0]
     blocks = []
-    mode_blocks = search._mode_blocks
-
-    def counted_blocks(dist, mode):
-        raw, built = mode_blocks(dist, mode)
-
-        def counted():
-            for block in built:
-                blocks.append(block.shape)
-                now[0] = 2.0
-                yield block
-        return raw, counted()
-
-    monkeypatch.setattr(search, "_mode_blocks", counted_blocks)
+    _counted_blocks(monkeypatch, now, blocks, 1)
     monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
     res = dim(g, Mode.resolving(2), budget_s=1.0)
     assert len(blocks) == 1
