@@ -205,30 +205,53 @@ class TableMismatch:
     got: int
 
 
-# rows b,a,c,d; columns B, X, Y, Z
+# rows b,a,c,d; columns the flank sets B, X, Y, Z
 _FLANK_TABLE = {
     "b": (3, 1, 1, 1),
     "a": (2, 0, 2, 2),
     "c": (2, 2, 0, 2),
     "d": (2, 2, 2, 0),
 }
+_FLANK_NAMES = "BXYZ"
+# the pairs of flank sets and the two leaves of star i that tell each apart
+_DISTINGUISHED = (("XY", "ac"), ("XZ", "ad"), ("YZ", "cd"))
 
 
-def _flank_sets(n, i):
-    base = (_snark_index("b", i - 1, n), _snark_index("b", i + 1, n))
-    return {
-        "B": base,
-        "X": base + (_snark_index("a", i, n),),
-        "Y": base + (_snark_index("c", i, n),),
-        "Z": base + (_snark_index("d", i, n),),
-    }
+def _flank_sets(n, stars):
+    """The flank sets of each star i in the int array ``stars``, shape
+    (len(stars), 4, 3): B = {b_{i-1}, b_{i+1}} (listing b_{i-1} twice) and
+    its one-leaf extensions X = B + a_i, Y = B + c_i and Z = B + d_i."""
+    prev, after = _snark_index("b", stars - 1, n), _snark_index("b", stars + 1, n)
+    last = [prev] + [_snark_index(role, stars, n) for role in "acd"]
+    return np.stack([np.stack([prev, after, x], axis=-1) for x in last], axis=1)
 
 
-def _flank_columns(n, i):
-    """d(s, X) for every vertex s, one column per flank set X of star i."""
+def _flank_columns(n, stars):
+    """d(s, X) for every star i of ``stars``, flank set X of star i (in
+    B, X, Y, Z order) and vertex s: shape (len(stars), 4, 4n)."""
     _, dm = snark_context(n)
-    return {name: dm.dist[:, list(members)].min(axis=1)
-            for name, members in _flank_sets(n, i).items()}
+    return dm.dist[:, _flank_sets(n, stars)].min(axis=-1).transpose(1, 2, 0)
+
+
+def _star_vertices(roles, stars, n):
+    """Vertex ``role`` of star i for each star i of ``stars`` (rows) and
+    each role of ``roles`` (columns)."""
+    return np.stack([_snark_index(role, stars, n) for role in roles], axis=-1)
+
+
+def _flank_table_faults(n, stars):
+    """The flank-table lemma for every star i of the int array ``stars``
+    at once: (columns, star table, table mismatches, outside-star vertices
+    that tell the flank sets apart, whether star i fails).  Row r of the
+    table and of its mismatches is the role r of ``_FLANK_TABLE``, column
+    j flank set j."""
+    cols = _flank_columns(n, stars)
+    star = _star_vertices(_FLANK_TABLE, stars, n)
+    table = np.take_along_axis(cols, star[:, None, :], axis=2).transpose(0, 2, 1)
+    wrong = table != np.array(list(_FLANK_TABLE.values()))
+    apart = (cols != cols[:, :1]).any(axis=1)
+    apart[np.arange(len(stars))[:, None], star] = False
+    return cols, table, wrong, apart, wrong.any(axis=(1, 2)) | apart.any(axis=1)
 
 
 def verify_flank_table(n, i):
@@ -240,19 +263,15 @@ def verify_flank_table(n, i):
     latter is why no anchor outside star i can tell X, Y and Z apart.
     """
     n, i = _snark_order(n), _star_index(i)
-    cols = _flank_columns(n, i)
-    star = {role: _snark_index(role, i, n) for role in _SNARK_ROLES}
-    for role, expected_row in _FLANK_TABLE.items():
-        s = star[role]
-        for (name, col), expected in zip(cols.items(), expected_row):
-            if col[s] != expected:
-                return CheckVerdict(False, TableMismatch(role, name, expected, int(col[s])))
-    table = np.column_stack(list(cols.values()))
-    apart = (table != table[:, :1]).any(axis=1)
-    apart[list(star.values())] = False
+    cols, table, wrong, apart, _ = (a[0] for a in _flank_table_faults(n, np.array([i % n])))
+    if wrong.any():
+        r, j = divmod(int(wrong.argmax()), len(_FLANK_NAMES))
+        role, expected = list(_FLANK_TABLE.items())[r]
+        return CheckVerdict(False, TableMismatch(role, _FLANK_NAMES[j], expected[j],
+                                                 int(table[r, j])))
     if apart.any():
         s = int(apart.argmax())
-        vals = {name: int(col[s]) for name, col in cols.items()}
+        vals = dict(zip(_FLANK_NAMES, cols[:, s].tolist()))
         return CheckVerdict(False, ("outside-star", s, vals))
     return CheckVerdict(True)
 
@@ -264,18 +283,33 @@ class DistinguisherMismatch:
     got: tuple
 
 
+def _distinguisher_faults(n, stars):
+    """The triple-distinguishers lemma for every star i of the int array
+    ``stars`` at once: (which vertices tell each pair of ``_DISTINGUISHED``
+    apart, where that is not exactly the pair's two leaves, whether star i
+    fails); the first two of shape (len(stars), 3, 4n)."""
+    cols = _flank_columns(n, stars)
+    first, second = np.array([[_FLANK_NAMES.index(x) for x in pair]
+                              for pair, _ in _DISTINGUISHED]).T
+    differ = cols[:, first] != cols[:, second]
+    leaves = np.zeros_like(differ)
+    for p, (_, roles) in enumerate(_DISTINGUISHED):
+        leaves[np.arange(len(stars))[:, None], p, _star_vertices(roles, stars, n)] = True
+    wrong = differ != leaves
+    return differ, wrong, wrong.any(axis=(1, 2))
+
+
 def verify_triple_distinguishers(n, i):
     """For the three-element sets X, Y, Z built on star i, the vertices
     whose distance to one set differs from the other are exactly the two
     involved leaves: XY -> {a_i, c_i}, XZ -> {a_i, d_i}, YZ -> {c_i, d_i}."""
     n, i = _snark_order(n), _star_index(i)
-    cols = _flank_columns(n, i)
-    leaf = {role: _snark_index(role, i, n) for role in "acd"}
-    for pair, (x, y) in (("XY", "ac"), ("XZ", "ad"), ("YZ", "cd")):
-        want = (leaf[x], leaf[y])
-        got = tuple(np.flatnonzero(cols[pair[0]] != cols[pair[1]]).tolist())
-        if got != tuple(sorted(want)):
-            return CheckVerdict(False, DistinguisherMismatch(pair, want, got))
+    differ, wrong, _ = (a[0] for a in _distinguisher_faults(n, np.array([i % n])))
+    for (pair, roles), got, bad in zip(_DISTINGUISHED, differ, wrong):
+        if bad.any():
+            want = tuple(_snark_index(role, i, n) for role in roles)
+            return CheckVerdict(False, DistinguisherMismatch(pair, want,
+                                                             tuple(np.flatnonzero(got).tolist())))
     return CheckVerdict(True)
 
 
@@ -552,13 +586,22 @@ def _witness_text(w):
     return None if w is None else repr(w)
 
 
-def _first_failure(verifier, n):
-    """(star, witness) of the first star of J_n that ``verifier`` rejects, or None."""
-    for i in range(1, n + 1):
+def _first_failure(verifier, n, stars=None):
+    """(star, witness) of the first star of J_n that ``verifier`` rejects,
+    or None; only the ascending ``stars`` are tried when given."""
+    for i in range(1, n + 1) if stars is None else stars:
         verdict = verifier(n, i)
         if not verdict.holds:
             return i, verdict.witness
     return None
+
+
+def _failing_stars(faults, n):
+    """The stars of J_n, ascending, that fail the star lemma decided by
+    ``faults`` (``_flank_table_faults`` or ``_distinguisher_faults``),
+    from one call for every star."""
+    *_, failing = faults(n, np.arange(1, n + 1))
+    return (np.flatnonzero(failing) + 1).tolist()
 
 
 def snark_suite(ns, *, long=False, budget_s=600.0):
@@ -594,9 +637,11 @@ def snark_suite(ns, *, long=False, budget_s=600.0):
         add(n, "erroneous-set", report.holds,
             None if report.holds else _witness_text(report.collisions), ms)
 
-        for name, verifier in (("flank-table", verify_flank_table),
-                               ("triple-distinguishers", verify_triple_distinguishers)):
-            bad, ms = _timed(lambda: _first_failure(verifier, n))
+        # every star decided at once; only a failing star builds its witness
+        for name, verifier, faults in (
+                ("flank-table", verify_flank_table, _flank_table_faults),
+                ("triple-distinguishers", verify_triple_distinguishers, _distinguisher_faults)):
+            bad, ms = _timed(lambda: _first_failure(verifier, n, _failing_stars(faults, n)))
             add(n, name, bad is None, _witness_text(bad), ms)
 
         report, ms = _timed(lambda: gap_statistics(recipe_set("solid2", n), n))

@@ -192,6 +192,28 @@ def test_resolving_exact_when_every_key_clashes(monkeypatch, rng, first_entries)
     assert outcomes == {True, False}
 
 
+def _row_sum_key(arrays, weights):
+    return arrays.sum(axis=1, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("first_entries", [1, 1 << 12])
+def test_resolving_exact_when_some_keys_clash(monkeypatch, rng, first_entries):
+    # the row sum as key: distinct arrays share keys within and across
+    # blocks, next to keys that no other set holds
+    monkeypatch.setattr(checks, "_array_keys", _row_sum_key)
+    monkeypatch.setattr(checks, "_FIRST_ENTRIES", first_entries)
+    outcomes = set()
+    for _ in range(60):
+        g = random_connected_graph(rng, n_min=2, n_max=12)
+        dm = all_pairs_distances(g)
+        anchors = random_anchor_set(rng, g.n, max_size=g.n)
+        order = rng.randint(1, min(3, g.n))
+        verdict = is_l_resolving(dm, anchors, order)
+        assert verdict == reference_is_l_resolving(dm, anchors, order)
+        outcomes.add(verdict.holds)
+    assert outcomes == {True, False}
+
+
 def test_pinned_recipe_witnesses():
     # the witnesses of the one-tuple-per-set scans, with the middle vertex
     # of each recipe set dropped; the l3 J13 and rook 12x10 collisions pair

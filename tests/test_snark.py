@@ -183,7 +183,7 @@ def _plain_ints(value):
 
 
 def test_flank_table_witness_of_a_corrupted_entry(monkeypatch):
-    monkeypatch.setitem(snark._FLANK_TABLE, "c", (2, 2, 1, 2))
+    _corrupt_table_entry(monkeypatch)
     verdict = verify_flank_table(7, 3)
     assert not verdict.holds
     assert verdict.witness == snark.TableMismatch("c", "Y", 1, 0)
@@ -194,11 +194,7 @@ def test_star_lemma_witnesses_of_a_corrupted_distance(monkeypatch):
     # a5 is brought next to d3: the flank sets no longer look alike from
     # a5, and a5 tells X from Z
     n, i = 7, 3
-    g, dm = snark.snark_context(n)
-    dist = dm.dist.copy()
-    s, x = snark_vertex("a", i + 3, n), snark_vertex("d", i, n)
-    dist[s, x] = dist[x, s] = 1
-    monkeypatch.setattr(snark, "snark_context", lambda m: (g, DistanceMatrix(dist)))
+    _corrupt_distance(monkeypatch)
     verdict = verify_flank_table(n, i)
     assert verdict.witness == ("outside-star", 5, {"B": 3, "X": 3, "Y": 3, "Z": 1})
     assert _plain_ints(verdict.witness[1:])
@@ -207,22 +203,76 @@ def test_star_lemma_witnesses_of_a_corrupted_distance(monkeypatch):
     assert _plain_ints(verdict.witness.got)
 
 
-def test_star_lemma_witnesses_of_a_wrong_set(monkeypatch):
-    # Z built on b_i instead of the leaf d_i
+def _corrupt_table_entry(monkeypatch):
+    monkeypatch.setitem(snark._FLANK_TABLE, "c", (2, 2, 1, 2))
+
+
+def _corrupt_distance(monkeypatch):
+    # a5 is brought next to d3 in J7
+    n, i = 7, 3
+    g, dm = snark.snark_context(n)
+    dist = dm.dist.copy()
+    s, x = snark_vertex("a", i + 3, n), snark_vertex("d", i, n)
+    dist[s, x] = dist[x, s] = 1
+    context = snark.snark_context
+    monkeypatch.setattr(snark, "snark_context",
+                        lambda m: (g, DistanceMatrix(dist)) if m == n else context(m))
+
+
+def _corrupt_set(monkeypatch):
+    # Z built on b_i instead of the leaf d_i, for every star i
     flank_sets = snark._flank_sets
 
-    def wrong(n, i):
-        sets = flank_sets(n, i)
-        sets["Z"] = sets["B"] + (snark_vertex("b", i, n),)
+    def wrong(n, stars):
+        sets = flank_sets(n, stars)
+        sets[:, "BXYZ".index("Z"), -1] = [snark_vertex("b", i, n) for i in stars]
         return sets
 
     monkeypatch.setattr(snark, "_flank_sets", wrong)
+
+
+def test_star_lemma_witnesses_of_a_wrong_set(monkeypatch):
+    _corrupt_set(monkeypatch)
     verdict = verify_flank_table(7, 3)
     assert verdict.witness == snark.TableMismatch("b", "Z", 1, 0)
     assert type(verdict.witness.got) is int
     verdict = verify_triple_distinguishers(7, 3)
     assert verdict.witness == snark.DistinguisherMismatch("XZ", (2, 23), (2, 9, 16, 23))
     assert _plain_ints(verdict.witness.got)
+
+
+def _star_lemma_records(records):
+    return {r["check_name"]: (r["holds"], r["witness"]) for r in records
+            if r["check_name"] in ("flank-table", "triple-distinguishers")}
+
+
+def _first_failures(n):
+    """The star-lemma records as one verifier call per star would give them."""
+    out = {}
+    for name, verifier in (("flank-table", verify_flank_table),
+                           ("triple-distinguishers", verify_triple_distinguishers)):
+        bad = snark._first_failure(verifier, n)
+        out[name] = (bad is None, None if bad is None else repr(bad))
+    return out
+
+
+def test_suite_star_lemmas_match_the_per_star_verifiers():
+    # the suite decides every star at once; its records are those of the
+    # per-star loop
+    for n in range(5, 22, 2):
+        got = _star_lemma_records(snark_suite([n]))
+        assert got == _first_failures(n) == {"flank-table": (True, None),
+                                             "triple-distinguishers": (True, None)}
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_table_entry, _corrupt_distance, _corrupt_set])
+def test_suite_star_lemmas_report_the_per_star_witness(monkeypatch, corrupt):
+    corrupt(monkeypatch)
+    got = _star_lemma_records(snark_suite([7]))
+    assert got == _first_failures(7)
+    assert got["flank-table"][0] is False
+    # a table entry is no part of the distinguishers lemma
+    assert got["triple-distinguishers"][0] is (corrupt is _corrupt_table_entry)
 
 
 # ---------------------------------------------------------------------------

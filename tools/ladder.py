@@ -1,18 +1,25 @@
-"""Run the metric_dimension workload ladder and write its JSON record.
+"""Run the metric_dimension workload ladder and the checker-only rungs,
+and write their JSON record.
 
 Usage:  python3 tools/ladder.py RECORD   (e.g. BENCH_22.json at the
 repository root; a relative path is taken from the working directory)
 
-Each rung is one ``metric_dimension`` call, run in a fresh process of its
-own (one at a time), so that its peak RSS is that rung's.  The record
-goes to RECORD, so each change writes a file of its own and the earlier
-records stay: the provenance (core count, Python and numpy versions,
-commit, whether tracked files had uncommitted changes) and, per rung,
-the answer (value, basis, lower bound and source), the counters that
-explain the time (mask_count, masks_kept, nodes, decided,
-subsets_checked, exhausted_through), ``phase_ms``, wall seconds and peak
-RSS.  The frontier rungs run under a fixed budget and report the bound
-they reach.  Node counts are deterministic; times drift with the host.
+Each rung runs in a fresh process of its own (one at a time), so that its
+peak RSS is that rung's.  The record goes to RECORD, so each change
+writes a file of its own and the earlier records stay: the provenance
+(core count, Python and numpy versions, commit, whether tracked files
+had uncommitted changes), then the rungs.
+
+A ``rungs`` entry is one ``metric_dimension`` call: the answer (value,
+basis, lower bound and source), the counters that explain the time
+(mask_count, masks_kept, nodes, decided, subsets_checked,
+exhausted_through), ``phase_ms``, wall seconds and peak RSS.  The
+frontier rungs run under a fixed budget and report the bound they reach.
+A ``checker_rungs`` entry is one ``is_l_resolving`` check of a fixed set
+on a graph whose distances are computed first: the verdict, its witness
+(repr, or null), the fastest wall seconds of CHECK_REPEATS calls and
+peak RSS.  Node counts and verdicts are deterministic; times drift with
+the host.
 """
 
 from __future__ import annotations
@@ -55,6 +62,16 @@ RUNGS = [
 ]
 DEFAULT_BUDGET_S = 60.0
 
+# (name, graph, anchor set, order): the l3 recipe on flower snarks, and
+# the ten-point design's vertex set on rook 12x10
+CHECKER_RUNGS = [
+    ("l3 J13 order 3", ("snark", 13), "l3", 3),
+    ("l3 J21 order 3", ("snark", 21), "l3", 3),
+    ("l3 J31 order 3", ("snark", 31), "l3", 3),
+    ("rook 12x10 ten-point order 2", ("rook", 12, 10), "ten-point", 2),
+]
+CHECK_REPEATS = 15
+
 
 def _graph(spec):
     from resolving import flower_snark, path_graph, rook_graph
@@ -75,8 +92,6 @@ def _rung(spec, budget_s, conn):
     res = metric_dimension(g, SearchConfig(mode=mode, budget_s=budget_s))
     wall_s = time.perf_counter() - started
     s = res.stats
-    # ru_maxrss is in KiB on Linux
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     conn.send({
         "value": res.value,
         "basis": None if res.basis is None else list(res.basis),
@@ -91,9 +106,40 @@ def _rung(spec, budget_s, conn):
         "exhausted_through": s.exhausted_through,
         "phase_ms": {name: round(ms, 3) for name, ms in s.phase_ms.items()},
         "wall_s": round(wall_s, 4),
-        "peak_rss_mb": round(peak, 1),
+        "peak_rss_mb": _peak_rss_mb(),
     })
     conn.close()
+
+
+def _checker_rung(spec, conn):
+    """One checker rung, in its own process: the record, sent through ``conn``."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from resolving import (all_pairs_distances, design_to_set, is_l_resolving, recipe_set,
+                           ten_point_design)
+
+    _, graph, anchors, order = spec
+    dm = all_pairs_distances(_graph(graph))
+    if anchors == "ten-point":
+        anchors = design_to_set(ten_point_design()).vertices()
+    else:
+        anchors = recipe_set(anchors, graph[1])
+    times = []
+    for _ in range(CHECK_REPEATS):
+        started = time.perf_counter()
+        verdict = is_l_resolving(dm, anchors, order)
+        times.append(time.perf_counter() - started)
+    conn.send({
+        "holds": verdict.holds,
+        "witness": None if verdict.witness is None else repr(verdict.witness),
+        "wall_s": round(min(times), 5),
+        "peak_rss_mb": _peak_rss_mb(),
+    })
+    conn.close()
+
+
+def _peak_rss_mb():
+    # ru_maxrss is in KiB on Linux
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
 
 
 def _git(*argv):
@@ -119,34 +165,51 @@ def _provenance():
     }
 
 
+def _in_process(target, spec, *args):
+    """Run ``target(spec, *args, conn)`` in a fresh process and return the
+    record it sends, or an error record if it died before sending one."""
+    spawn = multiprocessing.get_context("spawn")
+    receive, send = spawn.Pipe(duplex=False)
+    child = spawn.Process(target=target, args=(spec, *args, send))
+    child.start()
+    send.close()
+    try:
+        record = receive.recv()
+    except EOFError:
+        # the child died before it could report (out of memory, say)
+        record = None
+    child.join()
+    if record is None:
+        return {"error": f"the rung's process exited with code {child.exitcode}",
+                "wall_s": None, "peak_rss_mb": None}
+    return record
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(description="run the metric_dimension ladder")
+    parser = argparse.ArgumentParser(description="run the metric_dimension and checker ladder")
     parser.add_argument("record", type=Path, help="JSON file to write, e.g. BENCH_22.json")
     record_path = parser.parse_args(argv).record
-    spawn = multiprocessing.get_context("spawn")
     rungs = []
     for spec in RUNGS:
         name, graph, kind, order, budget_s = spec
         budget_s = DEFAULT_BUDGET_S if budget_s is None else budget_s
-        receive, send = spawn.Pipe(duplex=False)
-        child = spawn.Process(target=_rung, args=(spec, budget_s, send))
-        child.start()
-        send.close()
-        try:
-            record = receive.recv()
-        except EOFError:
-            # the child died before it could report (out of memory, say)
-            record = {"error": "no record", "value": None, "lower_bound": None,
-                      "nodes": None, "decided": None, "wall_s": None, "peak_rss_mb": None}
-        child.join()
-        if "error" in record:
-            record["error"] = f"the rung's process exited with code {child.exitcode}"
+        record = {"value": None, "lower_bound": None, "nodes": None, "decided": None,
+                  **_in_process(_rung, spec, budget_s)}
         rungs.append({"name": name, "graph": list(graph), "mode": kind, "order": order,
                       "budget_s": budget_s, **record})
         print(f"{name}: value {record['value']}, bound {record['lower_bound']}, "
               f"{record['nodes']} nodes, decided {record['decided']}, "
               f"{record['wall_s']} s, {record['peak_rss_mb']} MB", flush=True)
-    record_path.write_text(json.dumps({"provenance": _provenance(), "rungs": rungs}, indent=1) + "\n")
+    checker_rungs = []
+    for spec in CHECKER_RUNGS:
+        name, graph, anchors, order = spec
+        record = {"holds": None, **_in_process(_checker_rung, spec)}
+        checker_rungs.append({"name": name, "graph": list(graph), "anchors": anchors,
+                              "order": order, **record})
+        print(f"{name}: holds {record['holds']}, {record['wall_s']} s, "
+              f"{record['peak_rss_mb']} MB", flush=True)
+    record_path.write_text(json.dumps({"provenance": _provenance(), "rungs": rungs,
+                                       "checker_rungs": checker_rungs}, indent=1) + "\n")
     print(f"wrote {record_path}")
 
 
