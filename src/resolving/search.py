@@ -25,13 +25,17 @@ bitset per bit), how they are paired, and how many masks that builds.
 The {l}-resolving and doubly masks are where two rows differ, each row
 group compared with the half of the groups after it, cyclically; the
 l-solid masks are a bit-serial less-than.  That count picks the path.
-On the table path, where one word holds a mask and a table of 2^n flags
-takes no more bytes than the masks built, each block sets its masks'
-flags, and the mask build ends at the filled table.  On the sort path
-each block is sorted, and the parts are merged one range of first words
-at a time.  The forced vertices, which every passing set contains, are
-those of the single-vertex masks (resolving and solid modes), known
-beforehand from ``checks.forced_vertices``.  The reduction drops the
+Each block is XORed and ORed in place into one set of buffers that the
+build allocates once.  On the table path, where one word holds a mask
+and a table of 2^n flags takes no more bytes than the masks built, the
+blocks are small enough (2^15 words) for their buffers to stay in cache,
+the last OR of each writes intp words that index the table as they are,
+and the mask build ends at the filled table.  On the sort path the
+blocks are of 2^18 words; each is sorted (one word: in place) and its
+distinct masks copied into a part of its own before the next overwrites
+it, and the parts are merged one range of first words at a time.  The forced vertices, which every passing set
+contains, are those of the single-vertex masks (resolving and solid
+modes), known beforehand from ``checks.forced_vertices``.  The reduction drops the
 masks they are in, counts the rest and reduces them to their minimal
 antichain: a set hits every mask iff it hits every mask that holds no
 other.  On the table path it never lists the distinct masks: the table,
@@ -94,7 +98,7 @@ import dataclasses
 import time
 from functools import reduce
 from itertools import accumulate
-from math import comb, isnan
+from math import comb, isnan, prod
 from operator import or_
 
 import numpy as np
@@ -110,8 +114,12 @@ PROVENANCE_EXHAUSTED = "exhausted-cardinality"
 
 # search nodes between two progress calls (and deadline checks)
 PROGRESS_NODES = 4096
-# mask words per numpy block when building or reducing masks
+# mask words per numpy block when building masks on the sort path, and
+# when reducing them
 _BLOCK_WORDS = 1 << 18
+# words per block when building masks on the table path: small enough
+# that a block's buffers stay in cache while its flags are set
+_TABLE_BLOCK_WORDS = 1 << 15
 # candidate image tuples of a base beyond which the group is not enumerated
 _MAX_IMAGES = 1024
 
@@ -215,7 +223,8 @@ def _phase(stats, name):
 # elementwise over rows of N.  A family over n <= 64 vertices (one word) is
 # built and kept in the narrowest unsigned type that holds n bits (uint8,
 # 16, 32 or 64, little-endian), which the later steps read through uint8
-# views or np.bitwise_count.
+# views or np.bitwise_count.  The blocks of one build are views of one set
+# of buffers (``_buffers``), each overwritten by the next block.
 
 
 def _slices(rows):
@@ -235,60 +244,76 @@ def _slices(rows):
     return np.ascontiguousarray(words.transpose(0, 2, 1))
 
 
-def _row_blocks(count, words_per_row):
-    step = max(1, _BLOCK_WORDS // max(1, words_per_row))
-    return ((lo, min(lo + step, count)) for lo in range(0, count, step))
+def _buffers(words, word, table):
+    """One build's block buffers, ``words`` words each: three of the mask
+    ``word`` type, and the one each block's last OR writes: on the table
+    path an intp buffer, whose words index the flag table, else the
+    first of the three.  Every block is a view of them, so each block
+    overwrites the one before it."""
+    bufs = list(np.empty((3, words), dtype=word))
+    return *bufs, np.empty(words, dtype=np.intp) if table else bufs[0]
 
 
-def _differ(x, y):
+def _views(bufs, shape):
+    size = prod(shape)
+    return [buf[:size].reshape(shape) for buf in bufs]
+
+
+def _differ(x, y, bufs):
     """Words of {v : two rows differ}, from bit slices ``x`` and ``y`` of
-    shape (depth, words, ...) broadcast against each other: one row of
-    words per broadcast pair, the pairs in C order."""
-    shape = np.broadcast_shapes(x.shape, y.shape)[1:]
-    words = np.bitwise_xor(x[0], y[0])
-    step = np.empty_like(words)
-    for a, b in zip(x[1:], y[1:]):
-        words |= np.bitwise_xor(a, b, out=step)
-    return words.reshape(shape[0], -1).T
+    shape (depth, words, ...) broadcast against each other, XORed and ORed
+    into views of ``bufs``: one row of words per broadcast pair, the pairs
+    in C order."""
+    acc, step, _, out = _views(bufs, np.broadcast_shapes(x.shape, y.shape)[1:])
+    last = len(x) - 1
+    np.bitwise_xor(x[0], y[0], out=out if last == 0 else acc)
+    for b in range(1, last + 1):
+        np.bitwise_or(acc, np.bitwise_xor(x[b], y[b], out=step), out=out if b == last else acc)
+    return out.reshape(len(out), -1).T
 
 
-def _pairs(rows, count, first, stride):
-    """Masks where row ``first`` of group i differs from each row of the
-    ``count // 2`` groups after it, cyclically, the rows (bit slices, of
-    shape (depth, width, count * stride)) taken ``stride`` to a group.
-    This meets every pair of groups once (those count / 2 apart twice).
-    Returns the number of masks and their blocks, cut by group."""
-    _, width, _ = rows.shape
+def _pairs(rows, count, first, stride, cuts, bufs):
+    """Blocks of the masks where row ``first`` of group i differs from each
+    row of the ``count // 2`` groups after it, cyclically, the rows (bit
+    slices, of shape (depth, width, count * stride)) taken ``stride`` to a
+    group, and the groups lo .. hi - 1 of each (lo, hi) in ``cuts`` to a
+    block.  This meets every pair of groups once (those count / 2 apart
+    twice)."""
     after = count // 2 * stride
     # entry [.., i, :] of shifted is the rows of groups i + 1 .. i + count // 2
     shifted = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([rows, rows], axis=2), after, axis=2)[:, :, stride::stride]
-    blocks = (_differ(rows[:, :, lo * stride + first:hi * stride:stride, None], shifted[:, :, lo:hi])
-              for lo, hi in _row_blocks(count, after * width))
-    return count * after, blocks
+    for lo, hi in cuts:
+        yield _differ(rows[:, :, lo * stride + first:hi * stride:stride, None], shifted[:, :, lo:hi],
+                      bufs)
 
 
-def _solid_blocks(targets, n):
-    # {v : d(v, x) < d(v, Y)} by a bit-serial compare, top bit first; the
-    # first n sets are the singletons, so the row of x is d(., x), and
-    # pairs with x in Y give empty masks
-    _, width, t = targets.shape
-    for lo, hi in _row_blocks(n, t * width):
-        less = np.zeros((width, hi - lo, t), dtype=targets.dtype)
-        same = ~less
-        step = np.empty_like(less)
-        # ~x and ~y are small; one full-size scratch block serves every slice
-        for x, y in zip(targets[:, :, lo:hi, None], targets[:, :, None, :]):
+def _solid_blocks(targets, cuts, bufs):
+    # {v : d(v, x) < d(v, Y)} by a bit-serial compare, top bit first, for
+    # the vertices x of each cut; the first n sets are the singletons, so
+    # the row of x is d(., x), and pairs with x in Y give empty masks
+    depth, width, t = targets.shape
+    for lo, hi in cuts:
+        less, step, same, out = _views(bufs, (width, hi - lo, t))
+        less.fill(0)
+        np.invert(less, out=same)
+        # ~x and ~y are small; one scratch block serves every slice
+        for b, (x, y) in enumerate(zip(targets[:, :, lo:hi, None], targets[:, :, None, :]), 1):
             np.bitwise_and(~x, y, out=step)
             step &= same
-            less |= step
-            same &= np.bitwise_xor(x, ~y, out=step)
-        yield less.reshape(width, -1).T
+            np.bitwise_or(less, step, out=out if b == depth else less)
+            if b < depth:
+                same &= np.bitwise_xor(x, ~y, out=step)
+        yield out.reshape(width, -1).T
 
 
 def _mode_blocks(dist, mode):
     """The separator masks of ``mode``: how many are built before any
-    drop, and their blocks (rows of words).
+    drop, and their blocks (rows of words), each a view of one set of
+    ``_buffers``, valid until the next block is built.  The count picks
+    the path (``_table_fits``) and so the blocks: of about
+    _TABLE_BLOCK_WORDS intp words on the table path, and of about
+    _BLOCK_WORDS mask words on the sort path.
 
     * {l}-resolving: the rows are D(X) for the s sets X of size <= l, each
       paired with the s // 2 after it (``_pairs``, stride 1).
@@ -297,29 +322,43 @@ def _mode_blocks(dist, mode):
       of span rows per vertex, and the mask of (u, v, c) is where rows
       (u, top) and (v, top + c) differ.  Swapping u and v negates c, so row
       (u, top) is paired with the rows of the n // 2 vertices after u
-      (``_pairs``, stride span); each block drops its all-vertex masks
-      (levels the difference never takes)."""
+      (``_pairs``, stride span).  The all-vertex masks (levels the
+      difference never takes) are built too; the sort path drops them
+      from each block, the table path clears their one entry."""
     n = len(dist)
     if mode.kind == "doubly":
         top = int(dist.max())
         span = 2 * top + 1
         rows = _slices((dist[:, None, :] + np.arange(span, dtype=dist.dtype)[:, None]).reshape(-1, n))
-        raw, blocks = _pairs(rows, n, top, span)
-        return raw, (np.compress(np.bitwise_count(words).sum(axis=1) < n, words.T, axis=1).T
-                     for words in blocks)
-    sets = _slices(set_arrays(dist, size_colex_array(n, mode.order)))
-    s = sets.shape[2]
-    if mode.kind == "resolving":
-        return _pairs(sets, s, 0, 1)
-    return n * s, _solid_blocks(sets, n)
+        count, first, stride = n, top, span
+    else:
+        rows = _slices(set_arrays(dist, size_colex_array(n, mode.order)))
+        count, first, stride = rows.shape[2], 0, 1
+    # the groups that blocks are cut by (for solid the vertices x), and the
+    # masks of each
+    groups, per_group = (n, count) if mode.kind == "solid" else (count, count // 2 * stride)
+    raw = groups * per_group
+    table = _table_fits(n, raw)
+    group_words = max(1, per_group * rows.shape[1])
+    step = max(1, (_TABLE_BLOCK_WORDS if table else _BLOCK_WORDS) // group_words)
+    cuts = [(lo, min(lo + step, groups)) for lo in range(0, groups, step)]
+    bufs = _buffers(min(step, groups) * group_words, rows.dtype, table)
+    if mode.kind == "solid":
+        return raw, _solid_blocks(rows, cuts, bufs)
+    blocks = _pairs(rows, count, first, stride, cuts, bufs)
+    if mode.kind == "doubly" and not table:
+        blocks = (np.compress(np.bitwise_count(words).sum(axis=1) < n, words.T, axis=1).T
+                  for words in blocks)
+    return raw, blocks
 
 
 def _unique_columns(cols):
     """Distinct nonzero columns of word-major masks, sorted by their first
     word, then the next (np.unique is several times slower here, and
-    boolean indexing than np.compress)."""
+    boolean indexing than np.compress).  One word is sorted in place: the
+    callers pass a block buffer or a concatenation of their own."""
     if len(cols) == 1:
-        cols = np.sort(cols, axis=1)
+        cols.sort(axis=1)
     else:
         cols = np.take(cols, np.lexsort(cols[::-1]), axis=1)
     # a zero column sorts first
@@ -369,12 +408,13 @@ def _merge(parts, deadline=None):
 
 def _mode_masks(dm, mode, deadline=None):
     """The distinct nonempty separator masks of ``mode``.  Where
-    ``_table_fits``, each block sets its masks' flags in a table of 2^n
-    flags, and the table is returned: entry m says whether mask m (entry 0,
-    the empty mask, cleared) was built.  Otherwise each block is sorted
-    and the parts merged (a lone part is not sorted again), and the masks
-    are returned as rows of words sorted by their first word, then the
-    next.  The deadline is checked after each block and each merged
+    ``_table_fits``, each block's intp words set their flags in a table
+    of 2^n flags, and the table is returned: entry m says whether mask m
+    (entry 0, the empty mask, and for doubly the all-vertex mask,
+    cleared) was built.  Otherwise each block is deduplicated into a
+    part of its own and the parts merged (a lone part is not sorted again), and
+    the masks are returned as rows of words sorted by their first word,
+    then the next.  The deadline is checked after each block and each merged
     range, so no merge starts once it has passed."""
     n = dm.n
     dist = dm.dist.astype(np.int16 if n < 1 << 15 else np.int32)
@@ -382,10 +422,13 @@ def _mode_masks(dm, mode, deadline=None):
     if _table_fits(n, raw):
         seen = np.zeros(1 << n, dtype=bool)
         for block in blocks:
-            # indexing with an intp copy is faster than with the mask words
-            seen[block[:, 0].astype(np.intp)] = True
+            # the blocks are intp words, which index the table as they are
+            seen[block[:, 0]] = True
             _check_deadline(deadline)
         seen[0] = False
+        if mode.kind == "doubly":
+            # the all-vertex mask: a level the difference never takes
+            seen[-1] = False
         return seen
     parts = []
     for block in blocks:
@@ -471,16 +514,21 @@ def _kept_masks(masks, forced, deadline=None):
         bits[list(forced)] = True
         row = np.packbits(bits, bitorder="little").view(cols.dtype)[:, None]
         cols = np.take(cols, np.flatnonzero(((cols & row) == 0).all(axis=0)), axis=1)
+    count = cols.shape[1]
     # in the smallest unsigned type that holds 64 * W: a radix argsort
     sizes = np.bitwise_count(cols).sum(axis=0, dtype=np.min_scalar_type(64 * len(cols)))
     order = np.argsort(sizes, kind="stable")
     cols, sizes = np.take(cols, order, axis=1), sizes[order]
+    # the intp indices are about as long as the family: none is kept
+    # into the levels or the next chunk
+    del order
     kept = [cols[:, :0]]
-    # the smallest masks left contain no other one: keep them, and drop
-    # every larger mask that contains one of them, a chunk at a time
+    # the smallest masks left contain no other one: keep them (a copy, so
+    # that no level holds on to the array it was cut from), and drop every
+    # larger mask that contains one of them, a chunk at a time
     while sizes.size:
         cut = np.searchsorted(sizes, sizes[0], side="right")
-        level, cols, sizes = cols[:, :cut], cols[:, cut:], sizes[cut:]
+        level, cols, sizes = cols[:, :cut].copy(), cols[:, cut:], sizes[cut:]
         kept.append(level)
         lo = 0
         while lo < level.shape[1] and sizes.size:
@@ -491,9 +539,10 @@ def _kept_masks(masks, forced, deadline=None):
             inside = ((words & part) == part for words, part in zip(cols, sub))
             at = np.flatnonzero(~reduce(np.logical_and, inside).any(axis=0))
             cols, sizes = np.take(cols, at, axis=1), sizes[at]
+            del at
             lo += step
             _check_deadline(deadline)
-    return len(order), np.concatenate(kept, axis=1).T
+    return count, np.concatenate(kept, axis=1).T
 
 
 def _row_ints(bits):

@@ -1,7 +1,11 @@
 import dataclasses
+import importlib.util
+import json
+import pathlib
 import random
 import sys
 import time
+import tracemalloc
 import weakref
 from functools import reduce
 from operator import or_
@@ -565,6 +569,33 @@ def test_search_workload_answers_and_counters_are_pinned():
     assert report.status == "confirmed-minimum"
 
 
+def _newest_ladder_record():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = max(root.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+    spec = importlib.util.spec_from_file_location("ladder", root / "tools" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    return path, json.loads(path.read_text()), ladder
+
+
+def test_fast_ladder_rungs_keep_their_recorded_counters():
+    # every rung of the newest ladder record that took under 0.5 s, run
+    # again: a change that moves an answer or a counter of the separator
+    # build, the reduction or the search fails here, not only in the
+    # ladder
+    path, record, ladder = _newest_ladder_record()
+    fast = [rung for rung in record["rungs"] if rung["wall_s"] is not None and rung["wall_s"] < 0.5]
+    assert len(fast) >= 8, path
+    fields = ("value", "basis", "lower_bound", "mask_count", "masks_kept", "nodes", "decided")
+    for rung in fast:
+        mode = Mode.doubly() if rung["mode"] == "doubly" else Mode(rung["mode"], rung["order"])
+        res = dim(ladder._graph(rung["graph"]), mode, budget_s=rung["budget_s"])
+        s = res.stats
+        got = (res.value, None if res.basis is None else list(res.basis), res.lower_bound,
+               s.mask_count, s.masks_kept, s.nodes, list(s.decided))
+        assert got == tuple(rung[field] for field in fields), (path.name, rung["name"])
+
+
 def test_search_workload_forced_vertices_are_the_singleton_masks():
     # the vertices the search holds forced are those of its single-vertex
     # separator masks
@@ -670,19 +701,21 @@ _KEPT_CASES = _BOUNDARY_CASES + _J5_CASES + _FORCED_CASES + [
      for mode in (Mode.resolving(1), Mode.solid(1), Mode.doubly())]
 
 
-@pytest.mark.parametrize("block_words", [None, 512], ids=["blocks", "small-blocks"])
+@pytest.mark.parametrize("small", [False, True], ids=["blocks", "small-blocks"])
 @pytest.mark.parametrize("g, mode", [case[1:] for case in _KEPT_CASES],
                          ids=[case[0] for case in _KEPT_CASES])
-def test_kept_masks_match_reference_passes(g, mode, block_words, monkeypatch):
+def test_kept_masks_match_reference_passes(g, mode, small, monkeypatch):
     # the search takes its forced vertices from the local rule of
     # forced_vertices: they are the vertices of the single-vertex masks.
     # Dropping the masks they are in and reducing the rest in one pass
     # returns what the forced split and the minimal-mask reduction
     # returned: the same count and kept masks, byte for byte in the same
-    # order; with small blocks the reduction of sorted rows runs a chunk
-    # of a few masks at a time
-    if block_words is not None:
-        monkeypatch.setattr(search, "_BLOCK_WORDS", block_words)
+    # order; with small blocks the masks are built a row or two at a time
+    # on the table path, and the reduction of sorted rows runs a chunk of
+    # a few masks at a time
+    if small:
+        monkeypatch.setattr(search, "_BLOCK_WORDS", 512)
+        monkeypatch.setattr(search, "_TABLE_BLOCK_WORDS", 64)
     built = search._mode_masks(all_pairs_distances(g), mode)
     split = mode.kind != "doubly"
     ref_forced, ref_count, ref_kept = reference_kept_masks(mask_rows(built), split)
@@ -723,13 +756,87 @@ def _takes_table(g, mode):
 @pytest.mark.parametrize("g, mode", [case[1:] for case in _DEDUP_CASES],
                          ids=[case[0] for case in _DEDUP_CASES])
 def test_table_and_sort_dedup_agree(g, mode, monkeypatch):
+    # with table blocks of the default size and of 64 words (a row or two
+    # of masks, so that many blocks reuse one set of buffers)
     dm = all_pairs_distances(g)
     out = {}
-    for table in (True, False):
-        monkeypatch.setattr(search, "_table_fits", lambda n, raw: table)
-        out[table] = mask_rows(search._mode_masks(dm, mode))
-    assert (out[True].shape, out[True].dtype) == (out[False].shape, out[False].dtype)
-    assert out[True].tobytes() == out[False].tobytes()
+    for words in (search._TABLE_BLOCK_WORDS, 64):
+        monkeypatch.setattr(search, "_TABLE_BLOCK_WORDS", words)
+        for table in (True, False):
+            monkeypatch.setattr(search, "_table_fits", lambda n, raw: table)
+            out[words, table] = mask_rows(search._mode_masks(dm, mode))
+    ref = out[64, False]
+    for rows in out.values():
+        assert (rows.shape, rows.dtype) == (ref.shape, ref.dtype)
+        assert rows.tobytes() == ref.tobytes()
+
+
+# every mode on every graph of the dedup cases whose family takes the table
+_TABLE_CASES = [(f"{name}-{_mode_id(mode)}", g, mode)
+                for name, g in dict((case[0].rsplit("-", 1)[0], case[1])
+                                    for case in _DEDUP_CASES).items()
+                for mode in (Mode.resolving(1), Mode.resolving(2), Mode.resolving(3),
+                             Mode.solid(1), Mode.solid(2), Mode.doubly())
+                if _takes_table(g, mode)]
+
+
+@pytest.mark.parametrize("words", [None, 64], ids=["blocks", "small-blocks"])
+@pytest.mark.parametrize("g, mode", [case[1:] for case in _TABLE_CASES],
+                         ids=[case[0] for case in _TABLE_CASES])
+def test_table_flags_are_the_distinct_raw_masks(g, mode, words, monkeypatch):
+    # the table's flags are the distinct nonempty masks of the raw blocks
+    # (doubly: not the all-vertex mask, which the blocks hold for every
+    # level the difference never takes); every block is a view of one set
+    # of intp buffers, so each is copied before the next is built
+    if words is not None:
+        monkeypatch.setattr(search, "_TABLE_BLOCK_WORDS", words)
+    dm = all_pairs_distances(g)
+    _, blocks = search._mode_blocks(dm.dist, mode)
+    blocks = [(block, block.copy()) for block in blocks]
+    assert all(view.dtype == np.intp and np.shares_memory(view, blocks[0][0])
+               for view, _ in blocks)
+    raw = set(np.unique(np.concatenate([copy[:, 0] for _, copy in blocks])).tolist()) - {0}
+    if mode.kind == "doubly":
+        raw.discard((1 << g.n) - 1)
+    assert np.flatnonzero(search._mode_masks(dm, mode)).tolist() == sorted(raw)
+
+
+def test_table_cases_cover_every_mode():
+    # not {1}-resolving: its n (n // 2) masks never reach 2^n bytes
+    assert {(mode.kind, mode.order) for _, _, mode in _TABLE_CASES} == {
+        ("resolving", 2), ("resolving", 3), ("solid", 1), ("solid", 2), ("doubly", None)}
+    # the benchmark's slowest call among them
+    assert "J5-resolving3" in {name for name, _, _ in _TABLE_CASES}
+
+
+def test_sort_blocks_are_views_of_one_buffer(monkeypatch):
+    # the sort path deduplicates each block into a part of its own, so the
+    # blocks themselves reuse one buffer of mask words
+    monkeypatch.setattr(search, "_BLOCK_WORDS", 4096)
+    dist = all_pairs_distances(flower_snark(7)).dist
+    for mode in (Mode.resolving(2), Mode.solid(2)):
+        _, blocks = search._mode_blocks(dist, mode)
+        blocks = list(blocks)
+        assert len(blocks) > 1
+        assert all(block.dtype == np.uint32 and np.shares_memory(block, blocks[0])
+                   for block in blocks)
+
+
+def test_table_build_allocates_the_table_and_one_buffer_set():
+    # J5 {3}-resolving builds 911,250 masks in 29 blocks of 32,400 words
+    # into one set of buffers (three of uint32 words and one of intp, about
+    # 0.65 MB) and sets their flags in a table of 2^20 bytes; blocks of
+    # 2^18 words, each a fresh array with a fresh intp copy, peaked at
+    # about 4.3 MB
+    dm = all_pairs_distances(flower_snark(5))
+    search._mode_masks(dm, Mode.resolving(3))
+    tracemalloc.start()
+    try:
+        search._mode_masks(dm, Mode.resolving(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (1 << 20)
 
 
 @pytest.mark.parametrize("g, mode", [case[1:] for case in _DEDUP_CASES],
@@ -784,12 +891,15 @@ def test_dedup_cases_take_both_paths():
                          ids=[case[0] for case in _DEDUP_CASES])
 def test_stated_mask_count_matches_the_blocks(g, mode):
     # the count that picks the table or the sort is that of the masks the
-    # blocks build; doubly blocks drop, per pair of vertices, the levels c
-    # in -top .. top that d(., u) - d(., v) never takes
+    # blocks build; doubly blocks drop (sort path) or hold as the
+    # all-vertex mask (table path), per pair of vertices, the levels c in
+    # -top .. top that d(., u) - d(., v) never takes
     dist = all_pairs_distances(g).dist
     raw, blocks = search._mode_blocks(dist, mode)
-    built = sum(len(block) for block in blocks)
-    if mode.kind == "doubly":
+    doubly = mode.kind == "doubly"
+    built = sum(int((np.bitwise_count(block).sum(axis=1) < g.n).sum()) if doubly else len(block)
+                for block in blocks)
+    if doubly:
         n, top = g.n, int(dist.max())
         for u in range(n):
             for v in ((u + d) % n for d in range(1, n // 2 + 1)):
@@ -934,7 +1044,9 @@ def _counted_passes(monkeypatch, now, passes, at):
 
 
 def test_no_table_read_off_after_the_deadline(monkeypatch):
-    # J5 {3}-resolving fills a presence table from four blocks; the clock
+    # J5 {3}-resolving fills a presence table from 29 blocks (1350 set
+    # rows of 675 masks each, 48 rows to a block of at most
+    # _TABLE_BLOCK_WORDS words); the clock
     # passes the deadline as the second is handed out, so neither the third
     # block nor a pass of the closures that read the kept masks off the
     # table follows
@@ -954,7 +1066,36 @@ def test_no_table_read_off_after_the_deadline(monkeypatch):
     blocks.clear()
     res = dim(g, Mode.resolving(3), budget_s=None)
     assert (res.value, res.stats.mask_count, res.stats.masks_kept) == (15, 186397, 75)
-    assert len(blocks) == 4 and passes == 2 * list(range(20))
+    assert len(blocks) == 29 and passes == 2 * list(range(20))
+
+
+@pytest.mark.parametrize("g, mode", [(flower_snark(5), Mode.resolving(3)),
+                                     (cycle_graph(8), Mode.solid(2)),
+                                     (cycle_graph(8), Mode.doubly())],
+                         ids=["J5-resolving3", "C8-solid2", "C8-doubly"])
+def test_no_table_block_is_built_after_the_deadline(g, mode, monkeypatch):
+    # on the table path, one row of masks to a block: the clock passes the
+    # deadline while the third block is built; its flags are set, and the
+    # deadline, checked before the fourth block is built, stops the build
+    monkeypatch.setattr(search, "_TABLE_BLOCK_WORDS", 64)
+    assert _takes_table(g, mode)
+    dm = all_pairs_distances(g)
+    now = [0.0]
+    built = []
+    views = search._views
+
+    def counted_views(bufs, shape):
+        # each block takes its views of the buffers once, as it is built
+        built.append(shape)
+        if len(built) == 3:
+            now[0] = 2.0
+        return views(bufs, shape)
+
+    monkeypatch.setattr(search, "_views", counted_views)
+    monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
+    with pytest.raises(search._OutOfBudget):
+        search._mode_masks(dm, mode, deadline=1.0)
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("at", [1, 20, 23, 40])
@@ -1038,6 +1179,7 @@ def test_forced_count_holds_when_the_budget_ends_in_the_mask_build(monkeypatch):
     # handed out, and the bound is still their count
     g = tree_from_parents((0, 0, 1, 1, 2, 2, 3, 3))
     monkeypatch.setattr(search, "_BLOCK_WORDS", 64)
+    monkeypatch.setattr(search, "_TABLE_BLOCK_WORDS", 64)
     dist = all_pairs_distances(g).dist
     assert len(list(search._mode_blocks(dist, Mode.resolving(2))[1])) > 1
     now = [0.0]

@@ -1,8 +1,9 @@
 """Run the metric_dimension workload ladder and the checker-only rungs,
 and write their JSON record.
 
-Usage:  python3 tools/ladder.py RECORD   (e.g. BENCH_22.json at the
-repository root; a relative path is taken from the working directory)
+Usage:  python3 tools/ladder.py RECORD [--only NAME ...]   (RECORD e.g.
+BENCH_22.json at the repository root; a relative path is taken from the
+working directory; --only runs just the named rungs)
 
 Each rung runs in a fresh process of its own (one at a time), so that its
 peak RSS is that rung's.  The record goes to RECORD, so each change
@@ -10,10 +11,15 @@ writes a file of its own and the earlier records stay: the provenance
 (core count, Python and numpy versions, commit, whether tracked files
 had uncommitted changes), then the rungs.
 
-A ``rungs`` entry is one ``metric_dimension`` call: the answer (value,
-basis, lower bound and source), the counters that explain the time
-(mask_count, masks_kept, nodes, decided, subsets_checked,
-exhausted_through), ``phase_ms``, wall seconds and peak RSS.  The
+A ``rungs`` entry is the fastest of a few ``metric_dimension`` calls in
+the rung's process, each on a graph built anew: the call is repeated
+while the calls so far and one more stay within REPEAT_S seconds, at
+most REPEATS times, since one call drifts with the host.  The entry
+holds the answer (value, basis, lower bound and source), the counters
+that explain the time (mask_count, masks_kept, nodes, decided,
+subsets_checked, exhausted_through) and ``phase_ms`` of the fastest
+call, the number of calls (``repeats``), the fastest and the median
+wall seconds (``wall_s``, ``wall_median_s``) and peak RSS.  The
 frontier rungs run under a fixed budget and report the bound they reach.
 A ``checker_rungs`` entry is one ``is_l_resolving`` check of a fixed set
 on a graph whose distances are computed first: the verdict, its witness
@@ -30,6 +36,7 @@ import multiprocessing
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -61,6 +68,10 @@ RUNGS = [
     ("rook 12x10 resolving-1", ("rook", 12, 10), "resolving", 1, 60.0),
 ]
 DEFAULT_BUDGET_S = 60.0
+# a rung's calls: at most REPEATS, while the calls so far and one more
+# take at most REPEAT_S seconds
+REPEATS = 5
+REPEAT_S = 2.0
 
 # (name, graph, anchor set, order): the l3 recipe on flower snarks, and
 # the ten-point design's vertex set on rook 12x10
@@ -87,10 +98,15 @@ def _rung(spec, budget_s, conn):
 
     _, graph, kind, order, _ = spec
     mode = Mode.doubly() if kind == "doubly" else Mode(kind, order)
-    g = _graph(graph)
-    started = time.perf_counter()
-    res = metric_dimension(g, SearchConfig(mode=mode, budget_s=budget_s))
-    wall_s = time.perf_counter() - started
+    runs = []
+    while not runs or (len(runs) < REPEATS
+                       and sum(wall for wall, _ in runs) + runs[-1][0] <= REPEAT_S):
+        # a fresh graph, so that each call computes its distances and group
+        g = _graph(graph)
+        started = time.perf_counter()
+        res = metric_dimension(g, SearchConfig(mode=mode, budget_s=budget_s))
+        runs.append((time.perf_counter() - started, res))
+    wall_s, res = min(runs, key=lambda run: run[0])
     s = res.stats
     conn.send({
         "value": res.value,
@@ -105,7 +121,9 @@ def _rung(spec, budget_s, conn):
         "subsets_checked": s.subsets_checked,
         "exhausted_through": s.exhausted_through,
         "phase_ms": {name: round(ms, 3) for name, ms in s.phase_ms.items()},
+        "repeats": len(runs),
         "wall_s": round(wall_s, 4),
+        "wall_median_s": round(statistics.median(wall for wall, _ in runs), 4),
         "peak_rss_mb": _peak_rss_mb(),
     })
     conn.close()
@@ -188,9 +206,16 @@ def _in_process(target, spec, *args):
 def main(argv=None):
     parser = argparse.ArgumentParser(description="run the metric_dimension and checker ladder")
     parser.add_argument("record", type=Path, help="JSON file to write, e.g. BENCH_22.json")
-    record_path = parser.parse_args(argv).record
+    parser.add_argument("--only", nargs="+", metavar="NAME",
+                        help="run only the rungs of these names, e.g. 'J5 resolving-3'")
+    args = parser.parse_args(argv)
+    names = [spec[0] for spec in RUNGS + CHECKER_RUNGS]
+    unknown = sorted(set(args.only or ()) - set(names))
+    if unknown:
+        parser.error(f"no rung named {', '.join(map(repr, unknown))}; the rungs are {names}")
+    chosen = set(names if args.only is None else args.only)
     rungs = []
-    for spec in RUNGS:
+    for spec in (spec for spec in RUNGS if spec[0] in chosen):
         name, graph, kind, order, budget_s = spec
         budget_s = DEFAULT_BUDGET_S if budget_s is None else budget_s
         record = {"value": None, "lower_bound": None, "nodes": None, "decided": None,
@@ -199,18 +224,19 @@ def main(argv=None):
                       "budget_s": budget_s, **record})
         print(f"{name}: value {record['value']}, bound {record['lower_bound']}, "
               f"{record['nodes']} nodes, decided {record['decided']}, "
-              f"{record['wall_s']} s, {record['peak_rss_mb']} MB", flush=True)
+              f"{record['wall_s']} s (median {record.get('wall_median_s')} s of "
+              f"{record.get('repeats')}), {record['peak_rss_mb']} MB", flush=True)
     checker_rungs = []
-    for spec in CHECKER_RUNGS:
+    for spec in (spec for spec in CHECKER_RUNGS if spec[0] in chosen):
         name, graph, anchors, order = spec
         record = {"holds": None, **_in_process(_checker_rung, spec)}
         checker_rungs.append({"name": name, "graph": list(graph), "anchors": anchors,
                               "order": order, **record})
         print(f"{name}: holds {record['holds']}, {record['wall_s']} s, "
               f"{record['peak_rss_mb']} MB", flush=True)
-    record_path.write_text(json.dumps({"provenance": _provenance(), "rungs": rungs,
+    args.record.write_text(json.dumps({"provenance": _provenance(), "rungs": rungs,
                                        "checker_rungs": checker_rungs}, indent=1) + "\n")
-    print(f"wrote {record_path}")
+    print(f"wrote {args.record}")
 
 
 if __name__ == "__main__":
