@@ -282,6 +282,15 @@ def test_design_invalid_file_exit(tmp_path, capsys):
     assert "pair-multiplicity" in out
 
 
+def test_malformed_edge_list_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.edges"
+    path.write_text("3\n0 x\n")
+    code, out, err = run(capsys, "check", str(path), "--set", "0")
+    assert code == 2
+    assert out == ""
+    assert "line 2:" in err
+
+
 # ---------------------------------------------------------------------------
 # paths that cannot be read or written
 

@@ -5,6 +5,7 @@ import pytest
 
 from resolving import (
     DisconnectedGraphError,
+    EdgeListParseError,
     GraphError,
     all_pairs_distances,
     build_graph,
@@ -58,6 +59,26 @@ def test_build_graph_endpoint_types():
     for edge in ((False, True), (0, True), (np.bool_(False), 1), (0.0, 1), ("0", 1)):
         with pytest.raises(GraphError, match="non-integer endpoints"):
             build_graph(2, [edge])
+
+
+@pytest.mark.parametrize("text, line_no, words", [
+    ("3 4\n", 1, ""), ("x\n", 1, ""), ("0\n", 1, ""),
+    ("3\n0 1 2\n", 2, ""), ("3\n0 x\n", 2, ""), ("3\n1 0\n", 2, ""),
+    ("3\n0 3\n", 2, ""), ("# only\n", 1, "empty input"),
+])
+def test_edge_list_parse_errors_name_their_line(text, line_no, words):
+    with pytest.raises(EdgeListParseError) as err:
+        parse_edge_list(text)
+    assert err.value.line_no == line_no
+    assert str(err.value).startswith(f"line {line_no}: ")
+    assert words in str(err.value)
+
+
+def test_edge_list_duplicate_edge_is_a_graph_error():
+    # the text is well formed; build_graph refuses the repeated edge
+    with pytest.raises(GraphError) as err:
+        parse_edge_list("3\n0 1\n0 1\n")
+    assert not isinstance(err.value, EdgeListParseError)
 
 
 def test_build_graph_vertex_count_numpy_integer():
