@@ -277,7 +277,7 @@ def _cmd_rook_lb(args):
 
 
 def _cmd_design(args):
-    with open(args.file) as fh:
+    with open(args.file, encoding="utf-8") as fh:
         design = rook.parse_design(fh.read())
     if args.n is not None and design.n_points != args.n:
         raise GraphError(f"design has {design.n_points} points, expected {args.n}")

@@ -18,20 +18,20 @@ class DisconnectedGraphError(GraphError):
         )
 
 
-class EdgeListParseError(GraphError):
-    """Malformed edge-list text. ``line_no`` is 1-based."""
+class _LineParseError(ValueError):
+    """Malformed input text. ``line_no`` is 1-based."""
 
     def __init__(self, line_no, message):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
 
 
-class DesignParseError(ValueError):
-    """Malformed design file. ``line_no`` is 1-based."""
+class EdgeListParseError(_LineParseError, GraphError):
+    """Malformed edge-list text."""
 
-    def __init__(self, line_no, message):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+
+class DesignParseError(_LineParseError):
+    """Malformed design file."""
 
 
 class ModeError(ValueError):

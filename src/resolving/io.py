@@ -1,4 +1,5 @@
-"""Plain-text edge-list serialization.
+"""Plain-text edge-list serialization, and the line reader that both text
+formats (edge lists here, design files in ``rook``) are read with.
 
 Format: the first non-comment line is the vertex count n; every following
 non-comment line is an edge ``u v`` with 0 <= u < v < n. Lines whose first
@@ -13,38 +14,37 @@ from .errors import EdgeListParseError
 from .graphs import build_graph
 
 
+def _int_lines(text, error):
+    """Yield (1-based line number, integers) for each non-comment line of
+    text; a blank line yields ().  A non-integer token raises ``error``."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            continue
+        try:
+            ints = tuple(map(int, line.split()))
+        except ValueError:
+            raise error(line_no, f"non-integer token in {line!r}") from None
+        yield line_no, ints
+
+
 def parse_edge_list(text):
     """Parse edge-list text into a Graph."""
     n = None
     edges = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for line_no, ints in _int_lines(text, EdgeListParseError):
+        if not ints:
             continue
-        parts = line.split()
         if n is None:
-            if len(parts) != 1:
+            if len(ints) != 1:
                 raise EdgeListParseError(line_no, "expected the vertex count alone")
-            try:
-                n = int(parts[0])
-            except ValueError:
-                raise EdgeListParseError(
-                    line_no, f"vertex count is not an integer: {parts[0]!r}"
-                ) from None
+            (n,) = ints
             if n < 1:
                 raise EdgeListParseError(line_no, f"vertex count must be positive, got {n}")
             continue
-        if len(parts) != 2:
-            raise EdgeListParseError(line_no, f"expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListParseError(line_no, f"non-integer endpoint in {line!r}") from None
-        if not (0 <= u < v < n):
-            raise EdgeListParseError(
-                line_no, f"edge ({u}, {v}) violates 0 <= u < v < {n}"
-            )
-        edges.append((u, v))
+        if len(ints) != 2 or not (0 <= ints[0] < ints[1] < n):
+            raise EdgeListParseError(line_no, f"expected an edge 'u v' with 0 <= u < v < {n}, got {ints}")
+        edges.append(ints)
     if n is None:
         raise EdgeListParseError(1, "empty input: no vertex count line")
     return build_graph(n, edges)

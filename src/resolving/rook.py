@@ -13,7 +13,10 @@ as the Type-1 condition).
 
 The complement structure of such a set is a block system: block j lists
 the rows *missing* from column j.  Quadruple coverage is exactly the
-requirement that two blocks share at most one point.
+requirement that two blocks share at most one point.  A set's blocks and
+its row and column counts are read off one column view,
+``RookSet.column_row_masks``.  Design files are read with the line reader
+of ``io``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from math import comb
 from .checks import CheckVerdict
 from .errors import DesignParseError, GraphError
 from .graphs import _count, _plain_int, rook_cell, rook_flat
+from .io import _int_lines
 
 __all__ = [
     "RookSet", "Design", "quadruple_coverage", "classify_conditions",
@@ -67,24 +71,19 @@ class RookSet:
         """Ascending flat vertex indices in rook_graph(m, n)."""
         return tuple(sorted(rook_flat(r, c, self.n) for (r, c) in self.cells))
 
-    def row_counts(self):
-        counts = [0] * self.n
-        for (r, _) in self.cells:
-            counts[r] += 1
-        return counts
-
-    def col_counts(self):
-        counts = [0] * self.m
-        for (_, c) in self.cells:
-            counts[c] += 1
-        return counts
-
     def column_row_masks(self):
         """Per-column bitmask of the rows present in the set."""
         masks = [0] * self.m
         for (r, c) in self.cells:
             masks[c] |= 1 << r
         return masks
+
+    def row_counts(self):
+        masks = self.column_row_masks()
+        return [sum(mask >> r & 1 for mask in masks) for r in range(self.n)]
+
+    def col_counts(self):
+        return [mask.bit_count() for mask in self.column_row_masks()]
 
     def transpose(self):
         return RookSet(self.n, self.m, frozenset((c, r) for (r, c) in self.cells))
@@ -190,15 +189,12 @@ def sufficiency_check(rs):
         raise GraphError(
             f"sufficiency condition needs both grid sides >= 6, got {rs.m}x{rs.n}"
         )
-    counts = rs.row_counts()
-    for r, cnt in enumerate(counts):
-        if cnt < 2:
-            return SufficiencyReport(False, ("row", r, cnt), transposed,
-                                     f"row {r} holds {cnt} member(s), needs 2")
-    for c, cnt in enumerate(rs.col_counts()):
-        if cnt < 2:
-            return SufficiencyReport(False, ("col", c, cnt), transposed,
-                                     f"column {c} holds {cnt} member(s), needs 2")
+    for kind, name, counts in (("row", "row", rs.row_counts()),
+                               ("col", "column", rs.col_counts())):
+        for i, cnt in enumerate(counts):
+            if cnt < 2:
+                return SufficiencyReport(False, (kind, i, cnt), transposed,
+                                         f"{name} {i} holds {cnt} member(s), needs 2")
     coverage = quadruple_coverage(rs)
     if not coverage.holds:
         return SufficiencyReport(False, coverage.witness, transposed,
@@ -241,6 +237,8 @@ class Design:
         object.__setattr__(self, "n_points", _count(self.n_points, 1,
                                                     "designs need a positive integer point count"))
         blocks = tuple(tuple(map(_plain_int, block)) for block in self.blocks)
+        if not blocks:
+            raise GraphError("designs need at least one block")
         for j, (block, points) in enumerate(zip(self.blocks, blocks)):
             if None in points or list(points) != sorted(set(points)):
                 raise GraphError(f"block {j} has non-integer, repeated or unsorted points: {block}")
@@ -299,25 +297,16 @@ def validate_design(design):
 
 def design_to_set(design):
     """Grid set whose column j misses exactly the points of block j."""
-    m, n = design.m, design.n_points
-    cells = set()
-    for j, block in enumerate(design.blocks):
-        absent = set(block)
-        for r in range(n):
-            if r not in absent:
-                cells.add((r, j))
-    return RookSet(m, n, frozenset(cells))
+    n = design.n_points
+    return RookSet(design.m, n, frozenset(
+        (r, j) for j, block in enumerate(design.blocks)
+        for r in set(range(n)).difference(block)))
 
 
 def set_to_design(rs):
     """Inverse of :func:`design_to_set`: block j = rows missing in column j."""
-    blocks = []
-    present = {c: set() for c in range(rs.m)}
-    for (r, c) in rs.cells:
-        present[c].add(r)
-    for c in range(rs.m):
-        blocks.append(tuple(sorted(set(range(rs.n)) - present[c])))
-    return Design(rs.n, tuple(blocks))
+    return Design(rs.n, tuple(tuple(r for r in range(rs.n) if not mask >> r & 1)
+                              for mask in rs.column_row_masks()))
 
 
 # ---------------------------------------------------------------------------
@@ -326,50 +315,35 @@ def set_to_design(rs):
 
 
 def parse_design(text):
-    lines = text.splitlines()
-    header = None
+    n = m = None
     blocks = []
-    expect = None
-    for line_no, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if stripped.startswith("#"):
-            continue
-        if header is None:
-            if not stripped:
+    for line_no, points in _int_lines(text, DesignParseError):
+        if n is None:
+            if not points:
                 continue
-            parts = stripped.split()
-            if len(parts) != 2:
+            if len(points) != 2:
                 raise DesignParseError(line_no, "expected header 'n m'")
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DesignParseError(line_no, "non-integer header") from None
+            n, m = points
             if n < 1 or m < 1:
                 raise DesignParseError(line_no, f"header must be positive, got {n} {m}")
-            header = (n, m)
-            expect = m
             continue
-        if len(blocks) == expect:
-            if stripped:
+        if len(blocks) == m:
+            if points:
                 raise DesignParseError(line_no, "extra content after the last block")
             continue
-        try:
-            block = tuple(int(tok) for tok in stripped.split())
-        except ValueError:
-            raise DesignParseError(line_no, f"non-integer point in {stripped!r}") from None
-        if len(set(block)) != len(block):
-            raise DesignParseError(line_no, f"repeated point in block: {stripped!r}")
-        for p in block:
-            if not (0 <= p < header[0]):
-                raise DesignParseError(line_no, f"point {p} out of range 0..{header[0]-1}")
-        blocks.append(tuple(sorted(block)))
-    if header is None:
+        if len(set(points)) != len(points):
+            raise DesignParseError(line_no, f"repeated point in block: {points}")
+        for p in points:
+            if not (0 <= p < n):
+                raise DesignParseError(line_no, f"point {p} out of range 0..{n-1}")
+        blocks.append(tuple(sorted(points)))
+    if n is None:
         raise DesignParseError(1, "empty input: no header line")
-    if len(blocks) != header[1]:
+    if len(blocks) != m:
         raise DesignParseError(
-            len(lines) + 1, f"expected {header[1]} blocks, found {len(blocks)}"
+            len(text.splitlines()) + 1, f"expected {m} blocks, found {len(blocks)}"
         )
-    return Design(header[0], tuple(blocks))
+    return Design(n, tuple(blocks))
 
 
 def write_design(design):

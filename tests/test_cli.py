@@ -282,6 +282,26 @@ def test_design_invalid_file_exit(tmp_path, capsys):
     assert "pair-multiplicity" in out
 
 
+def test_input_files_are_read_as_utf8(tmp_path):
+    # both text formats are read as UTF-8 whatever the locale: no read
+    # falls back to the locale's encoding
+    from resolving import fano_plane_design, write_design
+
+    design = tmp_path / "fano.design"
+    design.write_text(write_design(fano_plane_design()), encoding="utf-8")
+    edges = tmp_path / "p3.edges"
+    edges.write_text("3\n0 1\n1 2\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    strict = [sys.executable, "-X", "warn_default_encoding",
+              "-W", "error::EncodingWarning", "-m", "resolving.cli"]
+    for argv in (("design", "--action", "validate", "--file", str(design)),
+                 ("check", str(edges), "--set", "0")):
+        proc = subprocess.run([*strict, *argv], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+
 def test_malformed_edge_list_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.edges"
     path.write_text("3\n0 x\n")

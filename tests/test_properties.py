@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from resolving import (
     Design,
@@ -27,13 +27,16 @@ from resolving import (
     is_l_solid,
     is_l_solid_oracle,
     metric_dimension,
+    parse_design,
     parse_edge_list,
     path_graph,
     product_flat,
     quadruple_coverage,
     set_to_design,
+    sufficiency_check,
     validate_design,
     verify_witness,
+    write_design,
     write_edge_list,
 )
 from resolving import search
@@ -538,6 +541,43 @@ def test_pair_multiplicity_equals_quadruple_coverage(m, n, data):
     verdict = validate_design(design)
     if verdict.holds:
         assert coverage.holds
+
+
+@st.composite
+def designs(draw, n_max=7, m_max=7):
+    n = draw(st.integers(1, n_max))
+    return Design(n, tuple(
+        tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))))
+        for _ in range(draw(st.integers(1, m_max)))
+    ))
+
+
+@common
+@given(designs())
+@example(Design(3, ((0, 1), ())))
+@example(Design(3, ((), (2,), ())))
+def test_design_text_round_trip(design):
+    # an empty block is a blank line, the last one included
+    assert parse_design(write_design(design)) == design
+
+
+@common
+@given(designs())
+def test_design_rules_are_the_type2_conditions(design):
+    # rules (i)-(iii) read on the design are the column, row and quadruple
+    # conditions read on its grid set
+    assert validate_design(design).holds == classify_conditions(design_to_set(design)).type2
+
+
+@common
+@given(st.integers(6, 9), st.integers(6, 9),
+       st.sampled_from([0.5, 0.8, 0.9, 0.95, 1.0]), st.randoms(use_true_random=False))
+def test_sufficiency_is_type2_on_large_grids(m, n, density, rng):
+    rs = RookSet(m, n, frozenset(
+        (r, c) for r in range(n) for c in range(m) if rng.random() < density
+    ))
+    for s in (rs, rs.transpose()):
+        assert sufficiency_check(s).holds == classify_conditions(s).type2
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,9 @@ def test_design_construction_validation():
     with pytest.raises(GraphError):
         Design(5, ((1, 0),))
     assert Design.from_blocks(5, [(1, 0)]).blocks == ((0, 1),)
+    # a design mirrors a grid of m >= 1 columns, and its file header needs m >= 1
+    with pytest.raises(GraphError, match="at least one block"):
+        Design(5, ())
 
 
 # ---------------------------------------------------------------------------
