@@ -79,8 +79,7 @@ class RookSet:
         return masks
 
     def row_counts(self):
-        masks = self.column_row_masks()
-        return [sum(mask >> r & 1 for mask in masks) for r in range(self.n)]
+        return _counts(self.column_row_masks(), self.n)[0]
 
     def col_counts(self):
         return [mask.bit_count() for mask in self.column_row_masks()]
@@ -100,19 +99,31 @@ class EmptyQuadruple:
     cols: tuple[int, int]
 
 
+def _counts(masks, n):
+    """The row counts and the column counts of a set of an n-row grid,
+    from its ``column_row_masks``."""
+    rows = [sum(mask >> r & 1 for mask in masks) for r in range(n)]
+    return rows, [mask.bit_count() for mask in masks]
+
+
 def quadruple_coverage(rs):
     """Check that every quadruple contains a set member.
 
     One bitmask intersection per column pair; the witness is the first
     uncovered quadruple in (column pair, lowest rows) order.
     """
-    masks = rs.column_row_masks()
-    full = (1 << rs.n) - 1
-    for a in range(rs.m):
+    return _coverage(rs.column_row_masks(), rs.n)
+
+
+def _coverage(masks, n):
+    """``quadruple_coverage`` of the set with ``column_row_masks`` masks
+    on an n-row grid."""
+    full = (1 << n) - 1
+    for a in range(len(masks)):
         missing_a = ~masks[a] & full
         if not missing_a:
             continue
-        for b in range(a + 1, rs.m):
+        for b in range(a + 1, len(masks)):
             both = missing_a & ~masks[b] & full
             if both.bit_count() >= 2:
                 r1 = (both & -both).bit_length() - 1
@@ -144,7 +155,8 @@ def classify_conditions(rs):
     """Type 1: S contains a whole closed non-neighbourhood {v} + (V - N(v)).
     Type 2: every row and column has >= 2 members and quadruples are covered.
     A set satisfying neither is certified not {2}-resolving."""
-    rows, cols = rs.row_counts(), rs.col_counts()
+    masks = rs.column_row_masks()
+    rows, cols = _counts(masks, rs.n)
     # V - N[(r, c)] is the (n-1)(m-1) cells off row r and column c; S holds
     # all of them iff that many of its members lie off both
     off = (rs.n - 1) * (rs.m - 1)
@@ -152,7 +164,7 @@ def classify_conditions(rs):
                       if len(rs) - rows[cell[0]] - cols[cell[1]] + 1 == off), default=None)
     rows_ok = all(x >= 2 for x in rows)
     cols_ok = all(x >= 2 for x in cols)
-    coverage = quadruple_coverage(rs)
+    coverage = _coverage(masks, rs.n)
     return RookClassification(
         type1=type1_cell is not None,
         type1_cell=type1_cell,
@@ -189,13 +201,14 @@ def sufficiency_check(rs):
         raise GraphError(
             f"sufficiency condition needs both grid sides >= 6, got {rs.m}x{rs.n}"
         )
-    for kind, name, counts in (("row", "row", rs.row_counts()),
-                               ("col", "column", rs.col_counts())):
+    masks = rs.column_row_masks()
+    rows, cols = _counts(masks, rs.n)
+    for kind, name, counts in (("row", "row", rows), ("col", "column", cols)):
         for i, cnt in enumerate(counts):
             if cnt < 2:
                 return SufficiencyReport(False, (kind, i, cnt), transposed,
                                          f"{name} {i} holds {cnt} member(s), needs 2")
-    coverage = quadruple_coverage(rs)
+    coverage = _coverage(masks, rs.n)
     if not coverage.holds:
         return SufficiencyReport(False, coverage.witness, transposed,
                                  "uncovered quadruple")
@@ -236,10 +249,12 @@ class Design:
     def __post_init__(self):
         object.__setattr__(self, "n_points", _count(self.n_points, 1,
                                                     "designs need a positive integer point count"))
-        blocks = tuple(tuple(map(_plain_int, block)) for block in self.blocks)
+        # read once: the blocks may come as an iterator
+        given = tuple(self.blocks)
+        blocks = tuple(tuple(map(_plain_int, block)) for block in given)
         if not blocks:
             raise GraphError("designs need at least one block")
-        for j, (block, points) in enumerate(zip(self.blocks, blocks)):
+        for j, (block, points) in enumerate(zip(given, blocks)):
             if None in points or list(points) != sorted(set(points)):
                 raise GraphError(f"block {j} has non-integer, repeated or unsorted points: {block}")
             for p in points:

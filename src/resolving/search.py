@@ -20,8 +20,9 @@ candidate set passes iff it intersects every "separator" mask.
 The masks are bitsets kept word-major, one numpy row per word, as they
 are built (and, on the sort path, reduced), in the smallest unsigned type
 that holds n bits when one word holds a mask (n <= 64), else uint64.
-``_mode_blocks`` is the one place that knows each family: its rows (bit slices of the distances, one
-bitset per bit), how they are paired, and how many masks that builds.
+``_Separators`` is the one place that knows each family: its rows (bit
+slices of the distances, one bitset per bit), how they are paired, and
+how many masks that builds.
 The {l}-resolving and doubly masks are where two rows differ, each row
 group compared with the half of the groups after it, cyclically; the
 l-solid masks are a bit-serial less-than.  That count picks the path.
@@ -44,7 +45,26 @@ minimal masks are those that no proper subset in the table reaches, found
 by a superset closure over the subset lattice (the zeta transform of
 Bjorklund, Husfeldt, Kaski and Koivisto 2007) in one bitwise pass per
 vertex.  On the sort path the rows are sorted by size and reduced a
-level at a time.
+level at a time: the smallest left are kept, and each larger one that
+contains one of them dropped.
+
+On the sort path, a family of at least _ORBIT_MASKS one-word masks
+({l}-resolving or doubly) is reduced on one representative per orbit of
+the automorphism group, when the group is enumerated (it is then read
+before the reduction; see below).  An automorphism maps the masks
+of a pair of row groups onto those of the pair of their images, so the
+pairs whose first row group (the set X for {l}-resolving, the vertex u
+for doubly) comes first in its orbit, each against every group, build a
+mask of every orbit of the family, about a 1/|G| share of it.  Their
+distinct masks are reduced a level at a time as above, but each level
+keeps the distinct images of its representatives left (one float64
+product of their bit matrix with 2^g(v)), and those drop the larger
+representatives that contain one.  The kept images, by size and then
+value, are the masks the plain reduction keeps, in its order.  The whole
+family is still built and deduplicated, since ``mask_count`` counts it,
+but it is only counted.  On smaller families (J5 {2}-resolving and
+every family of the ``cli`` dims among them), setting up the images
+costs more than the orbits save.
 
 A greedy cover of the kept masks (repeatedly the vertex in the most
 unhit masks, then dropping the picks the others cover) plus the forced
@@ -74,7 +94,8 @@ The masks are defined from distances alone, so every automorphism of the
 graph maps the forced vertices onto themselves and the kept masks onto
 the kept masks.  Once the masks are kept, before the first decision,
 and only if some decision places two positions (the group cannot prune
-fewer, nor the read-off), the group is read off the distance matrix: an
+fewer, nor the read-off), the group is read off the distance matrix
+(on the orbit path of the reduction, before the reduction): an
 automorphism is fixed by the images of a resolving base, so the
 candidate images of a greedy base are extended level by level and every
 map they give is checked against the edges (or, past a fixed number of
@@ -122,6 +143,9 @@ _BLOCK_WORDS = 1 << 18
 _TABLE_BLOCK_WORDS = 1 << 15
 # candidate image tuples of a base beyond which the group is not enumerated
 _MAX_IMAGES = 1024
+# masks built, below which a family on the sort path is reduced as it is
+# rather than on one representative per orbit
+_ORBIT_MASKS = 1 << 15
 
 
 @dataclasses.dataclass
@@ -161,10 +185,12 @@ class SearchStats:
     decided: tuple = ()
     # milliseconds per phase: masks (the separator build and its dedup: up
     # to the filled flag table on the table path, the sorted merged rows on
-    # the sort path), reduce (masks no forced vertex is in, minimal masks,
-    # the table's closures and read-off on the table path; then family,
-    # greedy cap), group (automorphisms), search (decisions and read-off),
-    # verify
+    # the sort path, and on the orbit path those of the representatives
+    # too), reduce (masks no forced vertex is in, minimal masks, the
+    # table's closures and read-off on the table path; then family, greedy
+    # cap), group (automorphisms, read before the reduction on the orbit
+    # path), search (decisions and read-off), verify; a phase entered twice
+    # sums its times
     phase_ms: dict = dataclasses.field(default_factory=dict)
 
 
@@ -213,7 +239,8 @@ def _phase(stats, name):
     try:
         yield
     finally:
-        stats.phase_ms[name] = (time.perf_counter() - t0) * 1000.0
+        ms = (time.perf_counter() - t0) * 1000.0
+        stats.phase_ms[name] = stats.phase_ms.get(name, 0.0) + ms
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +299,21 @@ def _differ(x, y, bufs):
     return out.reshape(len(out), -1).T
 
 
-def _pairs(rows, count, first, stride, cuts, bufs):
+def _pairs(rows, count, first, stride, cuts, bufs, firsts=None):
     """Blocks of the masks where row ``first`` of group i differs from each
     row of the ``count // 2`` groups after it, cyclically, the rows (bit
     slices, of shape (depth, width, count * stride)) taken ``stride`` to a
     group, and the groups lo .. hi - 1 of each (lo, hi) in ``cuts`` to a
     block.  This meets every pair of groups once (those count / 2 apart
-    twice)."""
+    twice).  With ``firsts``, an array of groups, row ``first`` of each
+    group firsts[i] differs from every row instead, the groups firsts[lo]
+    .. firsts[hi - 1] to a block: the pairs of a group with itself give
+    the empty mask (doubly: a shift of its own row, an all-vertex mask)."""
+    if firsts is not None:
+        for lo, hi in cuts:
+            yield _differ(rows[:, :, firsts[lo:hi] * stride + first, None], rows[:, :, None, :],
+                          bufs)
+        return
     after = count // 2 * stride
     # entry [.., i, :] of shifted is the rows of groups i + 1 .. i + count // 2
     shifted = np.lib.stride_tricks.sliding_window_view(
@@ -307,11 +342,11 @@ def _solid_blocks(targets, cuts, bufs):
         yield out.reshape(width, -1).T
 
 
-def _mode_blocks(dist, mode):
-    """The separator masks of ``mode``: how many are built before any
-    drop, and their blocks (rows of words), each a view of one set of
-    ``_buffers``, valid until the next block is built.  The count picks
-    the path (``_table_fits``) and so the blocks: of about
+class _Separators:
+    """The separator masks of ``mode`` on the distance matrix ``dm``,
+    before any is built: the rows they compare, how those are paired, and
+    how many masks that builds before any drop (``raw``).  The count picks
+    the path (``table``, see ``_table_fits``) and so the blocks: of about
     _TABLE_BLOCK_WORDS intp words on the table path, and of about
     _BLOCK_WORDS mask words on the sort path.
 
@@ -324,32 +359,107 @@ def _mode_blocks(dist, mode):
       (u, top) is paired with the rows of the n // 2 vertices after u
       (``_pairs``, stride span).  The all-vertex masks (levels the
       difference never takes) are built too; the sort path drops them
-      from each block, the table path clears their one entry."""
-    n = len(dist)
-    if mode.kind == "doubly":
-        top = int(dist.max())
-        span = 2 * top + 1
-        rows = _slices((dist[:, None, :] + np.arange(span, dtype=dist.dtype)[:, None]).reshape(-1, n))
-        count, first, stride = n, top, span
-    else:
-        rows = _slices(set_arrays(dist, size_colex_array(n, mode.order)))
-        count, first, stride = rows.shape[2], 0, 1
-    # the groups that blocks are cut by (for solid the vertices x), and the
-    # masks of each
-    groups, per_group = (n, count) if mode.kind == "solid" else (count, count // 2 * stride)
-    raw = groups * per_group
-    table = _table_fits(n, raw)
-    group_words = max(1, per_group * rows.shape[1])
-    step = max(1, (_TABLE_BLOCK_WORDS if table else _BLOCK_WORDS) // group_words)
-    cuts = [(lo, min(lo + step, groups)) for lo in range(0, groups, step)]
-    bufs = _buffers(min(step, groups) * group_words, rows.dtype, table)
-    if mode.kind == "solid":
-        return raw, _solid_blocks(rows, cuts, bufs)
-    blocks = _pairs(rows, count, first, stride, cuts, bufs)
-    if mode.kind == "doubly" and not table:
-        blocks = (np.compress(np.bitwise_count(words).sum(axis=1) < n, words.T, axis=1).T
-                  for words in blocks)
-    return raw, blocks
+      from each block, the table path clears their one entry.
+
+    A row group stands for a vertex set, ``sets[i]`` (a row of vertices,
+    as ``size_colex_array`` pads it): X for {l}-resolving, {v} for
+    doubly.  An automorphism maps the masks of a pair of groups onto those
+    of the pair of their images, so the pairs whose first group comes
+    first in its orbit (``firsts``), each against every group, give a mask
+    of every orbit of the family's masks."""
+
+    def __init__(self, dm, mode):
+        n = self.n = dm.n
+        self.kind = mode.kind
+        dist = dm.dist.astype(np.int16 if n < 1 << 15 else np.int32)
+        if mode.kind == "doubly":
+            top = int(dist.max())
+            span = 2 * top + 1
+            self.rows = _slices((dist[:, None, :] + np.arange(span, dtype=dist.dtype)[:, None])
+                                .reshape(-1, n))
+            self.count, self.first, self.stride = n, top, span
+            self.sets = np.arange(n)[:, None]
+        else:
+            self.sets = size_colex_array(n, mode.order)
+            self.rows = _slices(set_arrays(dist, self.sets))
+            self.count, self.first, self.stride = self.rows.shape[2], 0, 1
+        # the groups that blocks are cut by (for solid the vertices x), and
+        # the masks of each
+        self.groups, self.per_group = ((n, self.count) if mode.kind == "solid"
+                                       else (self.count, self.count // 2 * self.stride))
+        self.raw = self.groups * self.per_group
+        self.table = _table_fits(n, self.raw)
+        # one word holds a mask, and there are enough of them for the
+        # representatives to pay for their orbits (see _ORBIT_MASKS)
+        self.orbital = (mode.kind != "solid" and not self.table and n <= 64
+                        and self.raw >= _ORBIT_MASKS)
+
+    def blocks(self, firsts=None):
+        """The blocks (rows of words), each a view of one set of
+        ``_buffers``, valid until the next block is built.  With
+        ``firsts`` (groups, ascending), only the pairs whose first group is
+        one of them are built, each against every group, on the sort
+        path."""
+        rows, count, stride = self.rows, self.count, self.stride
+        groups, per_group, table = self.groups, self.per_group, self.table
+        if firsts is not None:
+            groups, per_group, table = len(firsts), count * stride, False
+        group_words = max(1, per_group * rows.shape[1])
+        step = max(1, (_TABLE_BLOCK_WORDS if table else _BLOCK_WORDS) // group_words)
+        cuts = [(lo, min(lo + step, groups)) for lo in range(0, groups, step)]
+        bufs = _buffers(min(step, groups) * group_words, rows.dtype, table)
+        if self.kind == "solid":
+            return _solid_blocks(rows, cuts, bufs)
+        blocks = _pairs(rows, count, self.first, stride, cuts, bufs, firsts)
+        if self.kind == "doubly" and not table:
+            blocks = (np.compress(np.bitwise_count(words).sum(axis=1) < self.n, words.T, axis=1).T
+                      for words in blocks)
+        return blocks
+
+    def masks(self, deadline=None, firsts=None):
+        """The distinct nonempty masks of the blocks (``firsts`` as in
+        ``blocks``).  On the table path, each block's intp words set their
+        flags in a table of 2^n flags, and the table is returned: entry m
+        says whether mask m (entry 0, the empty mask, and for doubly the
+        all-vertex mask, cleared) was built.  Otherwise each block is
+        deduplicated into a part of its own and the parts merged (a lone
+        part is not sorted again), and the masks are returned as rows of
+        words sorted by their first word, then the next.  The deadline is
+        checked after each block and each merged range, so no merge starts
+        once it has passed."""
+        n = self.n
+        blocks = self.blocks(firsts)
+        if self.table and firsts is None:
+            seen = np.zeros(1 << n, dtype=bool)
+            for block in blocks:
+                # the blocks are intp words, which index the table as they are
+                seen[block[:, 0]] = True
+                _check_deadline(deadline)
+            seen[0] = False
+            if self.kind == "doubly":
+                # the all-vertex mask: a level the difference never takes
+                seen[-1] = False
+            return seen
+        parts = []
+        for block in blocks:
+            parts.append(_unique_columns(block.T))
+            _check_deadline(deadline)
+            if len(parts) >= 32:
+                parts = [_merge(parts, deadline)]
+        if len(parts) > 1:
+            parts = [_merge(parts, deadline)]
+        return parts[0].T if parts else np.zeros((0, (n + 63) // 64), dtype=_word_type(n))
+
+    def firsts(self, images):
+        """The groups that come first in their orbit, ascending, where
+        ``images`` maps one-word masks to their images (``_image_map``).
+        In the order of the groups, sets of one size are in colex order,
+        which is the order of their masks, and an automorphism keeps the
+        size: a group is first iff its set's mask is the least of its
+        images."""
+        one = np.ones(1, dtype=self.rows.dtype)
+        keys = np.bitwise_or.reduce(one << self.sets.astype(self.rows.dtype), axis=1)
+        return np.flatnonzero(keys == images(keys[None]).min(axis=1))
 
 
 def _unique_columns(cols):
@@ -406,41 +516,6 @@ def _merge(parts, deadline=None):
     return merged[:, :filled]
 
 
-def _mode_masks(dm, mode, deadline=None):
-    """The distinct nonempty separator masks of ``mode``.  Where
-    ``_table_fits``, each block's intp words set their flags in a table
-    of 2^n flags, and the table is returned: entry m says whether mask m
-    (entry 0, the empty mask, and for doubly the all-vertex mask,
-    cleared) was built.  Otherwise each block is deduplicated into a
-    part of its own and the parts merged (a lone part is not sorted again), and
-    the masks are returned as rows of words sorted by their first word,
-    then the next.  The deadline is checked after each block and each merged
-    range, so no merge starts once it has passed."""
-    n = dm.n
-    dist = dm.dist.astype(np.int16 if n < 1 << 15 else np.int32)
-    raw, blocks = _mode_blocks(dist, mode)
-    if _table_fits(n, raw):
-        seen = np.zeros(1 << n, dtype=bool)
-        for block in blocks:
-            # the blocks are intp words, which index the table as they are
-            seen[block[:, 0]] = True
-            _check_deadline(deadline)
-        seen[0] = False
-        if mode.kind == "doubly":
-            # the all-vertex mask: a level the difference never takes
-            seen[-1] = False
-        return seen
-    parts = []
-    for block in blocks:
-        parts.append(_unique_columns(block.T))
-        _check_deadline(deadline)
-        if len(parts) >= 32:
-            parts = [_merge(parts, deadline)]
-    if len(parts) > 1:
-        parts = [_merge(parts, deadline)]
-    return parts[0].T if parts else np.zeros((0, (n + 63) // 64), dtype=_word_type(n))
-
-
 # entry m of a bit table sits at bit m % 64 of word m // 64, so for v < 6
 # the entries of a word that leave vertex v out are the bits whose position
 # leaves bit v out
@@ -495,26 +570,97 @@ def _table_kept(seen, forced, deadline=None):
     return count, kept[order].astype(_word_type(n))[:, None]
 
 
-def _kept_masks(masks, forced, deadline=None):
-    """One pass from the distinct masks of ``_mode_masks`` to the family
-    searched: the masks that a vertex of ``forced`` is in are dropped.
-    Returns the number of masks left, and those that contain no other one
-    (as rows of words), fewest bits first, in input order (ascending, for
-    a table) within a size.  A table of flags goes through
-    ``_table_kept``.  Rows of words are sorted by size and reduced a level
-    at a time: the smallest masks left are kept, and every larger mask
-    that contains one of them dropped, a chunk at a time, the deadline
-    checked per chunk."""
+def _image_map(autos, word):
+    """The images of one-word masks of type ``word`` under the
+    automorphisms ``autos`` (rows of vertex images, the identity among
+    them), as a function of a (1, k) array of masks that returns a (k, g)
+    array: entry [i, j] is the mask of the images under row j of the
+    vertices in mask i.  It is the product of the masks' bit matrix with
+    2^autos[j, v] in float64, exact while its sums stay below 2^53: over
+    more than 52 vertices, the images below bit 32 and those from bit 32
+    on are two products."""
+    n = autos.shape[1]
+    to = autos.T
+    low = np.ldexp(1.0, to)
+    high = None
+    if n > 52:
+        low, high = np.where(to < 32, low, 0.0), np.where(to < 32, 0.0, np.ldexp(1.0, to - 32))
+
+    def images(masks):
+        raw = np.ascontiguousarray(masks[0]).view(np.uint8).reshape(masks.shape[1], -1)
+        bits = np.unpackbits(raw, axis=1, count=n, bitorder="little")
+        out = (bits @ low).astype(word)
+        if high is not None:
+            out |= (bits @ high).astype(word) << word.type(32)
+        return out
+
+    return images
+
+
+def _minimal(cols, sizes, expand, deadline=None):
+    """The masks of the word-major ``cols`` (sorted by ``sizes``) that
+    contain no other one, a level at a time: the smallest masks left
+    contain no other, ``expand`` gives the kept masks of their size from
+    them (rows of words of one size), and every larger mask left that
+    contains one of those is dropped, a chunk of them at a time, the
+    deadline checked per chunk.  The survivors are copied only once an
+    eighth of them has been dropped since the last copy, or at the end of
+    the level."""
+    kept = [cols[:, :0]]
+    while sizes.size:
+        cut = np.searchsorted(sizes, sizes[0], side="right")
+        # a copy, so that no level holds on to the array it was cut from
+        level, cols, sizes = expand(cols[:, :cut].copy()), cols[:, cut:], sizes[cut:]
+        kept.append(level)
+        lo, dead = 0, None
+        while lo < level.shape[1] and sizes.size:
+            step = max(1, _BLOCK_WORDS // cols.size)
+            # word by word, in one statement: a chunk-sized array kept into
+            # the next chunk made each chunk fault in fresh pages (J7: 1.6x)
+            sub = level[:, lo:lo + step, None]
+            inside = ((words & part) == part for words, part in zip(cols, sub))
+            hit = reduce(np.logical_and, inside).any(axis=0)
+            dead = hit if dead is None else np.logical_or(dead, hit, out=dead)
+            lo += step
+            at = np.flatnonzero(~dead)
+            if lo >= level.shape[1] or 8 * len(at) <= 7 * len(dead):
+                cols, sizes, dead = np.take(cols, at, axis=1), sizes[at], None
+            del at
+            _check_deadline(deadline)
+    return np.concatenate(kept, axis=1).T
+
+
+def _kept_masks(masks, forced, deadline=None, reps=None, images=None):
+    """One pass from the distinct masks of ``_Separators.masks`` to the
+    family searched: the masks that a vertex of ``forced`` is in are
+    dropped.  Returns the number of masks left, and those that contain no
+    other one (as rows of words), fewest bits first, in input order
+    (ascending, for a table or one word) within a size.  A table of flags
+    goes through ``_table_kept``.  Rows of words are sorted by size and
+    reduced by ``_minimal``, each level keeping its own masks.
+
+    With ``reps``, the distinct masks of the pairs of
+    ``_Separators.firsts`` (one word each, a mask of every orbit of
+    ``masks``), and their ``images`` (``_image_map``), ``masks`` is only
+    counted, and ``_minimal`` runs on the representatives instead, each
+    level keeping the distinct images of its masks, ascending.  Those are
+    the kept masks of that size: every
+    automorphism maps the forced vertices, and so the masks left and the
+    kept ones, onto themselves, so a kept mask has an image among the
+    representatives, and that image contains no smaller kept mask."""
     if masks.ndim == 1:
         return _table_kept(masks, forced, deadline)
-    cols = masks.T
-    # np.take, since cols[:, order] returns the words column-major (strided)
+    cols = masks.T if reps is None else reps.T
     if forced:
         bits = np.zeros(8 * cols.dtype.itemsize * len(cols), dtype=bool)
         bits[list(forced)] = True
         row = np.packbits(bits, bitorder="little").view(cols.dtype)[:, None]
+        # np.take, since cols[:, at] returns the words column-major (strided)
         cols = np.take(cols, np.flatnonzero(((cols & row) == 0).all(axis=0)), axis=1)
-    count = cols.shape[1]
+    if reps is None:
+        count = cols.shape[1]
+    else:
+        count = int(np.count_nonzero(((masks.T & row) == 0).all(axis=0))) if forced else len(masks)
     # in the smallest unsigned type that holds 64 * W: a radix argsort
     sizes = np.bitwise_count(cols).sum(axis=0, dtype=np.min_scalar_type(64 * len(cols)))
     order = np.argsort(sizes, kind="stable")
@@ -522,27 +668,10 @@ def _kept_masks(masks, forced, deadline=None):
     # the intp indices are about as long as the family: none is kept
     # into the levels or the next chunk
     del order
-    kept = [cols[:, :0]]
-    # the smallest masks left contain no other one: keep them (a copy, so
-    # that no level holds on to the array it was cut from), and drop every
-    # larger mask that contains one of them, a chunk at a time
-    while sizes.size:
-        cut = np.searchsorted(sizes, sizes[0], side="right")
-        level, cols, sizes = cols[:, :cut].copy(), cols[:, cut:], sizes[cut:]
-        kept.append(level)
-        lo = 0
-        while lo < level.shape[1] and sizes.size:
-            step = max(1, _BLOCK_WORDS // cols.size)
-            # word by word, in one statement: a chunk-sized array kept into
-            # the next chunk made each chunk fault in fresh pages (J7: 1.6x)
-            sub = level[:, lo:lo + step, None]
-            inside = ((words & part) == part for words, part in zip(cols, sub))
-            at = np.flatnonzero(~reduce(np.logical_and, inside).any(axis=0))
-            cols, sizes = np.take(cols, at, axis=1), sizes[at]
-            del at
-            lo += step
-            _check_deadline(deadline)
-    return count, np.concatenate(kept, axis=1).T
+    if reps is None:
+        return count, _minimal(cols, sizes, lambda level: level, deadline)
+    return count, _minimal(cols, sizes, lambda level: _unique_columns(images(level).reshape(1, -1)),
+                           deadline)
 
 
 def _row_ints(bits):
@@ -854,9 +983,18 @@ def metric_dimension(g, config):
 
     try:
         with _phase(stats, "masks"):
-            masks = _mode_masks(dm, mode, deadline=deadline)
+            separators = _Separators(dm, mode)
+            masks = separators.masks(deadline)
+        reps = images = None
+        if separators.orbital:
+            with _phase(stats, "group"):
+                autos = dm._invariant(_automorphisms)
+            if autos is not None:
+                with _phase(stats, "masks"):
+                    images = _image_map(autos, masks.dtype)
+                    reps = separators.masks(deadline, separators.firsts(images))
         with _phase(stats, "reduce"):
-            stats.mask_count, masks = _kept_masks(masks, forced, deadline)
+            stats.mask_count, masks = _kept_masks(masks, forced, deadline, reps, images)
             member = _member_matrix(masks, free)
             # the positions by descending mask degree, ties in vertex order
             by_degree = np.argsort(-member.sum(axis=0, dtype=np.int64), kind="stable")

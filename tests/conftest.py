@@ -285,8 +285,19 @@ def reference_solid_scan(dm, anchors, bound):
 # two passes, each sorting or counting on its own
 
 
+def mode_masks(dm, mode, deadline=None):
+    """The distinct masks of the whole separator family of ``mode``."""
+    return search._Separators(dm, mode).masks(deadline)
+
+
+def mode_blocks(dm, mode):
+    """The number of masks the family of ``mode`` builds, and its blocks."""
+    family = search._Separators(dm, mode)
+    return family.raw, family.blocks()
+
+
 def mask_rows(masks):
-    """The distinct masks that ``search._mode_masks`` returned, as rows of
+    """The distinct masks that ``mode_masks`` returned, as rows of
     words sorted by their first word, then the next: its rows, or the
     entries set in its table of 2^n flags, ascending, one word each."""
     if masks.ndim == 1:
@@ -415,7 +426,7 @@ def reference_metric_dimension(g, mode, k_max=None):
     ``reference_colex_first_cover``.  Returns (value, basis, lower_bound,
     lower_bound_source, subsets_checked, exhausted_through); value and
     basis are None when no cardinality up to ``k_max`` passes."""
-    masks = mask_rows(search._mode_masks(all_pairs_distances(g), mode))
+    masks = mask_rows(mode_masks(all_pairs_distances(g), mode))
     forced, masks = ((), masks) if mode.kind == "doubly" else reference_split_forced(masks)
     source, bound = max(search.dimension_lower_bounds(g, mode, forced=forced),
                         key=lambda b: (b[1], b[0] == search.PROVENANCE_FORCED))

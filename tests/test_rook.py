@@ -257,6 +257,12 @@ def test_design_construction_validation():
     # a design mirrors a grid of m >= 1 columns, and its file header needs m >= 1
     with pytest.raises(GraphError, match="at least one block"):
         Design(5, ())
+    # blocks given as an iterator are checked too, not only converted
+    with pytest.raises(GraphError, match="block 0 point 9 out of range"):
+        Design(5, (b for b in [(0, 9), (3, 1, 1)]))
+    with pytest.raises(GraphError, match="block 1 has non-integer, repeated or unsorted points"):
+        Design(5, iter([(0, 1), (3, 1, 1)]))
+    assert Design(5, (b for b in [(0, 1), (2, 4)])).blocks == ((0, 1), (2, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from resolving import (
     SearchConfig,
     all_pairs_distances,
     build_graph,
+    cartesian_product,
     check_mode,
     complete_graph,
     cycle_graph,
@@ -41,6 +42,8 @@ from conftest import (
     bfs_distances,
     colex_first_cover,
     mask_rows,
+    mode_blocks,
+    mode_masks,
     oracle_automorphisms,
     oracle_first_basis,
     oracle_minimum_size,
@@ -458,7 +461,7 @@ def _search_family(g, mode):
     ``mode`` (cover, members, place), and the graph's group on it."""
     dm = all_pairs_distances(g)
     forced = () if mode.kind == "doubly" else forced_vertices(g, mode.order, mode.kind)
-    _, masks = search._kept_masks(search._mode_masks(dm, mode), forced)
+    _, masks = search._kept_masks(mode_masks(dm, mode), forced)
     free = [v for v in range(g.n) if v not in forced]
     member = search._member_matrix(masks, free)
     by_degree = np.argsort(-member.sum(axis=0, dtype=np.int64), kind="stable")
@@ -602,7 +605,7 @@ def test_search_workload_forced_vertices_are_the_singleton_masks():
     for name, mode, *_ in _PINNED_SEARCHES:
         if mode.kind != "doubly":
             g = _PINNED_GRAPHS[name]
-            masks = mask_rows(search._mode_masks(all_pairs_distances(g), mode))
+            masks = mask_rows(mode_masks(all_pairs_distances(g), mode))
             assert reference_split_forced(masks)[0] == forced_vertices(g, mode.order, mode.kind)
 
 
@@ -716,7 +719,7 @@ def test_kept_masks_match_reference_passes(g, mode, small, monkeypatch):
     if small:
         monkeypatch.setattr(search, "_BLOCK_WORDS", 512)
         monkeypatch.setattr(search, "_TABLE_BLOCK_WORDS", 64)
-    built = search._mode_masks(all_pairs_distances(g), mode)
+    built = mode_masks(all_pairs_distances(g), mode)
     split = mode.kind != "doubly"
     ref_forced, ref_count, ref_kept = reference_kept_masks(mask_rows(built), split)
     if split:
@@ -749,7 +752,7 @@ _DEDUP_CASES = [(f"{name}{n}-{_mode_id(mode)}", make(n), mode)
 
 
 def _takes_table(g, mode):
-    raw, _ = search._mode_blocks(all_pairs_distances(g).dist, mode)
+    raw, _ = mode_blocks(all_pairs_distances(g), mode)
     return search._table_fits(g.n, raw)
 
 
@@ -764,7 +767,7 @@ def test_table_and_sort_dedup_agree(g, mode, monkeypatch):
         monkeypatch.setattr(search, "_TABLE_BLOCK_WORDS", words)
         for table in (True, False):
             monkeypatch.setattr(search, "_table_fits", lambda n, raw: table)
-            out[words, table] = mask_rows(search._mode_masks(dm, mode))
+            out[words, table] = mask_rows(mode_masks(dm, mode))
     ref = out[64, False]
     for rows in out.values():
         assert (rows.shape, rows.dtype) == (ref.shape, ref.dtype)
@@ -791,14 +794,14 @@ def test_table_flags_are_the_distinct_raw_masks(g, mode, words, monkeypatch):
     if words is not None:
         monkeypatch.setattr(search, "_TABLE_BLOCK_WORDS", words)
     dm = all_pairs_distances(g)
-    _, blocks = search._mode_blocks(dm.dist, mode)
+    _, blocks = mode_blocks(dm, mode)
     blocks = [(block, block.copy()) for block in blocks]
     assert all(view.dtype == np.intp and np.shares_memory(view, blocks[0][0])
                for view, _ in blocks)
     raw = set(np.unique(np.concatenate([copy[:, 0] for _, copy in blocks])).tolist()) - {0}
     if mode.kind == "doubly":
         raw.discard((1 << g.n) - 1)
-    assert np.flatnonzero(search._mode_masks(dm, mode)).tolist() == sorted(raw)
+    assert np.flatnonzero(mode_masks(dm, mode)).tolist() == sorted(raw)
 
 
 def test_table_cases_cover_every_mode():
@@ -813,9 +816,9 @@ def test_sort_blocks_are_views_of_one_buffer(monkeypatch):
     # the sort path deduplicates each block into a part of its own, so the
     # blocks themselves reuse one buffer of mask words
     monkeypatch.setattr(search, "_BLOCK_WORDS", 4096)
-    dist = all_pairs_distances(flower_snark(7)).dist
+    dm = all_pairs_distances(flower_snark(7))
     for mode in (Mode.resolving(2), Mode.solid(2)):
-        _, blocks = search._mode_blocks(dist, mode)
+        _, blocks = mode_blocks(dm, mode)
         blocks = list(blocks)
         assert len(blocks) > 1
         assert all(block.dtype == np.uint32 and np.shares_memory(block, blocks[0])
@@ -829,10 +832,10 @@ def test_table_build_allocates_the_table_and_one_buffer_set():
     # 2^18 words, each a fresh array with a fresh intp copy, peaked at
     # about 4.3 MB
     dm = all_pairs_distances(flower_snark(5))
-    search._mode_masks(dm, Mode.resolving(3))
+    mode_masks(dm, Mode.resolving(3))
     tracemalloc.start()
     try:
-        search._mode_masks(dm, Mode.resolving(3))
+        mode_masks(dm, Mode.resolving(3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -852,7 +855,7 @@ def test_table_and_sort_kept_masks_agree(g, mode, monkeypatch):
     out = {}
     for table in (True, False):
         monkeypatch.setattr(search, "_table_fits", lambda n, raw: table)
-        built = search._mode_masks(dm, mode)
+        built = mode_masks(dm, mode)
         assert (built.ndim == 1) == table
         forced, count, kept = reference_kept_masks(mask_rows(built), split)
         out["reference", table] = count, kept.dtype, kept.shape, kept.tobytes()
@@ -894,8 +897,9 @@ def test_stated_mask_count_matches_the_blocks(g, mode):
     # blocks build; doubly blocks drop (sort path) or hold as the
     # all-vertex mask (table path), per pair of vertices, the levels c in
     # -top .. top that d(., u) - d(., v) never takes
-    dist = all_pairs_distances(g).dist
-    raw, blocks = search._mode_blocks(dist, mode)
+    dm = all_pairs_distances(g)
+    dist = dm.dist
+    raw, blocks = mode_blocks(dm, mode)
     doubly = mode.kind == "doubly"
     built = sum(int((np.bitwise_count(block).sum(axis=1) < g.n).sum()) if doubly else len(block)
                 for block in blocks)
@@ -926,6 +930,183 @@ def test_table_and_sort_dedup_give_one_search(g, mode, monkeypatch):
                       s.mask_count, s.masks_kept, s.nodes, s.decided, s.subsets_checked,
                       s.exhausted_through)
     assert out[True] == out[False]
+
+
+# ---------------------------------------------------------------------------
+# the reduction on one representative per automorphism orbit
+
+
+# every graph of these tests whose group is enumerated, with relabelled
+# copies; P12 and the binary tree have forced vertices of their own, and
+# the cycles from C53 on take their images as two products
+_ORBIT_GRAPHS = {
+    "J5": flower_snark(5), "J7": flower_snark(7), "J9": flower_snark(9),
+    **{f"C{n}": cycle_graph(n) for n in (5, 8, 12, 16, 53, 60)},
+    "P12": path_graph(12), "Petersen": _petersen(), "rook3x3": rook_graph(3, 3),
+    "C3xC4": cartesian_product(cycle_graph(3), cycle_graph(4)),
+    "C4xC5": cartesian_product(cycle_graph(4), cycle_graph(5)),
+    "P3xC6": cartesian_product(path_graph(3), cycle_graph(6)),
+    "K4xC4": cartesian_product(complete_graph(4), cycle_graph(4)),
+    "tree": tree_from_parents((0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6)),
+    **{f"{name}-relabelled": _relabelled(g, 1) for name, g in (
+        ("J5", flower_snark(5)), ("J7", flower_snark(7)), ("C16", cycle_graph(16)),
+        ("K4xC4", cartesian_product(complete_graph(4), cycle_graph(4))))},
+}
+
+
+def _orbit_family(g, mode):
+    """The family of ``mode`` on ``g`` with its images, when it takes the
+    sort path in one word and the group of ``g`` is enumerated."""
+    dm = all_pairs_distances(g)
+    family = search._Separators(dm, mode)
+    autos = search._automorphisms(dm)
+    if family.table or g.n > 64 or autos is None:
+        return None
+    return family, search._image_map(autos, search._word_type(g.n))
+
+
+# every {l}-resolving and doubly mode on the sort path ({3}-resolving up
+# to J9: C53 and C60 build 309 and 650 million masks), with the default
+# blocks, and with small ones where fewer than 2^18 masks are built
+_ORBIT_CASES = [(f"{name}-{_mode_id(mode)}-{size}", g, mode, size == "small-blocks")
+                for name, g in _ORBIT_GRAPHS.items()
+                for mode in (Mode.resolving(1), Mode.resolving(2), Mode.resolving(3), Mode.doubly())
+                if (mode.order != 3 or g.n <= 36) and _orbit_family(g, mode) is not None
+                for size in ("blocks", "small-blocks")
+                if size == "blocks" or _orbit_family(g, mode)[0].raw < 1 << 18]
+
+
+@pytest.mark.parametrize("g, mode, small", [case[1:] for case in _ORBIT_CASES],
+                         ids=[case[0] for case in _ORBIT_CASES])
+def test_orbit_reduction_matches_plain_kept_masks(g, mode, small, monkeypatch):
+    # the masks of the pairs whose first group comes first in its orbit,
+    # reduced with the images of each level as its killers, give the
+    # count and kept masks of the plain reduction, byte for byte in the
+    # same order: with no forced vertex, with those of the graph, and with
+    # the orbit of vertex 0 (the group maps each onto itself); with small
+    # blocks, the representatives are built a group or two at a time and
+    # the levels reduced a few masks at a time
+    if small:
+        monkeypatch.setattr(search, "_BLOCK_WORDS", 512)
+    family, images = _orbit_family(g, mode)
+    masks = family.masks()
+    firsts = family.firsts(images)
+    reps = family.masks(None, firsts)
+    assert 0 < len(firsts) < family.count and len(reps) <= len(masks)
+    orbit = tuple(sorted(set(search._automorphisms(all_pairs_distances(g))[:, 0].tolist())))
+    own = () if mode.kind == "doubly" else forced_vertices(g, mode.order, mode.kind)
+    for forced in {(), own, orbit}:
+        want = search._kept_masks(masks, forced)
+        got = search._kept_masks(masks, forced, None, reps, images)
+        assert got[0] == want[0], forced
+        assert (got[1].shape, got[1].dtype) == (want[1].shape, want[1].dtype)
+        assert got[1].tobytes() == want[1].tobytes(), forced
+
+
+def test_orbit_cases_cover_every_mode_and_forced_vertices():
+    modes = {(mode.kind, mode.order) for _, _, mode, _ in _ORBIT_CASES}
+    assert modes == {("resolving", 1), ("resolving", 2), ("resolving", 3), ("doubly", None)}
+    assert any(forced_vertices(g, mode.order, mode.kind)
+               for _, g, mode, _ in _ORBIT_CASES if mode.kind == "resolving")
+    assert {g.n for _, g, _, _ in _ORBIT_CASES} >= {20, 28, 36, 53, 60}
+
+
+@pytest.mark.parametrize("g", [flower_snark(5), cycle_graph(9), flower_snark(13), cycle_graph(60),
+                               _relabelled(cartesian_product(complete_graph(4), cycle_graph(4)), 2)],
+                         ids=["J5", "C9", "J13", "C60", "K4xC4-relabelled"])
+def test_image_map_permutes_the_bits_of_each_mask(g):
+    # one float64 product up to 52 vertices, two past it, each exact
+    autos = search._automorphisms(all_pairs_distances(g))
+    word = search._word_type(g.n)
+    rng = np.random.default_rng(g.n)
+    masks = rng.integers(0, 1 << min(g.n, 63), size=40, dtype=np.uint64)
+    masks[:2] = (1 << g.n) - 1, 1 << (g.n - 1)
+    masks = masks.astype(word)
+    images = search._image_map(autos, word)(masks[None])
+    assert (images.shape, images.dtype) == ((40, len(autos)), word)
+    for mask, row in zip(masks.tolist(), images.tolist()):
+        want = [sum(1 << int(a[v]) for v in range(g.n) if mask >> v & 1) for a in autos]
+        assert row == want
+
+
+def test_orbit_path_is_taken_by_large_families_only():
+    # J7 {2}-resolving (82,418 masks built) and the J9 and J13 rungs take
+    # it; J5 {2}-resolving (22,050), every cli dim family (at most a few
+    # thousand), the table path, the solid modes and two-word families do
+    # not
+    def orbital(g, mode):
+        return search._Separators(all_pairs_distances(g), mode).orbital
+
+    assert orbital(flower_snark(7), Mode.resolving(2))
+    assert orbital(flower_snark(7), Mode.resolving(3))
+    assert orbital(flower_snark(13), Mode.resolving(2))
+    assert not orbital(flower_snark(5), Mode.resolving(2))
+    assert not orbital(flower_snark(5), Mode.resolving(3))
+    assert not orbital(flower_snark(9), Mode.solid(2))
+    assert not orbital(flower_snark(17), Mode.doubly())
+    assert not orbital(path_graph(65), Mode.resolving(2))
+    for g, mode in [(flower_snark(n), Mode.resolving(1)) for n in (5, 7, 9)] + [
+            (flower_snark(5), Mode.doubly()), (path_graph(9), Mode.resolving(1)),
+            (cycle_graph(6), Mode.resolving(2)), (demo_graph(), Mode.resolving(2))]:
+        assert not orbital(g, mode)
+
+
+def test_orbit_path_gives_the_answers_and_counters_of_the_plain_path(monkeypatch):
+    # the group is read before the reduction, and the search it feeds is
+    # the one the plain path feeds, counters included
+    g = flower_snark(7)
+    reduced = []
+    kept_masks = search._kept_masks
+
+    def recorded(masks, forced, deadline=None, reps=None, images=None):
+        reduced.append(reps is not None)
+        return kept_masks(masks, forced, deadline, reps, images)
+
+    monkeypatch.setattr(search, "_kept_masks", recorded)
+    got = _answers(dim(g, Mode.resolving(2)))
+    monkeypatch.setattr(search, "_ORBIT_MASKS", float("inf"))
+    assert _answers(dim(g, Mode.resolving(2))) == got
+    assert reduced == [True, False]
+    assert got[:2] == (8, (0, 4, 6, 9, 10, 14, 17, 21))
+
+
+def test_orbit_path_stops_at_its_deadline(monkeypatch):
+    # J7 {2}-resolving takes the orbit path; the clock passes the deadline
+    # as the images of its group are set up, so the build of the
+    # representatives stops after its one block, and nothing is reduced
+    now = [0.0]
+    image_map = search._image_map
+    reduced = []
+
+    def late_image_map(autos, word):
+        now[0] = 2.0
+        return image_map(autos, word)
+
+    monkeypatch.setattr(search, "_image_map", late_image_map)
+    monkeypatch.setattr(search, "_minimal", lambda *args: reduced.append(args))
+    monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
+    res = dim(flower_snark(7), Mode.resolving(2), budget_s=1.0)
+    assert (res.value, res.basis, res.stats.mask_count) == (None, None, 0)
+    assert (res.lower_bound, res.lower_bound_source) == (1, "trivial")
+    assert not reduced
+
+
+def test_orbit_reduction_stops_at_the_first_chunk_after_the_deadline(monkeypatch):
+    # the deadline is checked after each chunk of a level, on the
+    # representatives as on the plain path
+    family, images = _orbit_family(flower_snark(7), Mode.resolving(2))
+    masks = family.masks()
+    reps = family.masks(None, family.firsts(images))
+    checks = []
+    check_deadline = search._check_deadline
+    monkeypatch.setattr(search, "_check_deadline",
+                        lambda deadline: checks.append(deadline) or check_deadline(deadline))
+    with pytest.raises(search._OutOfBudget):
+        search._kept_masks(masks, (), time.monotonic() - 1.0, reps, images)
+    assert len(checks) == 1
+    count, kept = search._kept_masks(masks, (), time.monotonic() + 60.0, reps, images)
+    assert (count, len(kept)) == (41325, 1877)
+    assert len(checks) > 2
 
 
 # ---------------------------------------------------------------------------
@@ -980,7 +1161,7 @@ def test_no_mask_merge_starts_after_the_deadline(monkeypatch):
     monkeypatch.setattr(search, "_unique_columns", unique_columns)
     monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
     with pytest.raises(search._OutOfBudget):
-        search._mode_masks(all_pairs_distances(flower_snark(9)), Mode.resolving(3), deadline=1.0)
+        mode_masks(all_pairs_distances(flower_snark(9)), Mode.resolving(3), deadline=1.0)
     assert len(calls) == 32
 
 
@@ -1003,20 +1184,20 @@ def test_a_mask_merge_stops_between_ranges_after_the_deadline(monkeypatch):
     monkeypatch.setattr(search, "_unique_columns", unique_columns)
     monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
     with pytest.raises(search._OutOfBudget):
-        search._mode_masks(all_pairs_distances(flower_snark(9)), Mode.resolving(3), deadline=1.0)
+        mode_masks(all_pairs_distances(flower_snark(9)), Mode.resolving(3), deadline=1.0)
     assert len(sizes) == 33
     # the range merged holds a small share of the parts' columns
     assert 0 < 8 * sizes[32][0] < sum(out for _, out in sizes[:32])
 
 
 def _counted_blocks(monkeypatch, now, blocks, at):
-    """Has ``search._mode_blocks`` append the shape of each block it hands
-    out to ``blocks``, and move the clock ``now`` to 2.0 as block ``at``
-    (1-based) is handed out."""
-    mode_blocks = search._mode_blocks
+    """Has ``search._Separators.blocks`` append the shape of each block it
+    hands out to ``blocks``, and move the clock ``now`` to 2.0 as block
+    ``at`` (1-based) is handed out."""
+    family_blocks = search._Separators.blocks
 
-    def counted_blocks(dist, mode):
-        raw, built = mode_blocks(dist, mode)
+    def counted_blocks(family, firsts=None):
+        built = family_blocks(family, firsts)
 
         def counted():
             for block in built:
@@ -1024,9 +1205,9 @@ def _counted_blocks(monkeypatch, now, blocks, at):
                 if len(blocks) == at:
                     now[0] = 2.0
                 yield block
-        return raw, counted()
+        return counted()
 
-    monkeypatch.setattr(search, "_mode_blocks", counted_blocks)
+    monkeypatch.setattr(search._Separators, "blocks", counted_blocks)
 
 
 def _counted_passes(monkeypatch, now, passes, at):
@@ -1094,7 +1275,7 @@ def test_no_table_block_is_built_after_the_deadline(g, mode, monkeypatch):
     monkeypatch.setattr(search, "_views", counted_views)
     monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
     with pytest.raises(search._OutOfBudget):
-        search._mode_masks(dm, mode, deadline=1.0)
+        mode_masks(dm, mode, deadline=1.0)
     assert len(built) == 3
 
 
@@ -1105,7 +1286,7 @@ def test_no_kept_masks_read_off_after_the_deadline_in_a_closure(at, monkeypatch)
     # `at`, and neither a later pass nor the read-off of the kept masks
     # (the nonzero words of the table) follows
     dm = all_pairs_distances(flower_snark(5))
-    seen = search._mode_masks(dm, Mode.resolving(3))
+    seen = mode_masks(dm, Mode.resolving(3))
     now = [0.0]
     passes, read_offs = [], []
     flatnonzero = np.flatnonzero
@@ -1180,8 +1361,7 @@ def test_forced_count_holds_when_the_budget_ends_in_the_mask_build(monkeypatch):
     g = tree_from_parents((0, 0, 1, 1, 2, 2, 3, 3))
     monkeypatch.setattr(search, "_BLOCK_WORDS", 64)
     monkeypatch.setattr(search, "_TABLE_BLOCK_WORDS", 64)
-    dist = all_pairs_distances(g).dist
-    assert len(list(search._mode_blocks(dist, Mode.resolving(2))[1])) > 1
+    assert len(list(mode_blocks(all_pairs_distances(g), Mode.resolving(2))[1])) > 1
     now = [0.0]
     blocks = []
     _counted_blocks(monkeypatch, now, blocks, 1)
