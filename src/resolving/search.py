@@ -18,53 +18,43 @@ candidate set passes iff it intersects every "separator" mask.
   d(., v) + top + c differ.
 
 The masks are bitsets kept word-major, one numpy row per word, as they
-are built (and, on the sort path, reduced), in the smallest unsigned type
-that holds n bits when one word holds a mask (n <= 64), else uint64.
-``_Separators`` is the one place that knows each family: its rows (bit
-slices of the distances, one bitset per bit), how they are paired, and
-how many masks that builds.
-The {l}-resolving and doubly masks are where two rows differ, each row
-group compared with the half of the groups after it, cyclically; the
-l-solid masks are a bit-serial less-than.  That count picks the path.
-Each block is XORed and ORed in place into one set of buffers that the
-build allocates once.  On the table path, where one word holds a mask
-and a table of 2^n flags takes no more bytes than the masks built, the
-blocks are small enough (2^15 words) for their buffers to stay in cache,
-the last OR of each writes intp words that index the table as they are,
-and the mask build ends at the filled table.  On the sort path the
-blocks are of 2^18 words; each is sorted (one word: in place) and its
+are built and reduced, in the smallest unsigned type that holds n bits
+when one word holds a mask (n <= 64), else uint64.  ``_Separators`` is
+the one place that knows each family: its rows (bit slices of the
+distances, one bitset per bit), how they are paired, and how many masks
+that builds.  The {l}-resolving and doubly masks are where two rows
+differ, each row group compared with the half of the groups after it,
+cyclically; the l-solid masks are a bit-serial less-than.  Each block,
+of about 2^18 words, is XORed and ORed in place into one set of buffers
+that the build allocates once, sorted (one word: in place), and its
 distinct masks copied into a part of its own before the next overwrites
-it, and the parts are merged one range of first words at a time.  The forced vertices, which every passing set
-contains, are those of the single-vertex masks (resolving and solid
-modes), known beforehand from ``checks.forced_vertices``.  The reduction drops the
-masks they are in, counts the rest and reduces them to their minimal
-antichain: a set hits every mask iff it hits every mask that holds no
-other.  On the table path it never lists the distinct masks: the table,
-packed to 2^n bits, loses its entries that hold a forced vertex, and the
-minimal masks are those that no proper subset in the table reaches, found
-by a superset closure over the subset lattice (the zeta transform of
-Bjorklund, Husfeldt, Kaski and Koivisto 2007) in one bitwise pass per
-vertex.  On the sort path the rows are sorted by size and reduced a
-level at a time: the smallest left are kept, and each larger one that
-contains one of them dropped.
+it; the parts are merged one range of first words at a time.  The
+forced vertices, which every passing set contains, are those of the
+single-vertex masks (resolving and solid modes), known beforehand from
+``checks.forced_vertices``.  The reduction drops the masks they are in,
+counts the rest and reduces them to their minimal antichain: a set hits
+every mask iff it hits every mask that holds no other.  The rows are
+sorted by size and reduced a level at a time: the smallest left are
+kept, and each larger one that contains one of them dropped.
 
-On the sort path, a family of at least _ORBIT_MASKS one-word masks
-({l}-resolving or doubly) is reduced on one representative per orbit of
-the automorphism group, when the group is enumerated (it is then read
-before the reduction; see below).  An automorphism maps the masks
-of a pair of row groups onto those of the pair of their images, so the
-pairs whose first row group (the set X for {l}-resolving, the vertex u
-for doubly) comes first in its orbit, each against every group, build a
-mask of every orbit of the family, about a 1/|G| share of it.  Their
-distinct masks are reduced a level at a time as above, but each level
-keeps the distinct images of its representatives left (one float64
-product of their bit matrix with 2^g(v)), and those drop the larger
-representatives that contain one.  The kept images, by size and then
-value, are the masks the plain reduction keeps, in its order.  The whole
-family is still built and deduplicated, since ``mask_count`` counts it,
-but it is only counted.  On smaller families (J5 {2}-resolving and
-every family of the ``cli`` dims among them), setting up the images
-costs more than the orbits save.
+A family of at least _ORBIT_MASKS one-word masks ({l}-resolving or
+doubly) whose automorphism group is enumerated is built and reduced on
+one representative per orbit (the group is then read before the build;
+see below), and the whole family is never built.  An automorphism maps
+the masks of a pair of row groups onto those of the pair of their
+images, so the pairs whose first row group (the set X for
+{l}-resolving, the vertex u for doubly) comes first in its orbit, each
+against every group, build a mask of every orbit of the family, about a
+1/|G| share of it.  Their distinct masks are reduced a level at a time
+as above, but each level keeps the distinct images of its
+representatives left (one float64 product of their bit matrix with
+2^g(v)), and those drop the larger representatives that contain one.
+The kept images, by size and then value, are the masks the plain
+reduction keeps, in its order.  ``mask_count`` then counts the
+representatives' distinct masks, which depend on the labelling.
+Smaller families stay plain (J5 {2}-resolving and every family of the
+``cli`` dims among them): on the smallest, setting up the images costs
+more than the orbits save.
 
 A greedy cover of the kept masks (repeatedly the vertex in the most
 unhit masks, then dropping the picks the others cover) plus the forced
@@ -95,7 +85,7 @@ graph maps the forced vertices onto themselves and the kept masks onto
 the kept masks.  Once the masks are kept, before the first decision,
 and only if some decision places two positions (the group cannot prune
 fewer, nor the read-off), the group is read off the distance matrix
-(on the orbit path of the reduction, before the reduction): an
+(on the orbit path, before the masks are built): an
 automorphism is fixed by the images of a resolving base, so the
 candidate images of a greedy base are extended level by level and every
 map they give is checked against the edges (or, past a fixed number of
@@ -135,16 +125,12 @@ PROVENANCE_EXHAUSTED = "exhausted-cardinality"
 
 # search nodes between two progress calls (and deadline checks)
 PROGRESS_NODES = 4096
-# mask words per numpy block when building masks on the sort path, and
-# when reducing them
+# mask words per numpy block when building masks, and when reducing them
 _BLOCK_WORDS = 1 << 18
-# words per block when building masks on the table path: small enough
-# that a block's buffers stay in cache while its flags are set
-_TABLE_BLOCK_WORDS = 1 << 15
 # candidate image tuples of a base beyond which the group is not enumerated
 _MAX_IMAGES = 1024
-# masks built, below which a family on the sort path is reduced as it is
-# rather than on one representative per orbit
+# masks built, below which a family is built and reduced whole rather
+# than on one representative per orbit
 _ORBIT_MASKS = 1 << 15
 
 
@@ -172,8 +158,11 @@ class SearchStats:
     # the largest exhausted cardinality, 0 if none: one below the bound
     # once a decision has failed
     exhausted_through: int = 0
-    # distinct separator masks that no forced vertex hits, and how many of
-    # them are minimal (the ones searched), both read off in "reduce"
+    # the distinct separator masks that enter the reduction and avoid
+    # every forced vertex (on the orbit path the representatives' masks,
+    # so the count depends on the labelling, as nodes does; elsewhere the
+    # whole distinct family), and how many masks of the family are minimal
+    # (the ones searched), both read off in "reduce"
     mask_count: int = 0
     masks_kept: int = 0
     # calls of the decision recursion on the degree-ordered family: the
@@ -183,14 +172,12 @@ class SearchStats:
     # at the value is not a decision): galloping up from the lower bound,
     # each below the smallest cardinality known to pass
     decided: tuple = ()
-    # milliseconds per phase: masks (the separator build and its dedup: up
-    # to the filled flag table on the table path, the sorted merged rows on
-    # the sort path, and on the orbit path those of the representatives
-    # too), reduce (masks no forced vertex is in, minimal masks, the
-    # table's closures and read-off on the table path; then family, greedy
-    # cap), group (automorphisms, read before the reduction on the orbit
-    # path), search (decisions and read-off), verify; a phase entered twice
-    # sums its times
+    # milliseconds per phase: masks (the separator build and its dedup up
+    # to the sorted merged rows, on the orbit path those of the
+    # representatives), reduce (masks no forced vertex is in, minimal
+    # masks, family, greedy cap), group (automorphisms, read before the
+    # masks are built on the orbit path), search (decisions and read-off),
+    # verify; a phase entered twice sums its times
     phase_ms: dict = dataclasses.field(default_factory=dict)
 
 
@@ -251,7 +238,7 @@ def _phase(stats, name):
 # built and kept in the narrowest unsigned type that holds n bits (uint8,
 # 16, 32 or 64, little-endian), which the later steps read through uint8
 # views or np.bitwise_count.  The blocks of one build are views of one set
-# of buffers (``_buffers``), each overwritten by the next block.
+# of three buffers of mask words, each overwritten by the next block.
 
 
 def _slices(rows):
@@ -271,16 +258,6 @@ def _slices(rows):
     return np.ascontiguousarray(words.transpose(0, 2, 1))
 
 
-def _buffers(words, word, table):
-    """One build's block buffers, ``words`` words each: three of the mask
-    ``word`` type, and the one each block's last OR writes: on the table
-    path an intp buffer, whose words index the flag table, else the
-    first of the three.  Every block is a view of them, so each block
-    overwrites the one before it."""
-    bufs = list(np.empty((3, words), dtype=word))
-    return *bufs, np.empty(words, dtype=np.intp) if table else bufs[0]
-
-
 def _views(bufs, shape):
     size = prod(shape)
     return [buf[:size].reshape(shape) for buf in bufs]
@@ -291,12 +268,11 @@ def _differ(x, y, bufs):
     shape (depth, words, ...) broadcast against each other, XORed and ORed
     into views of ``bufs``: one row of words per broadcast pair, the pairs
     in C order."""
-    acc, step, _, out = _views(bufs, np.broadcast_shapes(x.shape, y.shape)[1:])
-    last = len(x) - 1
-    np.bitwise_xor(x[0], y[0], out=out if last == 0 else acc)
-    for b in range(1, last + 1):
-        np.bitwise_or(acc, np.bitwise_xor(x[b], y[b], out=step), out=out if b == last else acc)
-    return out.reshape(len(out), -1).T
+    acc, step, _ = _views(bufs, np.broadcast_shapes(x.shape, y.shape)[1:])
+    np.bitwise_xor(x[0], y[0], out=acc)
+    for b in range(1, len(x)):
+        acc |= np.bitwise_xor(x[b], y[b], out=step)
+    return acc.reshape(len(acc), -1).T
 
 
 def _pairs(rows, count, first, stride, cuts, bufs, firsts=None):
@@ -329,26 +305,25 @@ def _solid_blocks(targets, cuts, bufs):
     # the row of x is d(., x), and pairs with x in Y give empty masks
     depth, width, t = targets.shape
     for lo, hi in cuts:
-        less, step, same, out = _views(bufs, (width, hi - lo, t))
+        less, step, same = _views(bufs, (width, hi - lo, t))
         less.fill(0)
         np.invert(less, out=same)
         # ~x and ~y are small; one scratch block serves every slice
         for b, (x, y) in enumerate(zip(targets[:, :, lo:hi, None], targets[:, :, None, :]), 1):
             np.bitwise_and(~x, y, out=step)
             step &= same
-            np.bitwise_or(less, step, out=out if b == depth else less)
+            less |= step
             if b < depth:
                 same &= np.bitwise_xor(x, ~y, out=step)
-        yield out.reshape(width, -1).T
+        yield less.reshape(width, -1).T
 
 
 class _Separators:
     """The separator masks of ``mode`` on the distance matrix ``dm``,
     before any is built: the rows they compare, how those are paired, and
-    how many masks that builds before any drop (``raw``).  The count picks
-    the path (``table``, see ``_table_fits``) and so the blocks: of about
-    _TABLE_BLOCK_WORDS intp words on the table path, and of about
-    _BLOCK_WORDS mask words on the sort path.
+    how many masks that builds before any drop (``raw``), which picks the
+    orbit path (``orbital``).  The blocks are of about _BLOCK_WORDS mask
+    words.
 
     * {l}-resolving: the rows are D(X) for the s sets X of size <= l, each
       paired with the s // 2 after it (``_pairs``, stride 1).
@@ -358,8 +333,7 @@ class _Separators:
       (u, top) and (v, top + c) differ.  Swapping u and v negates c, so row
       (u, top) is paired with the rows of the n // 2 vertices after u
       (``_pairs``, stride span).  The all-vertex masks (levels the
-      difference never takes) are built too; the sort path drops them
-      from each block, the table path clears their one entry.
+      difference never takes) are built too, and dropped from each block.
 
     A row group stands for a vertex set, ``sets[i]`` (a row of vertices,
     as ``size_colex_array`` pads it): X for {l}-resolving, {v} for
@@ -388,60 +362,41 @@ class _Separators:
         self.groups, self.per_group = ((n, self.count) if mode.kind == "solid"
                                        else (self.count, self.count // 2 * self.stride))
         self.raw = self.groups * self.per_group
-        self.table = _table_fits(n, self.raw)
         # one word holds a mask, and there are enough of them for the
         # representatives to pay for their orbits (see _ORBIT_MASKS)
-        self.orbital = (mode.kind != "solid" and not self.table and n <= 64
-                        and self.raw >= _ORBIT_MASKS)
+        self.orbital = mode.kind != "solid" and n <= 64 and self.raw >= _ORBIT_MASKS
 
     def blocks(self, firsts=None):
-        """The blocks (rows of words), each a view of one set of
-        ``_buffers``, valid until the next block is built.  With
-        ``firsts`` (groups, ascending), only the pairs whose first group is
-        one of them are built, each against every group, on the sort
-        path."""
+        """The blocks (rows of words), each a view of one set of buffers,
+        valid until the next block is built.  With ``firsts`` (groups,
+        ascending), only the pairs whose first group is one of them are
+        built, each against every group."""
         rows, count, stride = self.rows, self.count, self.stride
-        groups, per_group, table = self.groups, self.per_group, self.table
+        groups, per_group = self.groups, self.per_group
         if firsts is not None:
-            groups, per_group, table = len(firsts), count * stride, False
+            groups, per_group = len(firsts), count * stride
         group_words = max(1, per_group * rows.shape[1])
-        step = max(1, (_TABLE_BLOCK_WORDS if table else _BLOCK_WORDS) // group_words)
+        step = max(1, _BLOCK_WORDS // group_words)
         cuts = [(lo, min(lo + step, groups)) for lo in range(0, groups, step)]
-        bufs = _buffers(min(step, groups) * group_words, rows.dtype, table)
+        bufs = np.empty((3, min(step, groups) * group_words), dtype=rows.dtype)
         if self.kind == "solid":
             return _solid_blocks(rows, cuts, bufs)
         blocks = _pairs(rows, count, self.first, stride, cuts, bufs, firsts)
-        if self.kind == "doubly" and not table:
+        if self.kind == "doubly":
             blocks = (np.compress(np.bitwise_count(words).sum(axis=1) < self.n, words.T, axis=1).T
                       for words in blocks)
         return blocks
 
     def masks(self, deadline=None, firsts=None):
         """The distinct nonempty masks of the blocks (``firsts`` as in
-        ``blocks``).  On the table path, each block's intp words set their
-        flags in a table of 2^n flags, and the table is returned: entry m
-        says whether mask m (entry 0, the empty mask, and for doubly the
-        all-vertex mask, cleared) was built.  Otherwise each block is
-        deduplicated into a part of its own and the parts merged (a lone
-        part is not sorted again), and the masks are returned as rows of
-        words sorted by their first word, then the next.  The deadline is
+        ``blocks``), as rows of words sorted by their first word, then the
+        next: each block is deduplicated into a part of its own and the
+        parts merged (a lone part is not sorted again).  The deadline is
         checked after each block and each merged range, so no merge starts
         once it has passed."""
         n = self.n
-        blocks = self.blocks(firsts)
-        if self.table and firsts is None:
-            seen = np.zeros(1 << n, dtype=bool)
-            for block in blocks:
-                # the blocks are intp words, which index the table as they are
-                seen[block[:, 0]] = True
-                _check_deadline(deadline)
-            seen[0] = False
-            if self.kind == "doubly":
-                # the all-vertex mask: a level the difference never takes
-                seen[-1] = False
-            return seen
         parts = []
-        for block in blocks:
+        for block in self.blocks(firsts):
             parts.append(_unique_columns(block.T))
             _check_deadline(deadline)
             if len(parts) >= 32:
@@ -484,12 +439,6 @@ def _word_type(n):
     return np.dtype(np.min_scalar_type((1 << n) - 1) if n <= 64 else np.uint64).newbyteorder("<")
 
 
-def _table_fits(n, raw):
-    """Whether ``raw`` masks over n vertices go through a table of 2^n
-    flags: one word holds a mask, and the table is no larger than they are."""
-    return n <= 64 and 1 << n <= raw * _word_type(n).itemsize
-
-
 def _merge(parts, deadline=None):
     """The distinct columns of sorted word-major ``parts``, sorted as
     ``_unique_columns`` sorts them.  The parts are cut at the same
@@ -514,60 +463,6 @@ def _merge(parts, deadline=None):
         filled += cols.shape[1]
         _check_deadline(deadline)
     return merged[:, :filled]
-
-
-# entry m of a bit table sits at bit m % 64 of word m // 64, so for v < 6
-# the entries of a word that leave vertex v out are the bits whose position
-# leaves bit v out
-_WITHOUT = tuple(np.uint64(sum(1 << b for b in range(64) if not b >> v & 1)) for v in range(6))
-
-
-def _spread(table, v, out):
-    """ORs entry m of the bit table ``table`` into entry m + 2^v of
-    ``out``, for every m without vertex v (``out`` may be ``table``)."""
-    if v < 6:
-        out |= (table & _WITHOUT[v]) << np.uint64(1 << v)
-    else:
-        half = 1 << (v - 6)
-        out.reshape(-1, 2, half)[:, 1] |= table.reshape(-1, 2, half)[:, 0]
-
-
-def _table_kept(seen, forced, deadline=None):
-    """``_kept_masks`` on a table of 2^n flags, as a table of 2^n bits F in
-    uint64 words (one word when n < 6).  The entries that hold a forced
-    vertex are cleared, and the rest counted.  The up-closure U (entry m
-    set iff some entry of F is a subset of m) and the strict closure S
-    (entry m set iff U holds m - v for some v in m, so iff some entry of F
-    is a proper subset of m) each take one ``_spread`` pass per free
-    vertex: a pass on a forced vertex only reaches entries that hold it,
-    which F has lost.  F & ~S is the minimal masks, read off ascending and
-    sorted stably by size.  The deadline is checked after each pass."""
-    n = len(seen).bit_length() - 1
-    flags = np.packbits(seen, bitorder="little")
-    table = np.pad(flags, (0, -len(flags) % 8)).view("<u8").astype(np.uint64, copy=False)
-    for v in forced:
-        if v < 6:
-            table &= _WITHOUT[v]
-        else:
-            table.reshape(-1, 2, 1 << (v - 6))[:, 1] = 0
-    count = int(np.bitwise_count(table).sum())
-    free = [v for v in range(n) if v not in forced]
-    up = table.copy()
-    for v in free:
-        _spread(up, v, up)
-        _check_deadline(deadline)
-    strict = np.zeros_like(table)
-    for v in free:
-        _spread(up, v, strict)
-        _check_deadline(deadline)
-    table &= ~strict
-    words = np.flatnonzero(table)
-    bits = np.unpackbits(table[words].astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
-                         bitorder="little")
-    at, bit = np.nonzero(bits)
-    kept = words[at] << 6 | bit
-    order = np.argsort(np.bitwise_count(kept), kind="stable")
-    return count, kept[order].astype(_word_type(n))[:, None]
 
 
 def _image_map(autos, word):
@@ -630,37 +525,29 @@ def _minimal(cols, sizes, expand, deadline=None):
     return np.concatenate(kept, axis=1).T
 
 
-def _kept_masks(masks, forced, deadline=None, reps=None, images=None):
+def _kept_masks(masks, forced, deadline=None, images=None):
     """One pass from the distinct masks of ``_Separators.masks`` to the
     family searched: the masks that a vertex of ``forced`` is in are
-    dropped.  Returns the number of masks left, and those that contain no
-    other one (as rows of words), fewest bits first, in input order
-    (ascending, for a table or one word) within a size.  A table of flags
-    goes through ``_table_kept``.  Rows of words are sorted by size and
-    reduced by ``_minimal``, each level keeping its own masks.
+    dropped.  Returns the number of masks left, and the masks of the
+    family that contain no other one (as rows of words), fewest bits
+    first, in input order (ascending, for one word) within a size.  The
+    masks left are sorted by size and reduced by ``_minimal``, each level
+    keeping its own masks.
 
-    With ``reps``, the distinct masks of the pairs of
-    ``_Separators.firsts`` (one word each, a mask of every orbit of
-    ``masks``), and their ``images`` (``_image_map``), ``masks`` is only
-    counted, and ``_minimal`` runs on the representatives instead, each
-    level keeping the distinct images of its masks, ascending.  Those are
-    the kept masks of that size: every
+    With ``images`` (``_image_map``), ``masks`` are the distinct masks of
+    the pairs of ``_Separators.firsts`` (one word each, a mask of every
+    orbit of the family), and each level keeps the distinct images of its
+    masks, ascending.  Those are the kept masks of that size: every
     automorphism maps the forced vertices, and so the masks left and the
     kept ones, onto themselves, so a kept mask has an image among the
     representatives, and that image contains no smaller kept mask."""
-    if masks.ndim == 1:
-        return _table_kept(masks, forced, deadline)
-    cols = masks.T if reps is None else reps.T
+    cols = masks.T
     if forced:
         bits = np.zeros(8 * cols.dtype.itemsize * len(cols), dtype=bool)
         bits[list(forced)] = True
         row = np.packbits(bits, bitorder="little").view(cols.dtype)[:, None]
         # np.take, since cols[:, at] returns the words column-major (strided)
         cols = np.take(cols, np.flatnonzero(((cols & row) == 0).all(axis=0)), axis=1)
-    if reps is None:
-        count = cols.shape[1]
-    else:
-        count = int(np.count_nonzero(((masks.T & row) == 0).all(axis=0))) if forced else len(masks)
     # in the smallest unsigned type that holds 64 * W: a radix argsort
     sizes = np.bitwise_count(cols).sum(axis=0, dtype=np.min_scalar_type(64 * len(cols)))
     order = np.argsort(sizes, kind="stable")
@@ -668,10 +555,10 @@ def _kept_masks(masks, forced, deadline=None, reps=None, images=None):
     # the intp indices are about as long as the family: none is kept
     # into the levels or the next chunk
     del order
-    if reps is None:
-        return count, _minimal(cols, sizes, lambda level: level, deadline)
-    return count, _minimal(cols, sizes, lambda level: _unique_columns(images(level).reshape(1, -1)),
-                           deadline)
+    if images is None:
+        return cols.shape[1], _minimal(cols, sizes, lambda level: level, deadline)
+    return cols.shape[1], _minimal(
+        cols, sizes, lambda level: _unique_columns(images(level).reshape(1, -1)), deadline)
 
 
 def _row_ints(bits):
@@ -984,17 +871,18 @@ def metric_dimension(g, config):
     try:
         with _phase(stats, "masks"):
             separators = _Separators(dm, mode)
-            masks = separators.masks(deadline)
-        reps = images = None
+        autos = None
         if separators.orbital:
             with _phase(stats, "group"):
                 autos = dm._invariant(_automorphisms)
+        with _phase(stats, "masks"):
+            images = firsts = None
             if autos is not None:
-                with _phase(stats, "masks"):
-                    images = _image_map(autos, masks.dtype)
-                    reps = separators.masks(deadline, separators.firsts(images))
+                images = _image_map(autos, separators.rows.dtype)
+                firsts = separators.firsts(images)
+            masks = separators.masks(deadline, firsts)
         with _phase(stats, "reduce"):
-            stats.mask_count, masks = _kept_masks(masks, forced, deadline, reps, images)
+            stats.mask_count, masks = _kept_masks(masks, forced, deadline, images)
             member = _member_matrix(masks, free)
             # the positions by descending mask degree, ties in vertex order
             by_degree = np.argsort(-member.sum(axis=0, dtype=np.int64), kind="stable")

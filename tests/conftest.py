@@ -296,14 +296,15 @@ def mode_blocks(dm, mode):
     return family.raw, family.blocks()
 
 
-def mask_rows(masks):
-    """The distinct masks that ``mode_masks`` returned, as rows of
-    words sorted by their first word, then the next: its rows, or the
-    entries set in its table of 2^n flags, ascending, one word each."""
-    if masks.ndim == 1:
-        n = len(masks).bit_length() - 1
-        return np.flatnonzero(masks).astype(search._word_type(n))[:, None]
-    return masks
+def reference_table_masks(dm, mode):
+    """The distinct nonempty masks of the blocks of ``mode``'s family over
+    n <= 64 vertices, read off a table of 2^n flags that the blocks set:
+    rows of one word, ascending, as ``mode_masks`` sorts them."""
+    seen = np.zeros(1 << dm.n, dtype=bool)
+    for block in mode_blocks(dm, mode)[1]:
+        seen[block[:, 0]] = True
+    seen[0] = False
+    return np.flatnonzero(seen).astype(search._word_type(dm.n))[:, None]
 
 
 def reference_split_forced(masks):
@@ -426,7 +427,7 @@ def reference_metric_dimension(g, mode, k_max=None):
     ``reference_colex_first_cover``.  Returns (value, basis, lower_bound,
     lower_bound_source, subsets_checked, exhausted_through); value and
     basis are None when no cardinality up to ``k_max`` passes."""
-    masks = mask_rows(mode_masks(all_pairs_distances(g), mode))
+    masks = mode_masks(all_pairs_distances(g), mode)
     forced, masks = ((), masks) if mode.kind == "doubly" else reference_split_forced(masks)
     source, bound = max(search.dimension_lower_bounds(g, mode, forced=forced),
                         key=lambda b: (b[1], b[0] == search.PROVENANCE_FORCED))

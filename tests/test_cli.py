@@ -181,8 +181,8 @@ def test_dim_star_solid(capsys):
 # second the distinct separator masks no forced vertex hits
 DIM_STATS = {
     ("J5", "resolving", 1): (332, 147),
-    # its masks are deduplicated through a presence table
-    ("J5", "resolving", 3): (1027065, 186397),
+    # on the orbit path: the representatives' masks
+    ("J5", "resolving", 3): (1027065, 51837),
     ("J7", "resolving", 1): (774, 233),
     ("J9", "resolving", 1): (1489, 299),
     ("J5", "doubly", None): (1573, 552),

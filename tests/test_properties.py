@@ -53,7 +53,6 @@ from resolving.subsets import colex_rank, size_colex_array
 from conftest import (
     bfs_distances,
     colex_first_cover,
-    mask_rows,
     mode_masks,
     oracle_automorphisms,
     oracle_first_basis,
@@ -228,7 +227,7 @@ def test_singleton_masks_are_forced_vertices(g, mode):
     except ModeError:
         return
     forced = forced_vertices_oracle(g, mode.order, mode.kind)
-    masks = _as_ints(mask_rows(mode_masks(all_pairs_distances(g), mode)))
+    masks = _as_ints(mode_masks(all_pairs_distances(g), mode))
     assert sorted(m.bit_length() - 1 for m in masks if m.bit_count() == 1) == list(forced)
     avoiding = [m for m in masks if not any(m >> v & 1 for v in forced)]
     stats = metric_dimension(g, SearchConfig(mode=mode, budget_s=None)).stats
@@ -249,7 +248,7 @@ def test_separator_masks_equal_checkers(case):
     if len(anchors) >= 2:
         modes.append(Mode.doubly())
     for mode in modes:
-        hits_all = all(m & smask for m in _as_ints(mask_rows(mode_masks(dm, mode))))
+        hits_all = all(m & smask for m in _as_ints(mode_masks(dm, mode)))
         assert hits_all == check_mode(dm, anchors, mode).holds
 
 
@@ -288,7 +287,7 @@ def _pairwise_masks(dist, mode):
 
 def _assert_exact_family(g, mode):
     dm = all_pairs_distances(g)
-    words = mask_rows(mode_masks(dm, mode))
+    words = mode_masks(dm, mode)
     # distinct, sorted by the first word, then the next
     rows = [tuple(row) for row in words.tolist()]
     assert rows == sorted(set(rows))
@@ -356,13 +355,13 @@ _WORD_BYTES = {8: 1, 9: 2, 16: 2, 17: 4, 32: 4, 33: 8, 64: 8, 65: 8}
                          + [f"C{n}" for n in _WORD_BYTES if n <= 33])
 def test_mode_masks_narrow_words(g, mode, monkeypatch):
     dm = all_pairs_distances(g)
-    words = mask_rows(mode_masks(dm, mode))
+    words = mode_masks(dm, mode)
     assert words.dtype == np.dtype(f"<u{_WORD_BYTES[g.n]}")
     assert metric_dimension(g, SearchConfig(mode=mode, budget_s=None)).basis \
         == oracle_first_basis(g, mode)
     # the same masks in the same order as a build in uint64 words
     monkeypatch.setattr(search, "_word_type", lambda n: np.dtype("<u8"))
-    wide = mask_rows(mode_masks(dm, mode))
+    wide = mode_masks(dm, mode)
     assert wide.dtype == np.uint64
     assert _as_ints(words) == _as_ints(wide)
 

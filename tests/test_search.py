@@ -41,7 +41,6 @@ from resolving import (
 from conftest import (
     bfs_distances,
     colex_first_cover,
-    mask_rows,
     mode_blocks,
     mode_masks,
     oracle_automorphisms,
@@ -51,6 +50,7 @@ from conftest import (
     reference_kept_masks,
     reference_metric_dimension,
     reference_split_forced,
+    reference_table_masks,
 )
 
 
@@ -530,9 +530,10 @@ def test_flower_snark_11_solid_2():
 
 # the benchmark's search cases at native labels: (graph, mode, k_max) ->
 # value, basis, lower bound and source, subsets_checked, exhausted_through,
-# mask_count, masks_kept, nodes, decided.  The last row is the search
-# inside the minimality proof of the J9 solid1 recipe, which stops below
-# its 6 anchors
+# mask_count (of the representatives' masks on the orbit path: J5
+# {3}-resolving and J7 {2}-resolving), masks_kept, nodes, decided.  The
+# last row is the search inside the minimality proof of the J9 solid1
+# recipe, which stops below its 6 anchors
 _PINNED_SEARCHES = [
     ("J9", Mode.solid(1), None, 6, (0, 5, 13, 18, 22, 27), 6, 769368, 5, 505, 226, 586,
      (2, 4, 5)),
@@ -542,10 +543,10 @@ _PINNED_SEARCHES = [
      30, 484, (3, 5, 9, 10)),
     ("J5", Mode.resolving(2), None, 7, (0, 3, 6, 7, 10, 12, 15), 7, 68129, 6, 12079, 746, 243,
      (1, 3, 7, 6)),
-    ("J7", Mode.resolving(2), None, 8, (0, 4, 6, 9, 10, 14, 17, 21), 8, 1909563, 7, 41325,
+    ("J7", Mode.resolving(2), None, 8, (0, 4, 6, 9, 10, 14, 17, 21), 8, 1909563, 7, 6786,
      1877, 2769, (1, 3, 7)),
     ("J5", Mode.resolving(3), None, 15, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 17), 15,
-     1027065, 14, 186397, 75, 742, (1, 3, 7, 14)),
+     1027065, 14, 51837, 75, 742, (1, 3, 7, 14)),
     ("rook5x4", Mode.resolving(2), None, 10, (1, 3, 4, 7, 9, 10, 12, 14, 16, 17), 10, 466972,
      9, 15845, 569, 2548, (1, 3, 7, 9)),
     ("J7", Mode.doubly(), None, 4, (3, 7, 9, 14), 4, 4764, 3, 1157, 225, 30, (2, 3)),
@@ -605,7 +606,7 @@ def test_search_workload_forced_vertices_are_the_singleton_masks():
     for name, mode, *_ in _PINNED_SEARCHES:
         if mode.kind != "doubly":
             g = _PINNED_GRAPHS[name]
-            masks = mask_rows(mode_masks(all_pairs_distances(g), mode))
+            masks = mode_masks(all_pairs_distances(g), mode)
             assert reference_split_forced(masks)[0] == forced_vertices(g, mode.order, mode.kind)
 
 
@@ -713,15 +714,13 @@ def test_kept_masks_match_reference_passes(g, mode, small, monkeypatch):
     # Dropping the masks they are in and reducing the rest in one pass
     # returns what the forced split and the minimal-mask reduction
     # returned: the same count and kept masks, byte for byte in the same
-    # order; with small blocks the masks are built a row or two at a time
-    # on the table path, and the reduction of sorted rows runs a chunk of
-    # a few masks at a time
+    # order; with small blocks the masks are built a row group or two at
+    # a time, and the reduction runs a chunk of a few masks at a time
     if small:
         monkeypatch.setattr(search, "_BLOCK_WORDS", 512)
-        monkeypatch.setattr(search, "_TABLE_BLOCK_WORDS", 64)
     built = mode_masks(all_pairs_distances(g), mode)
     split = mode.kind != "doubly"
-    ref_forced, ref_count, ref_kept = reference_kept_masks(mask_rows(built), split)
+    ref_forced, ref_count, ref_kept = reference_kept_masks(built, split)
     if split:
         assert ref_forced == forced_vertices(g, mode.order, mode.kind)
     count, kept = search._kept_masks(built, ref_forced)
@@ -736,9 +735,9 @@ def test_kept_masks_cases_have_forced_vertices():
 
 
 # ---------------------------------------------------------------------------
-# the two ways of deduplicating and reducing one-word masks: a presence
-# table reduced by its superset closures, or a sort per block, a merge and
-# a reduction of the sorted rows
+# the sort and merge of one-word masks against a presence table: a table
+# of 2^n flags that the raw blocks set, read off ascending
+# (``reference_table_masks``)
 
 
 _DEDUP_CASES = [(f"{name}{n}-{_mode_id(mode)}", make(n), mode)
@@ -751,64 +750,72 @@ _DEDUP_CASES = [(f"{name}{n}-{_mode_id(mode)}", make(n), mode)
 ] + [("K1,3-solid2", star_graph(3), Mode.solid(2))]
 
 
-def _takes_table(g, mode):
-    raw, _ = mode_blocks(all_pairs_distances(g), mode)
-    return search._table_fits(g.n, raw)
+def _small_blocks(dm, mode):
+    """Block words that cut the family of ``mode`` into about 40 blocks
+    (fewer when they would hold under 64 words), so that more than 32
+    parts are merged as the build goes."""
+    return max(64, mode_blocks(dm, mode)[0] // 40)
 
 
 @pytest.mark.parametrize("g, mode", [case[1:] for case in _DEDUP_CASES],
                          ids=[case[0] for case in _DEDUP_CASES])
 def test_table_and_sort_dedup_agree(g, mode, monkeypatch):
-    # with table blocks of the default size and of 64 words (a row or two
-    # of masks, so that many blocks reuse one set of buffers)
+    # with blocks of the default size and small ones (so that many blocks
+    # reuse one set of buffers and their parts are merged), the sort path
+    # returns the table's masks
     dm = all_pairs_distances(g)
-    out = {}
-    for words in (search._TABLE_BLOCK_WORDS, 64):
-        monkeypatch.setattr(search, "_TABLE_BLOCK_WORDS", words)
-        for table in (True, False):
-            monkeypatch.setattr(search, "_table_fits", lambda n, raw: table)
-            out[words, table] = mask_rows(mode_masks(dm, mode))
-    ref = out[64, False]
-    for rows in out.values():
-        assert (rows.shape, rows.dtype) == (ref.shape, ref.dtype)
-        assert rows.tobytes() == ref.tobytes()
+    want = reference_table_masks(dm, mode)
+    for words in (search._BLOCK_WORDS, _small_blocks(dm, mode)):
+        monkeypatch.setattr(search, "_BLOCK_WORDS", words)
+        got = mode_masks(dm, mode)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
 
 
-# every mode on every graph of the dedup cases whose family takes the table
+def _table_fits(g, mode):
+    """Whether a table of 2^n one-byte flags takes no more bytes than the
+    masks that ``mode`` builds on ``g``."""
+    raw, _ = mode_blocks(all_pairs_distances(g), mode)
+    return 1 << g.n <= raw * search._word_type(g.n).itemsize
+
+
+# every mode on every graph of the dedup cases whose table fits
 _TABLE_CASES = [(f"{name}-{_mode_id(mode)}", g, mode)
                 for name, g in dict((case[0].rsplit("-", 1)[0], case[1])
                                     for case in _DEDUP_CASES).items()
                 for mode in (Mode.resolving(1), Mode.resolving(2), Mode.resolving(3),
                              Mode.solid(1), Mode.solid(2), Mode.doubly())
-                if _takes_table(g, mode)]
+                if _table_fits(g, mode)]
 
 
-@pytest.mark.parametrize("words", [None, 64], ids=["blocks", "small-blocks"])
+@pytest.mark.parametrize("small", [False, True], ids=["blocks", "small-blocks"])
 @pytest.mark.parametrize("g, mode", [case[1:] for case in _TABLE_CASES],
                          ids=[case[0] for case in _TABLE_CASES])
-def test_table_flags_are_the_distinct_raw_masks(g, mode, words, monkeypatch):
-    # the table's flags are the distinct nonempty masks of the raw blocks
-    # (doubly: not the all-vertex mask, which the blocks hold for every
-    # level the difference never takes); every block is a view of one set
-    # of intp buffers, so each is copied before the next is built
-    if words is not None:
-        monkeypatch.setattr(search, "_TABLE_BLOCK_WORDS", words)
+def test_table_flags_are_the_distinct_raw_masks(g, mode, small, monkeypatch):
+    # the table's flags, and the sort path's masks, are the distinct
+    # nonempty masks of the raw blocks (doubly: not the all-vertex mask,
+    # which each block drops for every level the difference never takes);
+    # the blocks of the other modes are views of one set of buffers of
+    # mask words, so each is copied before the next is built
     dm = all_pairs_distances(g)
+    if small:
+        monkeypatch.setattr(search, "_BLOCK_WORDS", _small_blocks(dm, mode))
     _, blocks = mode_blocks(dm, mode)
     blocks = [(block, block.copy()) for block in blocks]
-    assert all(view.dtype == np.intp and np.shares_memory(view, blocks[0][0])
-               for view, _ in blocks)
+    word = search._word_type(g.n)
+    assert all(view.dtype == word for view, _ in blocks)
+    if mode.kind != "doubly":
+        assert all(np.shares_memory(view, blocks[0][0]) for view, _ in blocks)
     raw = set(np.unique(np.concatenate([copy[:, 0] for _, copy in blocks])).tolist()) - {0}
-    if mode.kind == "doubly":
-        raw.discard((1 << g.n) - 1)
-    assert np.flatnonzero(mode_masks(dm, mode)).tolist() == sorted(raw)
+    assert reference_table_masks(dm, mode)[:, 0].tolist() == sorted(raw)
+    assert mode_masks(dm, mode)[:, 0].tolist() == sorted(raw)
 
 
 def test_table_cases_cover_every_mode():
     # not {1}-resolving: its n (n // 2) masks never reach 2^n bytes
     assert {(mode.kind, mode.order) for _, _, mode in _TABLE_CASES} == {
         ("resolving", 2), ("resolving", 3), ("solid", 1), ("solid", 2), ("doubly", None)}
-    # the benchmark's slowest call among them
+    # a benchmark search among them
     assert "J5-resolving3" in {name for name, _, _ in _TABLE_CASES}
 
 
@@ -825,43 +832,40 @@ def test_sort_blocks_are_views_of_one_buffer(monkeypatch):
                    for block in blocks)
 
 
-def test_table_build_allocates_the_table_and_one_buffer_set():
-    # J5 {3}-resolving builds 911,250 masks in 29 blocks of 32,400 words
-    # into one set of buffers (three of uint32 words and one of intp, about
-    # 0.65 MB) and sets their flags in a table of 2^20 bytes; blocks of
-    # 2^18 words, each a fresh array with a fresh intp copy, peaked at
-    # about 4.3 MB
+def test_representatives_build_allocates_one_buffer_set():
+    # J5 {3}-resolving builds only its representatives: 135,000 masks (100
+    # set rows of 1350) in one block of uint32 words, into one set of
+    # three buffers of about 0.5 MB each, and one part, a peak of about
+    # 2.3 MB; the whole family, 911,250 masks in blocks of 2^18 words and
+    # their merged parts, peaks at about 8 MB
     dm = all_pairs_distances(flower_snark(5))
-    mode_masks(dm, Mode.resolving(3))
-    tracemalloc.start()
-    try:
-        mode_masks(dm, Mode.resolving(3))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * (1 << 20)
+    family = search._Separators(dm, Mode.resolving(3))
+    firsts = family.firsts(search._image_map(search._automorphisms(dm), family.rows.dtype))
+    peaks = []
+    for chosen in (firsts, None):
+        family.masks(None, chosen)
+        tracemalloc.start()
+        try:
+            family.masks(None, chosen)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(firsts) == 100
+    assert peaks[0] < 3 * (1 << 20) and 3 * peaks[0] < peaks[1]
 
 
 @pytest.mark.parametrize("g, mode", [case[1:] for case in _DEDUP_CASES],
                          ids=[case[0] for case in _DEDUP_CASES])
-def test_table_and_sort_kept_masks_agree(g, mode, monkeypatch):
-    # the table path drops the forced masks, counts the rest and keeps the
-    # minimal ones inside the flag table; the sort path does so on sorted
-    # rows.  Both return the count and kept masks of the reference passes,
-    # byte for byte in the same order, sub-word tables (n < 6) and forced
-    # vertices of either half of a word included
+def test_table_and_sort_kept_masks_agree(g, mode):
+    # the reference passes over the table's masks give the count and kept
+    # masks that the one pass gives over the sort path's, byte for byte in
+    # the same order, sub-word masks (n < 8) and forced vertices included
     dm = all_pairs_distances(g)
-    split = mode.kind != "doubly"
-    out = {}
-    for table in (True, False):
-        monkeypatch.setattr(search, "_table_fits", lambda n, raw: table)
-        built = mode_masks(dm, mode)
-        assert (built.ndim == 1) == table
-        forced, count, kept = reference_kept_masks(mask_rows(built), split)
-        out["reference", table] = count, kept.dtype, kept.shape, kept.tobytes()
-        count, kept = search._kept_masks(built, forced)
-        out[table] = count, kept.dtype, kept.shape, kept.tobytes()
-    assert out[True] == out[False] == out["reference", True] == out["reference", False]
+    forced, count, kept = reference_kept_masks(reference_table_masks(dm, mode),
+                                               mode.kind != "doubly")
+    got_count, got = search._kept_masks(mode_masks(dm, mode), forced)
+    assert (got_count, got.dtype, got.shape, got.tobytes()) == \
+        (count, kept.dtype, kept.shape, kept.tobytes())
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -880,23 +884,12 @@ def test_merge_by_ranges_gives_the_bytes_of_one_sort(width, monkeypatch):
     assert merged.tobytes() == whole.tobytes()
 
 
-def test_dedup_cases_take_both_paths():
-    taken = {_takes_table(g, mode) for _, g, mode in _DEDUP_CASES}
-    assert taken == {True, False}
-    # the benchmark's slowest call takes the table, J7 and J9 the sort
-    assert _takes_table(flower_snark(5), Mode.resolving(3))
-    assert not _takes_table(flower_snark(5), Mode.resolving(2))
-    assert not _takes_table(flower_snark(7), Mode.resolving(3))
-    assert not _takes_table(flower_snark(9), Mode.resolving(3))
-
-
 @pytest.mark.parametrize("g, mode", [case[1:] for case in _DEDUP_CASES],
                          ids=[case[0] for case in _DEDUP_CASES])
 def test_stated_mask_count_matches_the_blocks(g, mode):
-    # the count that picks the table or the sort is that of the masks the
-    # blocks build; doubly blocks drop (sort path) or hold as the
-    # all-vertex mask (table path), per pair of vertices, the levels c in
-    # -top .. top that d(., u) - d(., v) never takes
+    # the count that picks the orbit path is that of the masks the blocks
+    # build; doubly blocks drop, per pair of vertices, the levels c in
+    # -top .. top that d(., u) - d(., v) never takes (all-vertex masks)
     dm = all_pairs_distances(g)
     dist = dm.dist
     raw, blocks = mode_blocks(dm, mode)
@@ -914,22 +907,24 @@ def test_stated_mask_count_matches_the_blocks(g, mode):
 @pytest.mark.parametrize("g, mode", [
     (flower_snark(5), Mode.resolving(3)),
     (rook_graph(4, 4), Mode.resolving(3)),
-    # forced vertices: 3 of K1,3's 4; 6 of the tree's 9, some below
-    # vertex 6 (cleared inside a table word) and some above (whole words)
+    # forced vertices: 3 of K1,3's 4; 6 of the tree's 9
     (star_graph(3), Mode.solid(2)),
     (tree_from_parents((0, 0, 1, 1, 2, 2, 3, 3)), Mode.solid(2)),
 ], ids=["J5", "rook4x4", "K1,3-solid2", "tree-solid2"])
-def test_table_and_sort_dedup_give_one_search(g, mode, monkeypatch):
-    assert _takes_table(g, mode)
-    out = {}
-    for table in (True, False):
-        monkeypatch.setattr(search, "_table_fits", lambda n, raw: table)
-        res = dim(g, mode, budget_s=None)
-        s = res.stats
-        out[table] = (res.value, res.basis, res.lower_bound, res.lower_bound_source,
-                      s.mask_count, s.masks_kept, s.nodes, s.decided, s.subsets_checked,
-                      s.exhausted_through)
-    assert out[True] == out[False]
+def test_search_matches_the_reference_search(g, mode):
+    # the ascending reference search over the whole family's masks gives
+    # the answer and counts of the search (J5 on the orbit path, the rest
+    # on the plain one), which keeps the masks the reference passes keep;
+    # off the orbit path mask_count is the whole family's count
+    res = dim(g, mode, budget_s=None)
+    s = res.stats
+    assert (res.value, res.basis, res.lower_bound, res.lower_bound_source, s.subsets_checked,
+            s.exhausted_through) == reference_metric_dimension(g, mode)
+    dm = all_pairs_distances(g)
+    _, count, kept = reference_kept_masks(mode_masks(dm, mode), mode.kind != "doubly")
+    assert s.masks_kept == len(kept)
+    if not search._Separators(dm, mode).orbital:
+        assert s.mask_count == count
 
 
 # ---------------------------------------------------------------------------
@@ -960,13 +955,19 @@ def _orbit_family(g, mode):
     dm = all_pairs_distances(g)
     family = search._Separators(dm, mode)
     autos = search._automorphisms(dm)
-    if family.table or g.n > 64 or autos is None:
+    if g.n > 64 or autos is None:
         return None
     return family, search._image_map(autos, search._word_type(g.n))
 
 
-# every {l}-resolving and doubly mode on the sort path ({3}-resolving up
-# to J9: C53 and C60 build 309 and 650 million masks), with the default
+def _avoiding(masks, forced):
+    """How many of the one-word ``masks`` hold no vertex of ``forced``."""
+    row = np.array(sum(1 << v for v in forced), dtype=masks.dtype)
+    return int(np.count_nonzero((masks[:, 0] & row) == 0))
+
+
+# every {l}-resolving and doubly mode in one word ({3}-resolving up to J9:
+# C53 and C60 build 309 and 650 million masks), with the default
 # blocks, and with small ones where fewer than 2^18 masks are built
 _ORBIT_CASES = [(f"{name}-{_mode_id(mode)}-{size}", g, mode, size == "small-blocks")
                 for name, g in _ORBIT_GRAPHS.items()
@@ -980,12 +981,13 @@ _ORBIT_CASES = [(f"{name}-{_mode_id(mode)}-{size}", g, mode, size == "small-bloc
                          ids=[case[0] for case in _ORBIT_CASES])
 def test_orbit_reduction_matches_plain_kept_masks(g, mode, small, monkeypatch):
     # the masks of the pairs whose first group comes first in its orbit,
-    # reduced with the images of each level as its killers, give the
-    # count and kept masks of the plain reduction, byte for byte in the
-    # same order: with no forced vertex, with those of the graph, and with
-    # the orbit of vertex 0 (the group maps each onto itself); with small
-    # blocks, the representatives are built a group or two at a time and
-    # the levels reduced a few masks at a time
+    # reduced with the images of each level as its killers, give the kept
+    # masks of the plain reduction of the whole family, byte for byte in
+    # the same order, and the count of the representatives' masks left:
+    # with no forced vertex, with those of the graph, and with the orbit
+    # of vertex 0 (the group maps each onto itself); with small blocks,
+    # the representatives are built a group or two at a time and the
+    # levels reduced a few masks at a time
     if small:
         monkeypatch.setattr(search, "_BLOCK_WORDS", 512)
     family, images = _orbit_family(g, mode)
@@ -997,8 +999,8 @@ def test_orbit_reduction_matches_plain_kept_masks(g, mode, small, monkeypatch):
     own = () if mode.kind == "doubly" else forced_vertices(g, mode.order, mode.kind)
     for forced in {(), own, orbit}:
         want = search._kept_masks(masks, forced)
-        got = search._kept_masks(masks, forced, None, reps, images)
-        assert got[0] == want[0], forced
+        got = search._kept_masks(reps, forced, None, images)
+        assert got[0] == _avoiding(reps, forced), forced
         assert (got[1].shape, got[1].dtype) == (want[1].shape, want[1].dtype)
         assert got[1].tobytes() == want[1].tobytes(), forced
 
@@ -1030,18 +1032,18 @@ def test_image_map_permutes_the_bits_of_each_mask(g):
 
 
 def test_orbit_path_is_taken_by_large_families_only():
-    # J7 {2}-resolving (82,418 masks built) and the J9 and J13 rungs take
-    # it; J5 {2}-resolving (22,050), every cli dim family (at most a few
-    # thousand), the table path, the solid modes and two-word families do
-    # not
+    # J5 {3}-resolving (911,250 masks built), J7 {2}-resolving (82,418)
+    # and the J9 and J13 rungs take it; J5 {2}-resolving (22,050), every
+    # cli dim family (at most a few thousand), the solid modes and
+    # two-word families do not
     def orbital(g, mode):
         return search._Separators(all_pairs_distances(g), mode).orbital
 
+    assert orbital(flower_snark(5), Mode.resolving(3))
     assert orbital(flower_snark(7), Mode.resolving(2))
     assert orbital(flower_snark(7), Mode.resolving(3))
     assert orbital(flower_snark(13), Mode.resolving(2))
     assert not orbital(flower_snark(5), Mode.resolving(2))
-    assert not orbital(flower_snark(5), Mode.resolving(3))
     assert not orbital(flower_snark(9), Mode.solid(2))
     assert not orbital(flower_snark(17), Mode.doubly())
     assert not orbital(path_graph(65), Mode.resolving(2))
@@ -1052,22 +1054,51 @@ def test_orbit_path_is_taken_by_large_families_only():
 
 
 def test_orbit_path_gives_the_answers_and_counters_of_the_plain_path(monkeypatch):
-    # the group is read before the reduction, and the search it feeds is
-    # the one the plain path feeds, counters included
-    g = flower_snark(7)
+    # the group is read before the masks are built, and the search it
+    # feeds is the one the plain path feeds, counters included, but for
+    # mask_count: the representatives' masks left against the whole
+    # family's (J7 {2}-resolving 6,786 against 41,325, J5 {3}-resolving
+    # 51,837 against 186,397)
+    cases = [(flower_snark(7), Mode.resolving(2)), (flower_snark(5), Mode.resolving(3))]
     reduced = []
     kept_masks = search._kept_masks
 
-    def recorded(masks, forced, deadline=None, reps=None, images=None):
-        reduced.append(reps is not None)
-        return kept_masks(masks, forced, deadline, reps, images)
+    def recorded(masks, forced, deadline=None, images=None):
+        reduced.append(images is not None)
+        return kept_masks(masks, forced, deadline, images)
 
     monkeypatch.setattr(search, "_kept_masks", recorded)
-    got = _answers(dim(g, Mode.resolving(2)))
+    got = [_answers(dim(g, mode)) for g, mode in cases]
     monkeypatch.setattr(search, "_ORBIT_MASKS", float("inf"))
-    assert _answers(dim(g, Mode.resolving(2))) == got
-    assert reduced == [True, False]
-    assert got[:2] == (8, (0, 4, 6, 9, 10, 14, 17, 21))
+    want = [_answers(dim(g, mode)) for g, mode in cases]
+    assert reduced == [True, True, False, False]
+    assert [answers[-1].pop("mask_count") for answers in got + want] == [
+        6786, 51837, 41325, 186397]
+    assert got == want
+    assert [answers[:2] for answers in got] == [
+        (8, (0, 4, 6, 9, 10, 14, 17, 21)),
+        (15, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 17))]
+
+
+@pytest.mark.parametrize("g, mode", [
+    (flower_snark(5), Mode.resolving(3)),
+    (flower_snark(7), Mode.resolving(2)),
+    (tree_from_parents((0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6)), Mode.resolving(3)),
+], ids=["J5-resolving3", "J7-resolving2", "tree-resolving3"])
+def test_orbit_path_builds_only_the_representatives(g, mode, monkeypatch):
+    # the blocks built hold the pairs of the len(firsts) groups that come
+    # first in their orbit, each against every group, and no block of the
+    # whole family; mask_count is the number of the representatives'
+    # distinct masks that avoid every forced vertex (the tree has some)
+    family, images = _orbit_family(g, mode)
+    firsts = family.firsts(images)
+    reps = family.masks(None, firsts)
+    blocks = []
+    _counted_blocks(monkeypatch, [0.0], blocks, None)
+    res = dim(g, mode)
+    assert family.orbital and len(firsts) < family.count
+    assert sum(rows for rows, _ in blocks) == len(firsts) * family.count
+    assert res.stats.mask_count == _avoiding(reps, forced_vertices(g, mode.order, mode.kind))
 
 
 def test_orbit_path_stops_at_its_deadline(monkeypatch):
@@ -1095,17 +1126,16 @@ def test_orbit_reduction_stops_at_the_first_chunk_after_the_deadline(monkeypatch
     # the deadline is checked after each chunk of a level, on the
     # representatives as on the plain path
     family, images = _orbit_family(flower_snark(7), Mode.resolving(2))
-    masks = family.masks()
     reps = family.masks(None, family.firsts(images))
     checks = []
     check_deadline = search._check_deadline
     monkeypatch.setattr(search, "_check_deadline",
                         lambda deadline: checks.append(deadline) or check_deadline(deadline))
     with pytest.raises(search._OutOfBudget):
-        search._kept_masks(masks, (), time.monotonic() - 1.0, reps, images)
+        search._kept_masks(reps, (), time.monotonic() - 1.0, images)
     assert len(checks) == 1
-    count, kept = search._kept_masks(masks, (), time.monotonic() + 60.0, reps, images)
-    assert (count, len(kept)) == (41325, 1877)
+    count, kept = search._kept_masks(reps, (), time.monotonic() + 60.0, images)
+    assert (count, len(kept)) == (6786, 1877)
     assert len(checks) > 2
 
 
@@ -1132,9 +1162,10 @@ def test_nan_budget_is_refused():
     assert dim(flower_snark(5), Mode.resolving(2), budget_s=float("inf")).value == 7
 
 
-def test_budget_holds_in_separator_build():
-    # J9 {3}-resolving compares about 30 million pairs of sets of size <= 3;
-    # the deadline is checked between blocks of them
+def test_budget_holds_in_separator_build(monkeypatch):
+    # J9 {3}-resolving off the orbit path compares about 30 million pairs
+    # of sets of size <= 3; the deadline is checked between blocks of them
+    monkeypatch.setattr(search, "_ORBIT_MASKS", float("inf"))
     started = time.monotonic()
     res = dim(flower_snark(9), Mode.resolving(3), budget_s=0.5)
     assert time.monotonic() - started < 2.0
@@ -1210,57 +1241,17 @@ def _counted_blocks(monkeypatch, now, blocks, at):
     monkeypatch.setattr(search._Separators, "blocks", counted_blocks)
 
 
-def _counted_passes(monkeypatch, now, passes, at):
-    """Has ``search._spread`` append the vertex of each closure pass to
-    ``passes``, and move the clock ``now`` to 2.0 in pass ``at``."""
-    spread = search._spread
-
-    def counted_spread(table, v, out):
-        passes.append(v)
-        spread(table, v, out)
-        if len(passes) == at:
-            now[0] = 2.0
-
-    monkeypatch.setattr(search, "_spread", counted_spread)
-
-
-def test_no_table_read_off_after_the_deadline(monkeypatch):
-    # J5 {3}-resolving fills a presence table from 29 blocks (1350 set
-    # rows of 675 masks each, 48 rows to a block of at most
-    # _TABLE_BLOCK_WORDS words); the clock
-    # passes the deadline as the second is handed out, so neither the third
-    # block nor a pass of the closures that read the kept masks off the
-    # table follows
-    now = [0.0]
-    blocks, passes = [], []
-    _counted_blocks(monkeypatch, now, blocks, 2)
-    _counted_passes(monkeypatch, now, passes, None)
-    # the sort path would fail
-    monkeypatch.setattr(search, "_unique_columns", None)
-    monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
-    g = flower_snark(5)
-    res = dim(g, Mode.resolving(3), budget_s=1.0)
-    assert (res.value, res.basis, res.stats.mask_count) == (None, None, 0)
-    assert len(blocks) == 2 and not passes
-    # the same search without a deadline takes every block, and each
-    # closure one pass per vertex (none is forced)
-    blocks.clear()
-    res = dim(g, Mode.resolving(3), budget_s=None)
-    assert (res.value, res.stats.mask_count, res.stats.masks_kept) == (15, 186397, 75)
-    assert len(blocks) == 29 and passes == 2 * list(range(20))
-
-
 @pytest.mark.parametrize("g, mode", [(flower_snark(5), Mode.resolving(3)),
                                      (cycle_graph(8), Mode.solid(2)),
                                      (cycle_graph(8), Mode.doubly())],
                          ids=["J5-resolving3", "C8-solid2", "C8-doubly"])
-def test_no_table_block_is_built_after_the_deadline(g, mode, monkeypatch):
-    # on the table path, one row of masks to a block: the clock passes the
-    # deadline while the third block is built; its flags are set, and the
+def test_no_block_is_built_after_the_deadline(g, mode, monkeypatch):
+    # one row group of masks to a block: the clock passes the deadline
+    # while the third block is built; it is deduplicated, and the
     # deadline, checked before the fourth block is built, stops the build
-    monkeypatch.setattr(search, "_TABLE_BLOCK_WORDS", 64)
-    assert _takes_table(g, mode)
+    monkeypatch.setattr(search, "_BLOCK_WORDS", 64)
     dm = all_pairs_distances(g)
+    assert len(list(mode_blocks(dm, mode)[1])) > 3
     now = [0.0]
     built = []
     views = search._views
@@ -1277,34 +1268,6 @@ def test_no_table_block_is_built_after_the_deadline(g, mode, monkeypatch):
     with pytest.raises(search._OutOfBudget):
         mode_masks(dm, mode, deadline=1.0)
     assert len(built) == 3
-
-
-@pytest.mark.parametrize("at", [1, 20, 23, 40])
-def test_no_kept_masks_read_off_after_the_deadline_in_a_closure(at, monkeypatch):
-    # J5 {3}-resolving reduces its table in 20 passes of the up-closure,
-    # then 20 of the strict closure; the clock passes the deadline in pass
-    # `at`, and neither a later pass nor the read-off of the kept masks
-    # (the nonzero words of the table) follows
-    dm = all_pairs_distances(flower_snark(5))
-    seen = mode_masks(dm, Mode.resolving(3))
-    now = [0.0]
-    passes, read_offs = [], []
-    flatnonzero = np.flatnonzero
-
-    def counted_flatnonzero(a):
-        read_offs.append(a.shape)
-        return flatnonzero(a)
-
-    _counted_passes(monkeypatch, now, passes, at)
-    monkeypatch.setattr(search.np, "flatnonzero", counted_flatnonzero)
-    monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
-    with pytest.raises(search._OutOfBudget):
-        search._kept_masks(seen, (), deadline=1.0)
-    assert len(passes) == at and not read_offs
-    passes.clear()
-    count, kept = search._kept_masks(seen, ())
-    assert (count, len(kept)) == (186397, 75)
-    assert len(passes) == 40 and read_offs == [(1 << 14,)]
 
 
 def test_budget_runs_out_inside_a_cardinality(monkeypatch):
@@ -1360,7 +1323,6 @@ def test_forced_count_holds_when_the_budget_ends_in_the_mask_build(monkeypatch):
     # handed out, and the bound is still their count
     g = tree_from_parents((0, 0, 1, 1, 2, 2, 3, 3))
     monkeypatch.setattr(search, "_BLOCK_WORDS", 64)
-    monkeypatch.setattr(search, "_TABLE_BLOCK_WORDS", 64)
     assert len(list(mode_blocks(all_pairs_distances(g), Mode.resolving(2))[1])) > 1
     now = [0.0]
     blocks = []

@@ -9,7 +9,10 @@ Each rung runs in a fresh process of its own (one at a time), so that its
 peak RSS is that rung's.  The record goes to RECORD, so each change
 writes a file of its own and the earlier records stay: the provenance
 (core count, Python and numpy versions, commit, whether tracked files
-had uncommitted changes), then the rungs.
+had uncommitted changes, and the git tree hash of the tracked files as
+timed, so that a record written before its commit names the tree it
+timed: ``git diff TREE COMMIT -- src`` shows what the commit changed in
+the package after the timing), then the rungs.
 
 A ``rungs`` entry is the fastest of a few ``metric_dimension`` calls in
 the rung's process, each on a graph built anew: the call is repeated
@@ -50,6 +53,7 @@ RUNGS = [
     ("J7 resolving-3", ("snark", 7), "resolving", 3, None),
     ("J9 resolving-3", ("snark", 9), "resolving", 3, None),
     ("J11 resolving-3", ("snark", 11), "resolving", 3, 120.0),
+    ("J13 resolving-3", ("snark", 13), "resolving", 3, 120.0),
     ("J11 resolving-2", ("snark", 11), "resolving", 2, None),
     ("J13 resolving-2", ("snark", 13), "resolving", 2, None),
     ("J9 solid-1", ("snark", 9), "solid", 1, None),
@@ -173,6 +177,9 @@ def _provenance():
 
     # tracked files only: an untracked copy of this script is no change
     status = _git("status", "--porcelain", "--untracked-files=no")
+    # a commit of the tracked files as they are, or none when they are
+    # committed; it moves no file and no ref
+    stash = _git("stash", "create") if status else ""
     return {
         "cores": os.cpu_count(),
         "python": platform.python_version(),
@@ -180,6 +187,7 @@ def _provenance():
         "machine": platform.machine(),
         "commit": _git("rev-parse", "HEAD"),
         "uncommitted_changes": None if status is None else bool(status),
+        "tree": None if stash is None else _git("rev-parse", f"{stash or 'HEAD'}^{{tree}}"),
     }
 
 
