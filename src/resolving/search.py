@@ -38,14 +38,13 @@ sorted by size and reduced a level at a time: the smallest left are
 kept, and each larger one that contains one of them dropped.
 
 A family of at least _ORBIT_MASKS one-word masks ({l}-resolving or
-doubly) whose automorphism group is enumerated is built and reduced on
-one representative per orbit (the group is then read before the build;
-see below), and the whole family is never built.  An automorphism maps
-the masks of a pair of row groups onto those of the pair of their
-images, so the pairs whose first row group (the set X for
-{l}-resolving, the vertex u for doubly) comes first in its orbit, each
-against every group, build a mask of every orbit of the family, about a
-1/|G| share of it.  Their distinct masks are reduced a level at a time
+doubly) whose automorphism group is enumerated (see below) is built and
+reduced on one representative per orbit, and the whole family is never
+built.  An automorphism maps the masks of a pair of row groups onto
+those of the pair of their images, so the pairs whose first row group
+(the set X for {l}-resolving, the vertex u for doubly) comes first in
+its orbit, each against every group, build a mask of every orbit of the
+family, about a 1/|G| share of it.  Their distinct masks are reduced a level at a time
 as above, but each level keeps the distinct images of its
 representatives left (one float64 product of their bit matrix with
 2^g(v)), and those drop the larger representatives that contain one.
@@ -82,23 +81,22 @@ an ascending search in vertex order finds.
 
 The masks are defined from distances alone, so every automorphism of the
 graph maps the forced vertices onto themselves and the kept masks onto
-the kept masks.  Once the masks are kept, before the first decision,
-and only if some decision places two positions (the group cannot prune
-fewer, nor the read-off), the group is read off the distance matrix
-(on the orbit path, before the masks are built): an
-automorphism is fixed by the images of a resolving base, so the
-candidate images of a greedy base are extended level by level and every
-map they give is checked against the edges (or, past a fixed number of
-candidates, the search goes on without it).  The group depends on the
-graph alone, so it is read at most once per distance matrix and kept with
-it (``DistanceMatrix._invariant``), as the matrix is kept with its graph
-object: later searches on that graph, in any mode, read neither again,
-while the masks, forced vertices and answers are computed per call.  The
-same recursion then makes each decision by orbital branching: it is
-handed the automorphisms that fix the positions taken so far, and when
-the branch on a position fails, so do the branches on every position
-they map it to, which are dropped.  Where none is left it branches as
-without the group.  The answer is unchanged; only the nodes it takes are
+the kept masks.  Every search first reads the group off the distance
+matrix, before the masks are built: an automorphism is fixed by the
+images of a resolving base, so the candidate images of a greedy base are
+extended level by level and every map they give is checked against the
+edges (or, past a fixed number of candidates, the search goes on without
+it).  The group depends on the graph alone, so it is read once per
+distance matrix and kept with it (``DistanceMatrix._invariant``), as the
+matrix is kept with its graph object: later searches on that graph, in
+any mode, read neither again, while the masks, forced vertices and
+answers are computed per call.  The same recursion then makes each
+decision by orbital branching: it is handed the automorphisms that fix
+the positions taken so far, and when the branch on a position fails, so
+do the branches on every position they map it to, which are dropped.
+Where none is left it branches as without the group, so a decision that
+places fewer than two positions, and the read-off, take the nodes they
+take without it.  The answer is unchanged; only the nodes it takes are
 fewer.
 """
 
@@ -172,12 +170,11 @@ class SearchStats:
     # at the value is not a decision): galloping up from the lower bound,
     # each below the smallest cardinality known to pass
     decided: tuple = ()
-    # milliseconds per phase: masks (the separator build and its dedup up
-    # to the sorted merged rows, on the orbit path those of the
+    # milliseconds per phase, in order: group (the automorphisms, read
+    # first, once per distance matrix), masks (the separator build and its
+    # dedup up to the sorted merged rows, on the orbit path those of the
     # representatives), reduce (masks no forced vertex is in, minimal
-    # masks, family, greedy cap), group (automorphisms, read before the
-    # masks are built on the orbit path), search (decisions and read-off),
-    # verify; a phase entered twice sums its times
+    # masks, family, greedy cap), search (decisions and read-off), verify
     phase_ms: dict = dataclasses.field(default_factory=dict)
 
 
@@ -869,15 +866,12 @@ def metric_dimension(g, config):
         _check_deadline(deadline)
 
     try:
+        with _phase(stats, "group"):
+            autos = dm._invariant(_automorphisms)
         with _phase(stats, "masks"):
             separators = _Separators(dm, mode)
-        autos = None
-        if separators.orbital:
-            with _phase(stats, "group"):
-                autos = dm._invariant(_automorphisms)
-        with _phase(stats, "masks"):
             images = firsts = None
-            if autos is not None:
+            if separators.orbital and autos is not None:
                 images = _image_map(autos, separators.rows.dtype)
                 firsts = separators.firsts(images)
             masks = separators.masks(deadline, firsts)
@@ -892,14 +886,9 @@ def metric_dimension(g, config):
             # greedy cover, padded
             hi = max(lb, len(forced) + len(_greedy_cover(cover, len(members))))
         stats.masks_kept = len(masks)
-        with _phase(stats, "group"):
-            # the group prunes only decisions, and only where one places two
-            # positions; the largest cardinality decided is below hi
-            top = min(hi - 1, k_hi)
-            prunes = lb <= top and top - len(forced) >= 2
-            orbits = _Orbits(dm._invariant(_automorphisms) if prunes else None, free, place)
         with _phase(stats, "search"):
-            decide, read_off = _cover_search(cover, members, place, tick, orbits)
+            decide, read_off = _cover_search(cover, members, place, tick,
+                                             _Orbits(autos, free, place))
             # galloping: the gap above the starting bound doubles with each
             # failed decision, and a passing one lowers hi
             start = lb

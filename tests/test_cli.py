@@ -615,7 +615,7 @@ def test_dim_timing_reports_search_counters(capsys):
     assert timed[:-1] == plain
     assert timed[-1].startswith(f"search: {result['nodes']} nodes, "
                                 f"{result['masks_kept']} of {result['mask_count']} masks kept, "
-                                "decided [1, 3, 7, 6], phase ms masks ")
+                                "decided [1, 3, 7, 6], phase ms group ")
 
 
 def test_dim_without_timing_has_no_search_counters(capsys):

@@ -387,36 +387,36 @@ def test_orbital_branching_matches_search_without_group(name, seed, monkeypatch)
     assert asked == [all_pairs_distances(g)]
 
 
-@pytest.mark.parametrize("g, mode, k_max", [
-    (star_graph(3), Mode.solid(2), None),
-    (star_graph(3), Mode.solid(2), 2),
-    (rook_graph(4, 4), Mode.solid(2), None),
-    (path_graph(9), Mode.resolving(1), None),
-], ids=["K1,3-solid2", "K1,3-solid2-kmax2", "rook4x4-solid2", "P9-resolving1"])
-def test_group_is_not_read_where_no_cardinality_places_two_positions(g, mode, k_max, monkeypatch):
-    # K1,3 {2}-solid leaves one free position, every cell of rook 4x4 is
-    # forced, k_max = 2 is below the forced count of K1,3, and on P9 the
-    # greedy cover (one end) meets the bound 1, so the basis is read off
-    # with no decision: no decision branches on two positions, so the
-    # group cannot prune
-    want = _outcome(dim(g, mode, k_max=k_max))
-
-    def automorphisms(dm):
-        raise AssertionError("the group was read")
-
-    monkeypatch.setattr(search, "_automorphisms", automorphisms)
-    res = dim(g, mode, k_max=k_max)
-    assert _outcome(res) == want
-    assert "group" in res.stats.phase_ms
-
-
-def test_group_is_read_where_a_cardinality_places_two_positions(monkeypatch):
+@pytest.mark.parametrize("graph, mode, k_max, two_positions", [
+    (lambda: star_graph(3), Mode.solid(2), None, False),
+    (lambda: star_graph(3), Mode.solid(2), 2, False),
+    (lambda: rook_graph(4, 4), Mode.solid(2), None, False),
+    (lambda: path_graph(9), Mode.resolving(1), None, False),
+    (lambda: flower_snark(5), Mode.resolving(2), None, True),
+], ids=["K1,3-solid2", "K1,3-solid2-kmax2", "rook4x4-solid2", "P9-resolving1", "J5-resolving2"])
+def test_every_search_reads_the_group_once(graph, mode, k_max, two_positions, monkeypatch):
+    # the group is read first, once, on a fresh graph, whether or not a
+    # decision places two positions.  K1,3 {2}-solid leaves one free
+    # position, every cell of rook 4x4 is forced, k_max = 2 is below the
+    # forced count of K1,3, and on P9 the greedy cover (one end) meets the
+    # bound 1, so the basis is read off with no decision: there the group
+    # prunes nothing, and every counter is that of the search without it;
+    # J5 {2}-resolving decides 3, 7 and 6, and takes fewer nodes with it
     calls = []
     automorphisms = search._automorphisms
     monkeypatch.setattr(search, "_automorphisms",
                         lambda dm: calls.append(dm.n) or automorphisms(dm))
-    assert dim(flower_snark(5), Mode.resolving(2)).value == 7
-    assert calls == [20]
+    g = graph()
+    res = dim(g, mode, k_max=k_max)
+    assert calls == [g.n]
+    assert next(iter(res.stats.phase_ms)) == "group"
+    monkeypatch.setattr(search, "_automorphisms", lambda dm: None)
+    without = dim(graph(), mode, k_max=k_max)
+    assert _outcome(res) == _outcome(without)
+    if two_positions:
+        assert res.stats.nodes < without.stats.nodes
+    else:
+        assert _answers(res) == _answers(without)
 
 
 def _answers(res):
@@ -1164,14 +1164,22 @@ def test_nan_budget_is_refused():
 
 def test_budget_holds_in_separator_build(monkeypatch):
     # J9 {3}-resolving off the orbit path compares about 30 million pairs
-    # of sets of size <= 3; the deadline is checked between blocks of them
+    # of sets of size <= 3, in over 100 blocks; the clock passes the
+    # deadline as the third block is handed out, and the deadline, checked
+    # between blocks, ends the search before any mask is reduced
     monkeypatch.setattr(search, "_ORBIT_MASKS", float("inf"))
-    started = time.monotonic()
-    res = dim(flower_snark(9), Mode.resolving(3), budget_s=0.5)
-    assert time.monotonic() - started < 2.0
+    now = [0.0]
+    blocks = []
+    _counted_blocks(monkeypatch, now, blocks, 3)
+    monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
+    started = time.perf_counter()
+    res = dim(flower_snark(9), Mode.resolving(3), budget_s=1.0)
+    assert time.perf_counter() - started < 2.0
+    assert len(blocks) == 3
     assert res.value is None
     assert res.lower_bound >= 1
     assert res.describe().startswith("unknown >= ")
+    assert "reduce" not in res.stats.phase_ms
 
 
 def test_no_mask_merge_starts_after_the_deadline(monkeypatch):

@@ -68,6 +68,7 @@ RUNGS = [
     ("P65 resolving-2", ("path", 65), "resolving", 2, None),
     ("rook 6x5 resolving-2", ("rook", 6, 5), "resolving", 2, None),
     ("rook 6x6 resolving-2", ("rook", 6, 6), "resolving", 2, None),
+    ("rook 6x6 resolving-3", ("rook", 6, 6), "resolving", 3, None),
     ("rook 7x6 resolving-2", ("rook", 7, 6), "resolving", 2, 120.0),
     ("rook 12x10 resolving-1", ("rook", 12, 10), "resolving", 1, 60.0),
 ]
